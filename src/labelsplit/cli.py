@@ -82,6 +82,12 @@ def _values_list(raw: str) -> tuple[int, ...]:
     return values
 
 
+def _at_least(flag: str, value: int | None, low: int) -> None:
+    if value is not None and value < low:
+        print(f"{flag} must be at least {low}, got {value}", file=sys.stderr)
+        raise _Fail(2)
+
+
 def _instance(args: argparse.Namespace) -> SubsetSumInstance:
     try:
         return SubsetSumInstance(args.b, args.c)
@@ -112,6 +118,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_rg(args: argparse.Namespace) -> int:
+    _at_least("--bound", args.bound, 1)
     net = _load_net(args.net_file)
     result = reachability_graph(net, max_states=args.bound)
     if isinstance(result, BoundExceeded):
@@ -141,6 +148,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
+    _at_least("--max-labels", args.max_labels, 1)
+    _at_least("--node-budget", args.node_budget, 0)
     lts = _load_lts(args.lts_file)
     if args.optimize:
         try:

@@ -1,18 +1,20 @@
-"""Exact linear algebra over the rationals for small dense matrices.
+"""Exact linear algebra for small dense matrices: no tolerances, no floats.
 
-Everything here works on `fractions.Fraction` entries, so ranks, spans and
-nullspaces are exact: no tolerances, no floating point. Matrices are tiny
-(rows and columns on the order of the number of edges/labels of a transition
-system), so a straightforward Gauss-Jordan elimination is all we need.
+`integer_echelon` eliminates in Python ints and builds `fractions.Fraction`
+entries only for its final reduced form. `rref` is the `Fraction`
+Gauss-Jordan oracle; in production it runs only inside `nullspace_basis`,
+on a cycle base that is already small and reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 Scalar = int | Fraction
+_ZERO = Fraction(0)
 
 
 def _frac(value: Scalar) -> Fraction:
@@ -50,14 +52,8 @@ class RatVector:
         lcm = 1
         for e in self.entries:
             d = e.denominator
-            lcm = lcm * d // _gcd(lcm, d)
+            lcm = lcm * d // gcd(lcm, d)
         return tuple(int(e * lcm) for e in self.entries)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -92,9 +88,6 @@ class RatMatrix:
         start = i * self.cols
         return RatVector(self.entries[start : start + self.cols])
 
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(self.row(i).entries) for i in range(self.rows)]
-
     def stacked_with(self, extra: RatVector) -> "RatMatrix":
         if len(extra) != self.cols:
             raise ValueError(
@@ -119,7 +112,7 @@ def rref(matrix: RatMatrix) -> Echelon:
     with a nonzero entry there. Pivots are scaled to 1 and their columns
     cleared above and below, so the result is canonical for the row space.
     """
-    rows = matrix.row_list()
+    rows = [list(matrix.row(i).entries) for i in range(matrix.rows)]
     n_rows, n_cols = matrix.rows, matrix.cols
     pivot_cols: list[int] = []
     pivot_row = 0
@@ -146,6 +139,42 @@ def rref(matrix: RatMatrix) -> Echelon:
         pivot_row += 1
     flat = tuple(v for r in rows for v in r)
     return Echelon(RatMatrix(n_rows, n_cols, flat), len(pivot_cols), tuple(pivot_cols))
+
+
+def integer_echelon(vectors: Iterable[Sequence[int]], cols: int) -> Echelon:
+    """The nonzero rows of `rref` on the same vectors, by fraction-free,
+    gcd-normalised Gauss-Jordan: each vector is reduced against the kept
+    rows, and a remainder is kept after clearing its pivot column from them.
+    Stops reading at rank `cols`; `Fraction` runs only on the final rows."""
+    kept: dict[int, list[int]] = {}  # pivot column -> row, zero at other pivots
+    for vector in vectors:
+        v = list(vector)
+        for col, row in kept.items():
+            if v[col]:
+                v = _eliminate(v, row, col)
+        lead = next((c for c, x in enumerate(v) if x), None)
+        if lead is None:
+            continue
+        g = gcd(*v)
+        v = [x // g for x in v]
+        for col, row in kept.items():
+            if row[lead]:
+                kept[col] = _eliminate(row, v, lead)
+        kept[lead] = v
+        if len(kept) == cols:
+            break
+    pivots = tuple(sorted(kept))
+    flat = tuple(Fraction(x, kept[c][c]) if x else _ZERO for c in pivots for x in kept[c])
+    return Echelon(RatMatrix(len(pivots), cols, flat), len(pivots), pivots)
+
+
+def _eliminate(v: list[int], row: list[int], col: int) -> list[int]:
+    """A combination of `v` and `row` that is zero at `col`, entries of gcd 1."""
+    g = gcd(row[col], v[col])
+    a, b = row[col] // g, v[col] // g
+    w = [a * x - b * y for x, y in zip(v, row)]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
 
 
 def nullspace_basis(matrix: RatMatrix) -> list[RatVector]:

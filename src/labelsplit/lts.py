@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .linalg import RatMatrix, RatVector, rref
+from .linalg import RatMatrix, integer_echelon
 
 
 class Edge(NamedTuple):
@@ -66,10 +66,6 @@ class Lts:
 
     def label_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.labels)}
-
-    def out_map(self) -> dict[tuple[str, str], int]:
-        """(source, label) -> edge index; assumes the LTS is deterministic."""
-        return {(e.source, e.label): i for i, e in enumerate(self.edges)}
 
 
 # --- validation ---------------------------------------------------------
@@ -206,12 +202,13 @@ def edge_parikh(tree: SpanningTree, edge_index: int) -> tuple[int, ...]:
     lts = tree.lts
     if not 0 <= edge_index < len(lts.edges):
         raise ValueError(f"unknown edge index: {edge_index}")
-    e = lts.edges[edge_index]
-    idx = lts.label_index()
-    v = list(tree.parikh[e.source])
+    return tuple(_chord(tree, lts.edges[edge_index], lts.label_index()))
+
+
+def _chord(tree: SpanningTree, e: Edge, idx: dict[str, int]) -> list[int]:
+    v = [a - b for a, b in zip(tree.parikh[e.source], tree.parikh[e.target])]
     v[idx[e.label]] += 1
-    tgt = tree.parikh[e.target]
-    return tuple(a - b for a, b in zip(v, tgt))
+    return v
 
 
 @dataclass(frozen=True)
@@ -224,17 +221,14 @@ class CycleBase:
 
 
 def cycle_base(lts: Lts, tree: SpanningTree | None = None) -> CycleBase:
+    """Chord Parikh vectors (as `edge_parikh`) in one pass, eliminated in
+    integers; `Fraction` runs only on the final rank x |labels| basis."""
     if tree is None:
         tree = spanning_tree(lts)
-    chords = [
-        edge_parikh(tree, i)
-        for i in range(len(lts.edges))
-        if i not in tree.tree_edges()
-    ]
-    raw = RatMatrix.from_rows(chords, cols=len(lts.labels))
-    ech = rref(raw)
-    kept = [list(ech.reduced.row(r).entries) for r in range(ech.rank)]
-    return CycleBase(lts.labels, RatMatrix.from_rows(kept, cols=len(lts.labels)))
+    idx = lts.label_index()
+    tree_edges = tree.tree_edges()
+    chords = (_chord(tree, e, idx) for i, e in enumerate(lts.edges) if i not in tree_edges)
+    return CycleBase(lts.labels, integer_echelon(chords, len(lts.labels)).reduced)
 
 
 # --- text format --------------------------------------------------------

@@ -11,6 +11,8 @@ question: take the cycle base of the LTS, its rational nullspace (the space
 of feasible label effects), and ask whether effect vectors can tell every
 pair of states apart. `is_embeddable`, `ssp_solvable` and span membership of
 Parikh differences are three faces of the same criterion and must agree.
+`Fraction` arithmetic runs only on the small reduced cycle base (its
+nullspace, cleared of denominators) and in the oracles.
 """
 
 from __future__ import annotations
@@ -150,7 +152,10 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
     failure is the first colliding pair in canonical state order.
     """
     tree = spanning_tree(lts)
-    basis = effect_space(lts, cycle_base(lts, tree))
+    return _report(lts, tree, effect_space(lts, cycle_base(lts, tree)))
+
+
+def _report(lts: Lts, tree: SpanningTree, basis: list[EffectVector]) -> EmbeddabilityReport:
     signatures: dict[str, tuple[int, ...]] = {}
     first_owner: dict[tuple[int, ...], str] = {}
     witness: tuple[str, str] | None = None
@@ -185,6 +190,10 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
             raise CycleInconsistent(
                 "effect vector has nonzero work around a cycle of the LTS"
             )
+    return _region(lts, tree, effect)
+
+
+def _region(lts: Lts, tree: SpanningTree, effect: EffectVector) -> Region:
     walk = {s: _dot(effect, tree.parikh[s]) for s in lts.states}
     offset = max(0, max(-w for w in walk.values()))
     values = {s: offset + w for s, w in walk.items()}
@@ -196,9 +205,11 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
 def separating_regions(lts: Lts) -> list[Region]:
     """One region per effect-space basis vector; together they distinguish
     every pair of states. Raises NotEmbeddable (with a witness pair) when no
-    region set can."""
-    report = is_embeddable(lts)
+    region set can. One analysis is shared by the check and every region."""
+    tree = spanning_tree(lts)
+    basis = effect_space(lts, cycle_base(lts, tree))
+    report = _report(lts, tree, basis)
     if not report.embeddable:
         assert report.witness is not None
         raise NotEmbeddable(report.witness)
-    return [region_from_effect(lts, e) for e in effect_space(lts)]
+    return [_region(lts, tree, e) for e in basis]

@@ -223,6 +223,7 @@ def set_partitions(count: int, max_blocks: int | None = None) -> Iterator[list[l
 
     Restricted-growth-string order, so the single-block partition comes
     first. Blocks are listed by their smallest element, elements ascending.
+    Iterative, so a label with thousands of edges needs no deep recursion.
     """
     cap = count if max_blocks is None else min(max_blocks, count)
     if count == 0:
@@ -231,19 +232,22 @@ def set_partitions(count: int, max_blocks: int | None = None) -> Iterator[list[l
     if cap < 1:
         return
     assign = [0] * count
-
-    def rec(i: int, used: int) -> Iterator[list[list[int]]]:
-        if i == count:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for j, b in enumerate(assign):
-                blocks[b].append(j)
-            yield blocks
+    used = [1] * count  # used[i]: blocks among assign[: i + 1]
+    while True:
+        blocks: list[list[int]] = [[] for _ in range(used[-1])]
+        for j, b in enumerate(assign):
+            blocks[b].append(j)
+        yield blocks
+        # advance the last position that can still grow, reset the rest
+        i = count - 1
+        while i > 0 and assign[i] + 1 >= min(used[i - 1] + 1, cap):
+            i -= 1
+        if i == 0:
             return
-        for b in range(min(used + 1, cap)):
-            assign[i] = b
-            yield from rec(i + 1, max(used, b + 1))
-
-    yield from rec(1, 1)
+        assign[i] += 1
+        used[i] = max(used[i - 1], assign[i] + 1)
+        assign[i + 1 :] = [0] * (count - i - 1)
+        used[i + 1 :] = [used[i]] * (count - i - 1)
 
 
 def conflict_pairs(lts: Lts) -> dict[str, list[tuple[int, int]]]:

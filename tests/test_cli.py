@@ -74,6 +74,15 @@ def test_rg_bound_exceeded(tmp_path, capsys):
     assert capsys.readouterr().out == "bound-exceeded\n"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_rg_bound_below_one_is_input_error(bound, capsys):
+    # a bounded net: a bound that is silently ignored gives exit 0, not a hang
+    assert main(["rg", FIG2_NET, "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"--bound must be at least 1, got {bound}\n"
+
+
 def test_rg_output_file(tmp_path, capsys):
     out = tmp_path / "rg.lts"
     assert main(["rg", FIG2_NET, "--bound", "100", "-o", str(out)]) == 0
@@ -118,6 +127,21 @@ def test_split_not_found(capsys):
 def test_split_budget_exhausted(capsys):
     assert main(["split", FIG1_RIGHT, "--max-labels", "3", "--node-budget", "1"]) == 3
     assert capsys.readouterr().out == "budget-exhausted\n"
+
+
+def test_split_max_labels_zero_is_input_error(capsys):
+    assert main(["split", FIG1_RIGHT, "--max-labels", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--max-labels must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("mode", [["--max-labels", "3"], ["--optimize"]])
+def test_split_negative_node_budget_is_input_error(mode, capsys):
+    assert main(["split", FIG1_RIGHT, *mode, "--node-budget", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--node-budget must be at least 0, got -1\n"
 
 
 def test_split_optimize(capsys):

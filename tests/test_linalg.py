@@ -1,10 +1,20 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelsplit.linalg import RatMatrix, RatVector, in_span, nullspace_basis, rref
+from labelsplit.linalg import (
+    RatMatrix,
+    RatVector,
+    in_span,
+    integer_echelon,
+    nullspace_basis,
+    rref,
+)
 
 
 def mat(rows, cols=None):
@@ -137,3 +147,68 @@ def test_in_span_agrees_with_sympy():
         xs = sympy.symbols(f"x0:{rows}")
         solutions = sympy.linsolve((a, b), xs)
         assert ours == (solutions != sympy.EmptySet)
+
+
+# --- integer echelon against the Fraction oracle --------------------------
+
+
+@st.composite
+def integer_matrices(draw):
+    """Small integer matrices, often rank deficient: zero rows, negative
+    entries, and rows that are integer combinations of earlier rows."""
+    cols = draw(st.integers(0, 6))
+    entry = st.integers(-6, 6) | st.just(0)
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["fresh", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * cols)
+        elif kind == "fresh":
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append([x * p + y * q for p, q in zip(a, b)])
+    return rows, cols
+
+
+def nonzero_rows_of_rref(rows, cols):
+    ech = rref(RatMatrix.from_rows(rows, cols=cols))
+    kept = ech.reduced.entries[: ech.rank * cols]
+    return RatMatrix(ech.rank, cols, kept), ech.rank, ech.pivot_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_integer_echelon_equals_fraction_rref(case):
+    rows, cols = case
+    ech = integer_echelon(rows, cols)
+    assert (ech.reduced, ech.rank, ech.pivot_cols) == nonzero_rows_of_rref(rows, cols)
+    assert all(isinstance(x, Fraction) for x in ech.reduced.entries)
+
+
+def test_integer_echelon_equals_sympy_rref():
+    # the same property against sympy, independent of the package
+    rng = random.Random(29)
+    for _ in range(40):
+        cols = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+        reduced, pivots = sympy.Matrix(rows).rref()
+        ech = integer_echelon(rows, cols)
+        assert ech.pivot_cols == pivots
+        expected = [[Fraction(int(x.p), int(x.q)) for x in reduced.row(r)] for r in range(len(pivots))]
+        assert [list(ech.reduced.row(r).entries) for r in range(ech.rank)] == expected
+
+
+def test_integer_echelon_stops_at_full_rank():
+    # once the rank reaches the column count nothing more is read, so an
+    # endless tail of vectors is never touched
+    vectors = itertools.chain([[2, 4], [0, -3]], itertools.repeat([1, 1]))
+    ech = integer_echelon(vectors, 2)
+    assert ech.reduced == mat([[1, 0], [0, 1]])
+    assert ech.pivot_cols == (0, 1)
+
+
+def test_integer_echelon_no_vectors():
+    ech = integer_echelon([], 3)
+    assert (ech.reduced, ech.rank, ech.pivot_cols) == (mat([], cols=3), 0, ())

@@ -1,9 +1,10 @@
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import load_lts, random_lts
-from labelsplit.linalg import RatMatrix, RatVector, in_span
+from labelsplit.linalg import RatMatrix, RatVector, in_span, rref
 from labelsplit.lts import (
     Dangling,
     FormatError,
@@ -18,6 +19,7 @@ from labelsplit.lts import (
     state_parikh,
     validate,
 )
+from labelsplit.petri import parse_net, reachability_graph
 
 
 def test_parse_canonical_order():
@@ -46,6 +48,17 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 3
     with pytest.raises(FormatError):
         parse_lts("")
+
+
+def test_header_is_bare_lts_as_in_readme():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("LTS files", 1)[1].split("```", 2)[1]
+    example = "".join(line + "\n" for line in block.splitlines() if line and line != "...")
+    lts = parse_lts(example)
+    assert lts.initial == "s0" and len(lts.edges) == 2
+    with pytest.raises(FormatError) as err:
+        parse_lts("lts 7\ninitial s0\n")
+    assert err.value.line == 1
 
 
 def test_format_round_trip():
@@ -153,6 +166,35 @@ def test_cycle_base_fig2_left():
     base = cycle_base(load_lts("fig2-left.lts"))
     assert base.matrix.rows == 1
     assert list(base.matrix.row(0).entries) == [1, 1, 1]
+
+
+def chord_rref_oracle(lts):
+    """The cycle base as first written: `rref` over `Fraction`s of every raw
+    chord vector, nonzero rows kept."""
+    tree = spanning_tree(lts)
+    chords = [edge_parikh(tree, i) for i in range(len(lts.edges)) if i not in tree.tree_edges()]
+    ech = rref(RatMatrix.from_rows(chords, cols=len(lts.labels)))
+    cols = len(lts.labels)
+    return RatMatrix(ech.rank, cols, ech.reduced.entries[: ech.rank * cols])
+
+
+def test_cycle_base_equals_rref_of_chords_random():
+    rng = random.Random(41)
+    for _ in range(150):
+        lts = random_lts(rng, max_states=8, max_labels=5, extra_edges=8)
+        assert cycle_base(lts).matrix == chord_rref_oracle(lts)
+
+
+@pytest.mark.parametrize("places,tokens", [(2, 5), (3, 4), (4, 3)])
+def test_cycle_base_equals_rref_of_chords_ring(places, tokens):
+    lines = ["net"] + [f"place p{i} {tokens if i == 0 else 0}" for i in range(places)]
+    lines += [f"trans t{i}" for i in range(places)]
+    for i in range(places):
+        lines += [f"arc p{i} t{i} 1", f"arc t{i} p{(i + 1) % places} 1"]
+    rg = reachability_graph(parse_net("\n".join(lines) + "\n"))
+    base = cycle_base(rg)
+    assert base.matrix == chord_rref_oracle(rg)
+    assert base.matrix.rows == 1  # every cycle of a ring fires each transition equally
 
 
 def test_random_walk_parikh_consistency():

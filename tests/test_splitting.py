@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -123,6 +124,35 @@ def test_set_partitions_max_blocks():
     parts = list(set_partitions(4, max_blocks=2))
     assert all(len(p) <= 2 for p in parts)
     assert sum(1 for _ in parts) == 1 + 7  # one 1-block + seven 2-block partitions
+
+
+def test_set_partitions_restricted_growth_order():
+    # independent oracle: every block-index string in lexicographic order,
+    # kept when each index is at most one above the largest before it
+    for count in range(7):
+        for cap in (None, 1, 2, 3):
+            expected = []
+            for rgs in itertools.product(range(count), repeat=count):
+                if count and rgs[0] != 0:
+                    continue
+                if any(b > max(rgs[:i]) + 1 for i, b in enumerate(rgs) if i):
+                    continue
+                if cap is not None and count and max(rgs) >= cap:
+                    continue
+                blocks = [[j for j, b in enumerate(rgs) if b == k] for k in range(max(rgs, default=-1) + 1)]
+                expected.append(blocks)
+            assert list(set_partitions(count, cap)) == expected
+
+
+def test_decide_long_single_label_chain():
+    # a 1,500-edge chain under one label embeds as it stands; enumerating its
+    # partitions must not recurse once per edge
+    edges = [(f"s{i}", "a", f"s{i + 1}") for i in range(1500)]
+    lts = Lts.from_edges("s0", edges)
+    outcome = decide(lts, 1)
+    assert outcome.found and outcome.labels_used == 1
+    assert outcome.splitting == identity_splitting(lts)
+    assert outcome.nodes == 2  # the one-block partition and its leaf
 
 
 def test_conflict_pairs():
