@@ -1,12 +1,12 @@
 """Embed labelled transition systems into Petri net reachability graphs.
 
-The pipeline: decide embeddability via regions (exact rational arithmetic),
+The pipeline: decide embeddability via regions (exact integer arithmetic),
 synthesize witnessing nets, search minimum-alphabet label splittings when an
 LTS does not embed as-is, and generate subset-sum gadget LTSs whose known
 answers exercise the whole stack end to end.
 """
 
-from .linalg import RatMatrix, RatVector, in_span, nullspace_basis, rref
+from .linalg import integer_echelon, nullspace_basis
 from .lts import (
     CycleBase,
     Edge,
@@ -14,11 +14,9 @@ from .lts import (
     Lts,
     SpanningTree,
     cycle_base,
-    edge_parikh,
     format_lts,
     parse_lts,
     spanning_tree,
-    state_parikh,
     validate,
 )
 from .petri import (
@@ -40,10 +38,8 @@ from .reduction import (
     SubsetSumInstance,
     build_lts,
     extract_solution,
-    format_instance,
     index_set_splitting,
     params,
-    parse_instance,
     subset_sum_brute,
     unit_word,
 )
@@ -56,8 +52,6 @@ from .regions import (
     is_embeddable,
     region_from_effect,
     separating_regions,
-    ssp_solvable,
-    state_signature,
 )
 from .splitting import (
     LabelSplitting,

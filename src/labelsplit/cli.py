@@ -21,7 +21,7 @@ from .petri import (
     synthesize,
     verify_embedding,
 )
-from .reduction import SubsetSumInstance, build_lts, params, subset_sum_brute
+from .reduction import BRUTE_MAX_N, SubsetSumInstance, build_lts, params, subset_sum_brute
 from .regions import NotEmbeddable, is_embeddable
 from .splitting import SearchBudgetExhausted, decide, optimize, serialize_splitting
 
@@ -181,7 +181,14 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    solution = subset_sum_brute(_instance(args))
+    instance = _instance(args)
+    if instance.n > BRUTE_MAX_N:
+        print(
+            f"--c: the oracle takes at most {BRUTE_MAX_N} values, got {instance.n}",
+            file=sys.stderr,
+        )
+        raise _Fail(2)
+    solution = subset_sum_brute(instance)
     if solution is None:
         print("none")
         return 1

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .linalg import RatMatrix, integer_echelon
+from .linalg import integer_echelon
 
 
 class Edge(NamedTuple):
@@ -147,65 +149,60 @@ def validate(lts: Lts) -> list[Violation]:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """BFS spanning tree of an LTS plus the tree-walk Parikh vector of every
-    state (entry i counts label i on the unique tree path from the initial
-    state)."""
+    """BFS spanning tree of an LTS: the index of the tree edge into every
+    state but the initial one, in the order BFS discovered the states."""
 
     lts: Lts
     parent_edge: dict[str, int]
-    parikh: dict[str, tuple[int, ...]]
 
     def tree_edges(self) -> frozenset[int]:
         return frozenset(self.parent_edge.values())
+
+    def walk(self, steps: Sequence[tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
+        """Sum `steps[label]` along every state's tree path in one pass down
+        the tree: value(child) = value(parent) + steps[label of tree edge],
+        and zeros at the initial state."""
+        lts = self.lts
+        idx = lts.label_index()
+        values = {lts.initial: (0,) * (len(steps[0]) if steps else 0)}
+        for state, i in self.parent_edge.items():  # parents are discovered first
+            e = lts.edges[i]
+            values[state] = tuple(map(add, values[e.source], steps[idx[e.label]]))
+        return values
+
+    @cached_property
+    def parikh(self) -> dict[str, tuple[int, ...]]:
+        """Tree-walk Parikh vector of every state: entry i counts label i on
+        the tree path from the initial state."""
+        n = len(self.lts.labels)
+        return self.walk([tuple(int(i == j) for j in range(n)) for i in range(n)])
 
 
 def spanning_tree(lts: Lts) -> SpanningTree:
     """Deterministic BFS tree: states are discovered in canonical edge order,
     so repeated calls give the same tree."""
-    idx = lts.label_index()
     out: dict[str, list[int]] = {s: [] for s in lts.states}
     for i, e in enumerate(lts.edges):
         out[e.source].append(i)
-    zero = tuple(0 for _ in lts.labels)
     parent: dict[str, int] = {}
-    parikh: dict[str, tuple[int, ...]] = {lts.initial: zero}
+    reached = {lts.initial}
     frontier = deque([lts.initial])
     while frontier:
-        s = frontier.popleft()
-        base = parikh[s]
-        for i in out[s]:
-            e = lts.edges[i]
-            if e.target in parikh:
-                continue
-            v = list(base)
-            v[idx[e.label]] += 1
-            parent[e.target] = i
-            parikh[e.target] = tuple(v)
-            frontier.append(e.target)
-    if len(parikh) != len(lts.states):
-        missing = [s for s in lts.states if s not in parikh]
+        for i in out[frontier.popleft()]:
+            target = lts.edges[i].target
+            if target not in reached:
+                reached.add(target)
+                parent[target] = i
+                frontier.append(target)
+    if len(reached) != len(lts.states):
+        missing = [s for s in lts.states if s not in reached]
         raise ValueError(f"state not reachable from {lts.initial}: {missing[0]}")
-    return SpanningTree(lts, parent, parikh)
-
-
-def state_parikh(tree: SpanningTree, state: str) -> tuple[int, ...]:
-    """Label counts along the tree path from the initial state to `state`."""
-    try:
-        return tree.parikh[state]
-    except KeyError:
-        raise ValueError(f"unknown state: {state}") from None
-
-
-def edge_parikh(tree: SpanningTree, edge_index: int) -> tuple[int, ...]:
-    """Parikh vector of an edge s -t-> s' relative to the tree:
-    parikh(s) + unit(t) - parikh(s'). Zero exactly on tree edges."""
-    lts = tree.lts
-    if not 0 <= edge_index < len(lts.edges):
-        raise ValueError(f"unknown edge index: {edge_index}")
-    return tuple(_chord(tree, lts.edges[edge_index], lts.label_index()))
+    return SpanningTree(lts, parent)
 
 
 def _chord(tree: SpanningTree, e: Edge, idx: dict[str, int]) -> list[int]:
+    """Parikh vector of the cycle an edge s -t-> s' closes with the tree:
+    parikh(s) + unit(t) - parikh(s'). Zero exactly on tree edges."""
     v = [a - b for a, b in zip(tree.parikh[e.source], tree.parikh[e.target])]
     v[idx[e.label]] += 1
     return v
@@ -213,22 +210,23 @@ def _chord(tree: SpanningTree, e: Edge, idx: dict[str, int]) -> list[int]:
 
 @dataclass(frozen=True)
 class CycleBase:
-    """Row-reduced basis of the chord Parikh vectors; rows span the cycle
-    space of the underlying graph (independent of the tree used)."""
+    """Echelon basis of the chord Parikh vectors, in the integer form of
+    `linalg.integer_echelon`; the rows span the cycle space of the underlying
+    graph (independent of the tree used)."""
 
     labels: tuple[str, ...]
-    matrix: RatMatrix
+    rows: tuple[tuple[int, ...], ...]
+    pivots: tuple[int, ...]
 
 
 def cycle_base(lts: Lts, tree: SpanningTree | None = None) -> CycleBase:
-    """Chord Parikh vectors (as `edge_parikh`) in one pass, eliminated in
-    integers; `Fraction` runs only on the final rank x |labels| basis."""
+    """Chord Parikh vectors in one pass, eliminated in integers."""
     if tree is None:
         tree = spanning_tree(lts)
     idx = lts.label_index()
     tree_edges = tree.tree_edges()
     chords = (_chord(tree, e, idx) for i, e in enumerate(lts.edges) if i not in tree_edges)
-    return CycleBase(lts.labels, integer_echelon(chords, len(lts.labels)).reduced)
+    return CycleBase(lts.labels, *integer_echelon(chords, len(lts.labels)))
 
 
 # --- text format --------------------------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lts import FormatError, Lts, _content_lines
+from .lts import Lts
 from .splitting import LabelSplitting, from_partitions, validate_splitting
 
 
@@ -233,12 +233,15 @@ def extract_solution(
     return tuple(chosen)
 
 
+BRUTE_MAX_N = 30
+
+
 def subset_sum_brute(instance: SubsetSumInstance) -> tuple[int, ...] | None:
     """Direct exponential solver used as an oracle; returns the
     lexicographically smallest solving index set (1-based, ascending) or
-    None. Guarded to small n."""
-    if instance.n > 30:
-        raise ValueError(f"brute-force solver capped at n=30, got n={instance.n}")
+    None. Guarded to n <= BRUTE_MAX_N."""
+    if instance.n > BRUTE_MAX_N:
+        raise ValueError(f"brute-force solver capped at n={BRUTE_MAX_N}, got n={instance.n}")
     values = instance.values
     n = instance.n
     suffix = [0] * (n + 2)
@@ -259,35 +262,3 @@ def subset_sum_brute(instance: SubsetSumInstance) -> tuple[int, ...] | None:
         return rec(i + 1, remaining, acc)
 
     return rec(1, instance.target, [])
-
-
-# --- text format --------------------------------------------------------
-
-
-def parse_instance(text: str) -> SubsetSumInstance:
-    """Parse `subsetsum <target> <c1> ... <cn>` (comments and blank lines
-    allowed)."""
-    lines = _content_lines(text)
-    if not lines:
-        raise FormatError(1, "empty input, expected 'subsetsum' line")
-    if len(lines) > 1:
-        raise FormatError(lines[1][0], "expected a single 'subsetsum' line")
-    n, parts = lines[0]
-    if parts[0] != "subsetsum" or len(parts) < 3:
-        raise FormatError(n, "expected 'subsetsum <target> <value>...'")
-    numbers = []
-    for raw in parts[1:]:
-        try:
-            v = int(raw)
-        except ValueError:
-            raise FormatError(n, f"expected an integer, got {raw!r}") from None
-        if v < 1:
-            raise FormatError(n, f"expected a positive integer, got {v}")
-        numbers.append(v)
-    return SubsetSumInstance(numbers[0], tuple(numbers[1:]))
-
-
-def format_instance(instance: SubsetSumInstance) -> str:
-    return "subsetsum " + " ".join(
-        str(v) for v in (instance.target, *instance.values)
-    ) + "\n"

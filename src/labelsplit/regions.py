@@ -7,22 +7,24 @@ place of a net whose reachability graph the LTS maps into; the marking of a
 state under that place is the region's value.
 
 Whether an injective such map into SOME net exists is a pure linear-algebra
-question: take the cycle base of the LTS, its rational nullspace (the space
-of feasible label effects), and ask whether effect vectors can tell every
-pair of states apart. `is_embeddable`, `ssp_solvable` and span membership of
-Parikh differences are three faces of the same criterion and must agree.
-`Fraction` arithmetic runs only on the small reduced cycle base (its
-nullspace, cleared of denominators) and in the oracles.
+question: take the cycle base of the LTS, its nullspace (the space of
+feasible label effects), and ask whether effect vectors can tell every pair
+of states apart. All of it runs in integers: the cycle base is an integer
+echelon form, the effect basis is read off it with denominators already
+cleared, and a state's signature (its value under every basis vector) comes
+from one pass down the spanning tree. The tests check this decision against
+two independent ones: span membership of Parikh differences, and a
+separating effect per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from .linalg import RatMatrix, RatVector, nullspace_basis
-from .lts import CycleBase, Lts, SpanningTree, cycle_base, spanning_tree, state_parikh
+from .linalg import nullspace_basis
+from .lts import CycleBase, Lts, SpanningTree, cycle_base, spanning_tree
 
 EffectVector = tuple[int, ...]
 
@@ -97,78 +99,36 @@ def effect_space(lts: Lts, base: CycleBase | None = None) -> list[EffectVector]:
 
     Feasible means orthogonal to every cycle of the LTS (walking a cycle must
     return a place to its starting token count). Basis vectors are the
-    rational nullspace of the cycle base with denominators cleared. The list
-    is empty exactly when the cycle base has full rank |labels|.
+    nullspace of the cycle base, one per free column, each the primitive
+    integer multiple of the rational solution that is 1 there. The list is
+    empty exactly when the cycle base has full rank |labels|.
     """
     if base is None:
         base = cycle_base(lts)
-    return [v.scaled_to_integers() for v in nullspace_basis(base.matrix)]
-
-
-def _dot(vec: Sequence[int | Fraction], parikh: Sequence[int]):
-    return sum(a * b for a, b in zip(vec, parikh))
-
-
-def state_signature(
-    lts: Lts, basis: Sequence[Sequence[int | Fraction]], state: str
-) -> tuple:
-    """Dot products of the state's tree Parikh vector with each basis vector.
-
-    Two states get the same signature for a basis of the effect space exactly
-    when no region can tell them apart.
-    """
-    tree = spanning_tree(lts)
-    p = state_parikh(tree, state)
-    for b in basis:
-        if len(b) != len(lts.labels):
-            raise ValueError("basis vector length does not match label count")
-    return tuple(_dot(b, p) for b in basis)
-
-
-def ssp_solvable(lts: Lts, s: str, t: str) -> EffectVector | None:
-    """A feasible effect vector distinguishing states s and t, or None.
-
-    None happens exactly when the difference of the two tree Parikh vectors
-    lies in the row span of the cycle base; then every region values s and t
-    equally and the pair is inseparable.
-    """
-    if s == t:
-        raise ValueError(f"state separation needs two distinct states, got {s} twice")
-    tree = spanning_tree(lts)
-    ps = state_parikh(tree, s)
-    pt = state_parikh(tree, t)
-    diff = tuple(a - b for a, b in zip(ps, pt))
-    for e in effect_space(lts, cycle_base(lts, tree)):
-        if _dot(e, diff) != 0:
-            return e
-    return None
+    return nullspace_basis(base.rows, base.pivots, len(base.labels))
 
 
 def is_embeddable(lts: Lts) -> EmbeddabilityReport:
     """Does the LTS embed injectively into some Petri net reachability graph?
 
-    Computes every state's signature against one fixed effect-space basis;
-    embeddable iff the signatures are pairwise distinct. The witness on
-    failure is the first colliding pair in canonical state order.
+    Computes every state's signature, the values of one fixed effect-space
+    basis summed along its tree path; embeddable iff the signatures are
+    pairwise distinct. The witness on failure is the first colliding pair in
+    canonical state order.
     """
     tree = spanning_tree(lts)
     return _report(lts, tree, effect_space(lts, cycle_base(lts, tree)))
 
 
 def _report(lts: Lts, tree: SpanningTree, basis: list[EffectVector]) -> EmbeddabilityReport:
-    signatures: dict[str, tuple[int, ...]] = {}
+    walk = tree.walk([tuple(b[i] for b in basis) for i in range(len(lts.labels))])
+    signatures = {s: walk[s] for s in lts.states}
     first_owner: dict[tuple[int, ...], str] = {}
-    witness: tuple[str, str] | None = None
-    for s in lts.states:
-        p = tree.parikh[s]
-        sig = tuple(_dot(b, p) for b in basis)
-        signatures[s] = sig
-        if witness is None:
-            if sig in first_owner:
-                witness = (first_owner[sig], s)
-            else:
-                first_owner[sig] = s
-    return EmbeddabilityReport(witness is None, signatures, witness)
+    for s, sig in signatures.items():
+        if sig in first_owner:
+            return EmbeddabilityReport(False, signatures, (first_owner[sig], s))
+        first_owner[sig] = s
+    return EmbeddabilityReport(True, signatures, None)
 
 
 def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
@@ -183,20 +143,18 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
     if len(effect) != len(lts.labels):
         raise ValueError("effect vector length does not match label count")
     tree = spanning_tree(lts)
-    base = cycle_base(lts, tree)
-    evec = RatVector.make(effect)
-    for r in range(base.matrix.rows):
-        if base.matrix.row(r).dot(evec) != 0:
+    for row in cycle_base(lts, tree).rows:
+        if sum(map(mul, row, effect)):
             raise CycleInconsistent(
                 "effect vector has nonzero work around a cycle of the LTS"
             )
-    return _region(lts, tree, effect)
+    walk = tree.walk([(x,) for x in effect])
+    return _region(lts, effect, {s: w for s, (w,) in walk.items()})
 
 
-def _region(lts: Lts, tree: SpanningTree, effect: EffectVector) -> Region:
-    walk = {s: _dot(effect, tree.parikh[s]) for s in lts.states}
+def _region(lts: Lts, effect: EffectVector, walk: dict[str, int]) -> Region:
     offset = max(0, max(-w for w in walk.values()))
-    values = {s: offset + w for s, w in walk.items()}
+    values = {s: offset + walk[s] for s in lts.states}
     consume = {t: max(0, -effect[i]) for i, t in enumerate(lts.labels)}
     produce = {t: effect[i] + consume[t] for i, t in enumerate(lts.labels)}
     return Region(values, consume, produce)
@@ -205,11 +163,15 @@ def _region(lts: Lts, tree: SpanningTree, effect: EffectVector) -> Region:
 def separating_regions(lts: Lts) -> list[Region]:
     """One region per effect-space basis vector; together they distinguish
     every pair of states. Raises NotEmbeddable (with a witness pair) when no
-    region set can. One analysis is shared by the check and every region."""
+    region set can. One analysis is shared by the check and every region:
+    region k's state values are column k of the signatures."""
     tree = spanning_tree(lts)
     basis = effect_space(lts, cycle_base(lts, tree))
     report = _report(lts, tree, basis)
     if not report.embeddable:
         assert report.witness is not None
         raise NotEmbeddable(report.witness)
-    return [_region(lts, tree, e) for e in basis]
+    return [
+        _region(lts, e, {s: sig[k] for s, sig in report.signatures.items()})
+        for k, e in enumerate(basis)
+    ]

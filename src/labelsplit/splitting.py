@@ -282,10 +282,6 @@ class SearchBudgetExhausted(RuntimeError):
     pass
 
 
-class _OutOfNodes(Exception):
-    pass
-
-
 def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOutcome:
     """Is there a splitting with at most `max_labels` labels whose result is
     embeddable? Complete search over canonical splittings; the first witness
@@ -293,7 +289,8 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
 
     `node_budget` caps the number of search nodes (partition candidates and
     leaves); hitting it yields an `exhausted` outcome, which is weaker than a
-    definitive not-found.
+    definitive not-found. The search keeps an explicit stack of per-label
+    partition iterators, so any number of labels needs no deep recursion.
     """
     if max_labels < 1:
         raise ValueError(f"label budget must be at least 1, got {max_labels}")
@@ -301,58 +298,55 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
     for i, e in enumerate(lts.edges):
         per_label[e.label].append(i)
     conflicts = conflict_pairs(lts)
-    order = sorted(lts.labels, key=lambda t: -len(per_label[t]))
+    # most edges first; a label without edges has nothing to split
+    order = [t for t in sorted(lts.labels, key=lambda t: -len(per_label[t])) if per_label[t]]
     extra_budget = max_labels - len(lts.labels)
-    min_extra = [1 if conflicts[t] else 0 for t in order]
     suffix = [0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + min_extra[i]
-    nodes = 0
+        suffix[i] = suffix[i + 1] + (1 if conflicts[order[i]] else 0)
     if extra_budget < 0 or suffix[0] > extra_budget:
         return SplitOutcome(False, None, None, False, 0)
+    nodes = 0
     chosen: dict[str, list[list[int]]] = {}
-
-    def bump() -> None:
-        nonlocal nodes
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise _OutOfNodes
-
-    def rec(i: int, extra_used: int) -> LabelSplitting | None:
-        if i == len(order):
-            bump()
+    # one frame per label with a chosen partition: (extra labels used by the
+    # labels before it, the rest of its partitions)
+    stack: list[tuple[int, Iterator[list[list[int]]]]] = []
+    extra_used = 0
+    while True:
+        depth = len(stack)
+        if depth < len(order):
+            allowed = extra_budget - extra_used - suffix[depth + 1]
+            parts = set_partitions(len(per_label[order[depth]]), max_blocks=1 + allowed)
+            stack.append((extra_used, parts))
+        else:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return SplitOutcome(False, None, None, True, nodes)
             candidate = from_partitions(lts, chosen)
             if is_embeddable(apply_splitting(lts, candidate)).embeddable:
-                return candidate
-            return None
-        t = order[i]
-        idxs = per_label[t]
-        if not idxs:
-            return rec(i + 1, extra_used)
-        allowed = extra_budget - extra_used - suffix[i + 1]
-        bad = conflicts[t]
-        for blocks in set_partitions(len(idxs), max_blocks=1 + allowed):
-            bump()
-            block_of = {}
-            for b, blk in enumerate(blocks):
-                for k in blk:
-                    block_of[idxs[k]] = b
-            if any(block_of[a] == block_of[b] for a, b in bad):
+                return SplitOutcome(True, candidate, candidate.labels_used(), False, nodes)
+        # move the deepest frame to its next admissible partition, popping
+        # the frames that have none left (a popped label's entry in `chosen`
+        # is overwritten before the next leaf)
+        while stack:
+            base_used, parts = stack[-1]
+            blocks = next(parts, None)
+            if blocks is None:
+                stack.pop()
+                continue
+            t = order[len(stack) - 1]
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return SplitOutcome(False, None, None, True, nodes)
+            idxs = per_label[t]
+            block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
+            if any(block_of[a] == block_of[b] for a, b in conflicts[t]):
                 continue
             chosen[t] = [[idxs[k] for k in blk] for blk in blocks]
-            result = rec(i + 1, extra_used + len(blocks) - 1)
-            if result is not None:
-                return result
-        chosen.pop(t, None)
-        return None
-
-    try:
-        witness = rec(0, 0)
-    except _OutOfNodes:
-        return SplitOutcome(False, None, None, True, nodes)
-    if witness is None:
-        return SplitOutcome(False, None, None, False, nodes)
-    return SplitOutcome(True, witness, witness.labels_used(), False, nodes)
+            extra_used = base_used + len(blocks) - 1
+            break
+        else:
+            return SplitOutcome(False, None, None, False, nodes)
 
 
 def optimize(lts: Lts, node_budget: int | None = None) -> tuple[int, LabelSplitting]:

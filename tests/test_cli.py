@@ -155,6 +155,15 @@ def test_split_optimize_exhausted(capsys):
     assert capsys.readouterr().out == "budget-exhausted\n"
 
 
+def test_split_optimize_long_chain(tmp_path, capsys):
+    # 1,200 labels, one per edge: embeddable as it stands, no recursion limit
+    path = tmp_path / "chain.lts"
+    edges = [f"edge s{i} t{i} s{i + 1}" for i in range(1200)]
+    path.write_text("\n".join(["lts", "initial s0", *edges]) + "\n")
+    assert main(["split", str(path), "--optimize"]) == 0
+    assert capsys.readouterr().out == "labels 1200\n"
+
+
 def test_split_requires_exactly_one_mode(capsys):
     assert main(["split", FIG1_RIGHT]) == 2
     assert main(["split", FIG1_RIGHT, "--max-labels", "3", "--optimize"]) == 2
@@ -182,6 +191,13 @@ def test_oracle_solvable(capsys):
 def test_oracle_unsolvable(capsys):
     assert main(["oracle", "--b", "8", "--c", "1,2,4"]) == 1
     assert capsys.readouterr().out == "none\n"
+
+
+def test_oracle_too_many_values_is_input_error(capsys):
+    assert main(["oracle", "--b", "1", "--c", ",".join(["1"] * 31)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--c: the oracle takes at most 30 values, got 31\n"
 
 
 def test_unknown_verb(capsys):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from helpers import load_lts, random_lts
-from labelsplit.linalg import RatMatrix, RatVector, in_span
-from labelsplit.lts import Lts, spanning_tree, state_parikh
+from helpers import load_lts, load_net, random_lts
+from labelsplit.lts import Lts, cycle_base, spanning_tree
+from labelsplit.petri import reachability_graph
 from labelsplit.regions import (
     CycleInconsistent,
     NotEmbeddable,
@@ -12,23 +12,18 @@ from labelsplit.regions import (
     is_embeddable,
     region_from_effect,
     separating_regions,
-    ssp_solvable,
-    state_signature,
 )
-
-
-def span_matrix(basis, cols):
-    return RatMatrix.from_rows([list(b) for b in basis], cols=cols)
+from oracles import in_span, ssp_solvable, state_parikh, state_signature
 
 
 def test_effect_space_fig2_middle():
     lts = load_lts("fig2-middle.lts")
-    basis = span_matrix(effect_space(lts), 3)
-    expected = span_matrix([(-1, 1, 0), (-1, 0, 1)], 3)
-    assert basis.rows == 2
+    basis = effect_space(lts)
+    expected = [(-1, 1, 0), (-1, 0, 1)]
+    assert len(basis) == 2
     for r in range(2):
-        assert in_span(expected, basis.row(r))
-        assert in_span(basis, expected.row(r))
+        assert in_span(expected, basis[r])
+        assert in_span(basis, expected[r])
 
 
 def test_effect_space_tree_is_everything():
@@ -106,6 +101,18 @@ def test_is_embeddable_single_state():
     report = is_embeddable(Lts(("s0",), (), (), "s0"))
     assert report.embeddable
     assert report.signatures == {"s0": ()}
+
+
+def test_signatures_equal_oracle_signatures():
+    # one walk down the spanning tree gives every state's dot products with
+    # the effect basis, as the per-state oracle computes them
+    rng = random.Random(43)
+    systems = [random_lts(rng, max_states=8, max_labels=5, extra_edges=8) for _ in range(150)]
+    systems.append(reachability_graph(load_net("ring3.net")))
+    for lts in systems:
+        basis = effect_space(lts)
+        expected = {s: state_signature(lts, basis, s) for s in lts.states}
+        assert is_embeddable(lts).signatures == expected
 
 
 def test_region_from_zero_effect():
@@ -234,9 +241,7 @@ def test_three_code_paths_agree_small_sweep():
         lts = random_lts(rng, max_states=6)
         basis = effect_space(lts)
         tree = spanning_tree(lts)
-        base_matrix = span_matrix(
-            [list(r.entries) for r in (cycle_rows(lts))], len(lts.labels)
-        )
+        base_rows = cycle_base(lts).rows
         for i, s in enumerate(lts.states):
             for t in lts.states[i + 1 :]:
                 sig_differ = state_signature(lts, basis, s) != state_signature(lts, basis, t)
@@ -244,13 +249,6 @@ def test_three_code_paths_agree_small_sweep():
                     x - y
                     for x, y in zip(state_parikh(tree, s), state_parikh(tree, t))
                 )
-                span_says_equal = in_span(base_matrix, RatVector.make(diff))
+                span_says_equal = in_span(base_rows, diff)
                 ssp = ssp_solvable(lts, s, t)
                 assert sig_differ == (not span_says_equal) == (ssp is not None)
-
-
-def cycle_rows(lts):
-    from labelsplit.lts import cycle_base
-
-    base = cycle_base(lts)
-    return [base.matrix.row(r) for r in range(base.matrix.rows)]

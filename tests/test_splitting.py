@@ -155,6 +155,17 @@ def test_decide_long_single_label_chain():
     assert outcome.nodes == 2  # the one-block partition and its leaf
 
 
+def test_decide_long_chain_of_distinct_labels():
+    # one label per edge: the search keeps one frame per label, so 1,200
+    # labels must not hit the recursion limit
+    edges = [(f"s{i}", f"t{i}", f"s{i + 1}") for i in range(1200)]
+    lts = Lts.from_edges("s0", edges)
+    outcome = decide(lts, 1200)
+    assert outcome.found and outcome.labels_used == 1200
+    assert outcome.splitting == identity_splitting(lts)
+    assert outcome.nodes == 1201  # one partition per label, then the leaf
+
+
 def test_conflict_pairs():
     lts = Lts.from_edges(
         "s0",
