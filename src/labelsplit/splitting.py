@@ -17,15 +17,25 @@ never keep both edges in one block: any region would need the block label's
 effect x to satisfy 2x = 0, forcing equal values on s and s', so such pairs
 are inseparable. That rule gives a sound per-label lower bound of two blocks
 and a partition filter; both prunings preserve completeness.
+
+A leaf of the search never builds its split LTS. The spanning tree and each
+chord's fundamental cycle, as a list of edge indices, are computed once per
+search (once per `optimize`); a leaf maps edges to block columns, sums the
+cycles into chord rows and runs the integer echelon, effect basis and
+signature walk of `regions.is_embeddable` on them. Only a leaf that passes
+is turned into a `LabelSplitting`, and it is confirmed with `is_embeddable`
+on the split LTS before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .lts import FormatError, Lts
-from .regions import is_embeddable
+from .linalg import integer_echelon, nullspace_basis
+from .lts import FormatError, Lts, SpanningTree, spanning_tree
+from .regions import _report, is_embeddable
 
 
 @dataclass(frozen=True)
@@ -269,17 +279,113 @@ def conflict_pairs(lts: Lts) -> dict[str, list[tuple[int, int]]]:
 @dataclass(frozen=True)
 class SplitOutcome:
     """`found` with a witness, definitive not-found, or `exhausted` when the
-    node budget ran out before the search completed."""
+    node budget ran out before the search completed. `leaves` counts the
+    leaf checks run: embeddability tests of complete candidates."""
 
     found: bool
     splitting: LabelSplitting | None
     labels_used: int | None
     exhausted: bool
     nodes: int
+    leaves: int
 
 
 class SearchBudgetExhausted(RuntimeError):
     pass
+
+
+class _Search:
+    """What a search needs that no label budget changes: each label's edge
+    indices, its two-cycle conflicts and the order labels are split in, and
+    for the leaf check the spanning tree and every chord's fundamental
+    cycle. A splitting changes edge labels only, never the graph, so the
+    tree and the cycles, written over edge indices, hold at every leaf.
+    They are built at the first leaf; `optimize` shares one `_Search`
+    across its budget rounds."""
+
+    def __init__(self, lts: Lts) -> None:
+        self.lts = lts
+        # column of each edge's original label, before fresh blocks shift
+        # it (see `embeddable`)
+        column = {t: len(lts.labels) - 1 - k for k, t in enumerate(lts.labels)}
+        self.label_columns = [column[e.label] for e in lts.edges]
+        self.per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
+        for i, e in enumerate(lts.edges):
+            self.per_label[e.label].append(i)
+        self.conflicts = conflict_pairs(lts)
+        # most edges first; a label without edges has nothing to split
+        self.order = [
+            t
+            for t in sorted(lts.labels, key=lambda t: -len(self.per_label[t]))
+            if self.per_label[t]
+        ]
+        # suffix[d]: labels from order[d] on that need a second block
+        self.suffix = [0] * (len(self.order) + 1)
+        for d in range(len(self.order) - 1, -1, -1):
+            self.suffix[d] = self.suffix[d + 1] + (1 if self.conflicts[self.order[d]] else 0)
+
+    @cached_property
+    def tree(self) -> SpanningTree:
+        return spanning_tree(self.lts)
+
+    @cached_property
+    def cycles(self) -> list[tuple[list[int], list[int]]]:
+        """Per chord s -> s', the edges of its fundamental cycle: the chord
+        and the tree path from s up to the common ancestor count +1, the
+        path from s' up to it counts -1. Summed per label, a cycle is the
+        chord vector parikh(s) + unit - parikh(s') of `lts.cycle_base`."""
+        edges, parent = self.lts.edges, self.tree.parent_edge
+        depth = {self.lts.initial: 0}
+        for state, i in parent.items():  # parents are discovered first
+            depth[state] = depth[edges[i].source] + 1
+        tree_edges = self.tree.tree_edges()
+        cycles = []
+        for i, e in enumerate(edges):
+            if i in tree_edges:
+                continue
+            plus, minus = [i], []
+            s, t = e.source, e.target
+            while s != t:
+                if depth[s] >= depth[t]:
+                    plus.append(parent[s])
+                    s = edges[parent[s]].source
+                else:
+                    minus.append(parent[t])
+                    t = edges[parent[t]].source
+            cycles.append((plus, minus))
+        return cycles
+
+    def embeddable(self, chosen: dict[str, list[list[int]]]) -> bool:
+        """Leaf check: does the LTS split by `chosen` embed? The chord rows,
+        summed from the cycles through an edge -> column map, go through the
+        echelon, the effect basis and the signature walk that `is_embeddable`
+        runs, without building the split LTS.
+
+        The answer does not depend on the order of the columns, but the
+        echelon's cost does, since it pivots on the first nonzero column of
+        each row. Fresh blocks come first, then the original labels in
+        reverse first-use order: a label first used deep in the graph lies
+        on few fundamental cycles, so pivoting on it early fills in less.
+        On the subset-sum gadgets this more than halves the elimination time."""
+        fresh = [block for blocks in chosen.values() for block in blocks[1:]]
+        columns = [len(fresh) + c for c in self.label_columns]
+        for c, block in enumerate(fresh):
+            for i in block:
+                columns[i] = c
+        cols = len(fresh) + len(self.lts.labels)
+        rows = (_cycle_row(cycle, columns, cols) for cycle in self.cycles)
+        basis = nullspace_basis(*integer_echelon(rows, cols), cols)
+        return _report(self.lts, self.tree, basis, columns).embeddable
+
+
+def _cycle_row(cycle: tuple[list[int], list[int]], columns: list[int], cols: int) -> list[int]:
+    plus, minus = cycle
+    row = [0] * cols
+    for i in plus:
+        row[columns[i]] += 1
+    for i in minus:
+        row[columns[i]] -= 1
+    return row
 
 
 def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOutcome:
@@ -294,19 +400,15 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
     """
     if max_labels < 1:
         raise ValueError(f"label budget must be at least 1, got {max_labels}")
-    per_label = {t: [] for t in lts.labels}
-    for i, e in enumerate(lts.edges):
-        per_label[e.label].append(i)
-    conflicts = conflict_pairs(lts)
-    # most edges first; a label without edges has nothing to split
-    order = [t for t in sorted(lts.labels, key=lambda t: -len(per_label[t])) if per_label[t]]
+    return _decide(_Search(lts), max_labels, node_budget)
+
+
+def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitOutcome:
+    lts, order, suffix = search.lts, search.order, search.suffix
     extra_budget = max_labels - len(lts.labels)
-    suffix = [0] * (len(order) + 1)
-    for i in range(len(order) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + (1 if conflicts[order[i]] else 0)
     if extra_budget < 0 or suffix[0] > extra_budget:
-        return SplitOutcome(False, None, None, False, 0)
-    nodes = 0
+        return SplitOutcome(False, None, None, False, 0, 0)
+    nodes = leaves = 0
     chosen: dict[str, list[list[int]]] = {}
     # one frame per label with a chosen partition: (extra labels used by the
     # labels before it, the rest of its partitions)
@@ -316,15 +418,19 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
         depth = len(stack)
         if depth < len(order):
             allowed = extra_budget - extra_used - suffix[depth + 1]
-            parts = set_partitions(len(per_label[order[depth]]), max_blocks=1 + allowed)
+            parts = set_partitions(len(search.per_label[order[depth]]), max_blocks=1 + allowed)
             stack.append((extra_used, parts))
         else:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(False, None, None, True, nodes)
-            candidate = from_partitions(lts, chosen)
-            if is_embeddable(apply_splitting(lts, candidate)).embeddable:
-                return SplitOutcome(True, candidate, candidate.labels_used(), False, nodes)
+                return SplitOutcome(False, None, None, True, nodes, leaves)
+            leaves += 1
+            if search.embeddable(chosen):
+                # built once, and confirmed on the split LTS itself
+                candidate = from_partitions(lts, chosen)
+                if not is_embeddable(apply_splitting(lts, candidate)).embeddable:
+                    raise AssertionError("leaf check accepted a splitting that does not embed")
+                return SplitOutcome(True, candidate, candidate.labels_used(), False, nodes, leaves)
         # move the deepest frame to its next admissible partition, popping
         # the frames that have none left (a popped label's entry in `chosen`
         # is overwritten before the next leaf)
@@ -337,16 +443,16 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
             t = order[len(stack) - 1]
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(False, None, None, True, nodes)
-            idxs = per_label[t]
+                return SplitOutcome(False, None, None, True, nodes, leaves)
+            idxs = search.per_label[t]
             block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
-            if any(block_of[a] == block_of[b] for a, b in conflicts[t]):
+            if any(block_of[a] == block_of[b] for a, b in search.conflicts[t]):
                 continue
             chosen[t] = [[idxs[k] for k in blk] for blk in blocks]
             extra_used = base_used + len(blocks) - 1
             break
         else:
-            return SplitOutcome(False, None, None, False, nodes)
+            return SplitOutcome(False, None, None, False, nodes, leaves)
 
 
 def optimize(lts: Lts, node_budget: int | None = None) -> tuple[int, LabelSplitting]:
@@ -355,12 +461,14 @@ def optimize(lts: Lts, node_budget: int | None = None) -> tuple[int, LabelSplitt
 
     Tries budgets |labels|, |labels|+1, ... upward; the fully split LTS (all
     edge labels distinct) is always embeddable, so the loop ends by
-    |labels| + |edges|. Raises SearchBudgetExhausted if any round runs out
-    of nodes before settling."""
+    |labels| + |edges|. The analysis of the graph is shared by every round.
+    Raises SearchBudgetExhausted if any round runs out of nodes before
+    settling."""
     if not lts.labels:
         return (0, identity_splitting(lts))
+    search = _Search(lts)
     for q in range(len(lts.labels), len(lts.labels) + len(lts.edges) + 1):
-        outcome = decide(lts, q, node_budget)
+        outcome = _decide(search, q, node_budget)
         if outcome.exhausted:
             raise SearchBudgetExhausted(f"node budget ran out at label budget {q}")
         if outcome.found:

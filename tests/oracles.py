@@ -2,18 +2,26 @@
 
 Everything here is written the slow, obvious way: `Fraction` row reduction
 through `linalg.rref`, Parikh vectors found by climbing the spanning tree,
-and dot products per state or per pair. None of it runs in the package.
+dot products per state or per pair, and a splitting search that builds and
+checks every leaf's split LTS. None of it runs in the package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from labelsplit.linalg import rref
 from labelsplit.lts import Lts, SpanningTree, spanning_tree
-from labelsplit.regions import effect_space
+from labelsplit.regions import effect_space, is_embeddable
+from labelsplit.splitting import (
+    SplitOutcome,
+    apply_splitting,
+    conflict_pairs,
+    from_partitions,
+    set_partitions,
+)
 
 
 def dot(a: Sequence, b: Sequence):
@@ -117,3 +125,66 @@ def ssp_solvable(lts: Lts, s: str, t: str) -> tuple[int, ...] | None:
         if dot(e, diff) != 0:
             return e
     return None
+
+
+def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOutcome:
+    """`splitting.decide` as it was before leaves reused the graph analysis:
+    every leaf builds its canonical splitting, applies it, and runs
+    `is_embeddable` on the split LTS. Same search order, node counting and
+    budget rules; `leaves` counts the `is_embeddable` calls."""
+    if max_labels < 1:
+        raise ValueError(f"label budget must be at least 1, got {max_labels}")
+    per_label = {t: [] for t in lts.labels}
+    for i, e in enumerate(lts.edges):
+        per_label[e.label].append(i)
+    conflicts = conflict_pairs(lts)
+    # most edges first; a label without edges has nothing to split
+    order = [t for t in sorted(lts.labels, key=lambda t: -len(per_label[t])) if per_label[t]]
+    extra_budget = max_labels - len(lts.labels)
+    suffix = [0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + (1 if conflicts[order[i]] else 0)
+    if extra_budget < 0 or suffix[0] > extra_budget:
+        return SplitOutcome(False, None, None, False, 0, 0)
+    nodes = leaves = 0
+    chosen: dict[str, list[list[int]]] = {}
+    # one frame per label with a chosen partition: (extra labels used by the
+    # labels before it, the rest of its partitions)
+    stack: list[tuple[int, Iterator[list[list[int]]]]] = []
+    extra_used = 0
+    while True:
+        depth = len(stack)
+        if depth < len(order):
+            allowed = extra_budget - extra_used - suffix[depth + 1]
+            parts = set_partitions(len(per_label[order[depth]]), max_blocks=1 + allowed)
+            stack.append((extra_used, parts))
+        else:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return SplitOutcome(False, None, None, True, nodes, leaves)
+            leaves += 1
+            candidate = from_partitions(lts, chosen)
+            if is_embeddable(apply_splitting(lts, candidate)).embeddable:
+                return SplitOutcome(True, candidate, candidate.labels_used(), False, nodes, leaves)
+        # move the deepest frame to its next admissible partition, popping
+        # the frames that have none left (a popped label's entry in `chosen`
+        # is overwritten before the next leaf)
+        while stack:
+            base_used, parts = stack[-1]
+            blocks = next(parts, None)
+            if blocks is None:
+                stack.pop()
+                continue
+            t = order[len(stack) - 1]
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return SplitOutcome(False, None, None, True, nodes, leaves)
+            idxs = per_label[t]
+            block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
+            if any(block_of[a] == block_of[b] for a, b in conflicts[t]):
+                continue
+            chosen[t] = [[idxs[k] for k in blk] for blk in blocks]
+            extra_used = base_used + len(blocks) - 1
+            break
+        else:
+            return SplitOutcome(False, None, None, False, nodes, leaves)

@@ -4,7 +4,8 @@ import sys
 import pytest
 
 from helpers import FIXTURES, load_lts
-from labelsplit.cli import main
+from labelsplit import cli
+from labelsplit.cli import build_parser, main
 from labelsplit.lts import parse_lts
 from labelsplit.petri import parse_net, verify_embedding
 from labelsplit.regions import is_embeddable
@@ -230,3 +231,44 @@ def test_module_entry_point():
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_parser_built_at_first_call_not_at_import():
+    code = "import labelsplit.cli as c; print(c._parser.cache_info().currsize)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.stdout == "0\n"
+    assert build_parser() is not build_parser()
+
+
+def test_cached_parser_answers_like_a_fresh_one(tmp_path, capsys):
+    # every verb, argparse errors followed by valid calls, and help texts
+    calls = [
+        ["check", FIG1_RIGHT],
+        ["synth", FIG2_MIDDLE, "-o", str(tmp_path / "m.net")],
+        ["rg", FIG2_NET, "--bound", "100"],
+        ["verify", FIG2_LEFT, FIG2_NET],
+        ["split", FIG1_RIGHT],
+        ["split", FIG1_RIGHT, "--max-labels", "3"],
+        ["split", FIG1_RIGHT, "--max-labels", "x"],
+        ["split", FIG1_RIGHT, "--optimize", "--node-budget", "1"],
+        ["reduce", "--b", "2", "--c", "2", "-o", str(tmp_path / "g.lts")],
+        ["oracle", "--b", "2", "--c", "2,x"],
+        ["oracle", "--b", "3", "--c", "1,2,4"],
+        ["frobnicate"],
+        ["check", FIG2_MIDDLE],
+        ["split", "--help"],
+        ["--help"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cached = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [1, 0, 0, 0, 2, 0, 2, 3, 0, 2, 0, 2, 0, 0, 0]

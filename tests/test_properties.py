@@ -1,0 +1,149 @@
+"""Property tests of the text formats and the command line: parsers return a
+value or raise `FormatError` on any text, format then parse round-trips,
+and fuzzed arguments never end in a traceback or an undocumented exit."""
+
+import io
+import os
+import random
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import FIXTURES, load_lts, random_lts
+from labelsplit.cli import main
+from labelsplit.lts import FormatError, format_lts, parse_lts
+from labelsplit.petri import PetriNet, format_net, parse_net
+from labelsplit.splitting import parse_splitting
+
+FIG1_RIGHT = load_lts("fig1-right.lts")
+
+# text made mostly of the formats' own words, so parses get past the header
+WORDS = ["lts", "net", "initial", "edge", "place", "trans", "arc", "labels", "split"]
+WORDS += ["s0", "s1", "a", "b", "a#1", "p", "t", "0", "1", "-1", "2", "99", "x", "#"]
+tokens = st.one_of(st.sampled_from(WORDS), st.text(max_size=4))
+lines = st.lists(tokens, max_size=5).map(" ".join)
+texts = st.one_of(st.text(), st.lists(lines, max_size=8).map("\n".join))
+
+
+def parses_or_format_error(parse, text):
+    try:
+        parse(text)
+    except FormatError:
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(texts)
+def test_parse_lts_total(text):
+    parses_or_format_error(parse_lts, text)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(texts)
+def test_parse_net_total(text):
+    parses_or_format_error(parse_net, text)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(texts)
+def test_parse_splitting_total(text):
+    parses_or_format_error(lambda t: parse_splitting(FIG1_RIGHT, t), text)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(0, 2**32))
+def test_lts_round_trip(seed):
+    lts = random_lts(random.Random(seed))
+    assert parse_lts(format_lts(lts)) == lts
+
+
+@st.composite
+def nets(draw):
+    places = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
+    transitions = [f"t{i}" for i in range(draw(st.integers(0, 4)))]
+    pairs = [(p, t) for p in places for t in transitions]
+    weights = st.integers(1, 5)
+    consume = draw(st.dictionaries(st.sampled_from(pairs), weights)) if pairs else {}
+    produce = draw(st.dictionaries(st.sampled_from(pairs), weights)) if pairs else {}
+    marking = tuple(draw(st.integers(0, 9)) for _ in places)
+    return PetriNet(tuple(places), tuple(transitions), consume, produce, marking)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(nets())
+def test_net_round_trip(net):
+    assert parse_net(format_net(net)) == net
+
+
+# --- command line ---------------------------------------------------------
+
+LTS_FILES = [str(FIXTURES / name) for name in ("fig1-right.lts", "fig2-middle.lts")]
+NET_FILES = [str(FIXTURES / name) for name in ("fig2.net", "ring3.net")]
+files = st.sampled_from([*LTS_FILES, *NET_FILES, "missing.lts", "out.file"])
+small_ints = st.integers(-2, 20).map(str)
+values = st.lists(st.integers(-1, 9), min_size=1, max_size=4).map(lambda c: ",".join(map(str, c)))
+noise = st.one_of(
+    files,
+    small_ints,
+    values,
+    st.sampled_from(["--max-labels", "--optimize", "--node-budget", "--bound", "-o", "--help"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed call of a random verb, or one with a token replaced,
+    dropped or added."""
+    lts, net = st.sampled_from(LTS_FILES), st.sampled_from(NET_FILES)
+    verb = draw(st.sampled_from(["check", "synth", "rg", "verify", "split", "reduce", "oracle"]))
+    argv = {
+        "check": lambda: [draw(lts)],
+        "synth": lambda: [draw(lts), "-o", "out.net"],
+        "rg": lambda: [draw(net), "--bound", draw(small_ints), "-o", "out.lts"],
+        "verify": lambda: [draw(lts), draw(net)],
+        "split": lambda: [
+            draw(lts),
+            *draw(st.sampled_from([["--optimize"], ["--max-labels", draw(small_ints)]])),
+            "--node-budget",
+            draw(small_ints),
+        ],
+        "reduce": lambda: ["--b", draw(small_ints), "--c", draw(values), "-o", "out.lts"],
+        "oracle": lambda: ["--b", draw(small_ints), "--c", draw(values)],
+    }[verb]()
+    argv = [verb, *argv]
+    edit = draw(st.sampled_from(["none", "replace", "drop", "add"]))
+    if edit != "none":
+        k = draw(st.integers(0, len(argv) - (edit != "add")))
+        if edit == "replace":
+            argv[k] = draw(noise)
+        elif edit == "drop":
+            del argv[k]
+        else:
+            argv.insert(k, draw(noise))
+    return argv
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(argvs())
+def test_cli_fuzz_never_crashes(tmp_path_factory, argv):
+    # run inside a scratch directory: `-o` may take any token as its path
+    home = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cli"))
+    try:
+        code, text = run(argv)
+        after = run(["oracle", "--b", "2", "--c", "2"])
+    finally:
+        os.chdir(home)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in text, argv
+    # a failed parse leaves the cached parser usable
+    assert after == (0, "1\n")
