@@ -38,7 +38,6 @@ from .reduction import (
     SubsetSumInstance,
     build_lts,
     extract_solution,
-    index_set_splitting,
     params,
     subset_sum_brute,
     unit_word,

@@ -159,18 +159,23 @@ class SpanningTree:
         return frozenset(self.parent_edge.values())
 
     def walk(
-        self, steps: Sequence[tuple[int, ...]], columns: Sequence[int] | None = None
+        self,
+        steps: Sequence[tuple[int, ...]],
+        columns: Sequence[int] | None = None,
+        start: tuple[int, ...] | None = None,
     ) -> dict[str, tuple[int, ...]]:
         """Sum one step per tree edge along every state's tree path in one
         pass down the tree: value(child) = value(parent) + steps[columns[i]]
-        for the tree edge i into the child, and zeros at the initial state.
-        `columns` maps each edge index to a step; by default an edge takes
-        the step of its label."""
+        for the tree edge i into the child, and `start` (zeros by default) at
+        the initial state. `columns` maps each edge index to a step; by
+        default an edge takes the step of its label."""
         lts = self.lts
         if columns is None:
             idx = lts.label_index()
             columns = [idx[e.label] for e in lts.edges]
-        values = {lts.initial: (0,) * (len(steps[0]) if steps else 0)}
+        if start is None:
+            start = (0,) * (len(steps[0]) if steps else 0)
+        values = {lts.initial: start}
         for state, i in self.parent_edge.items():  # parents are discovered first
             values[state] = tuple(map(add, values[lts.edges[i].source], steps[columns[i]]))
         return values

@@ -1,16 +1,20 @@
 """Place/transition Petri nets: token game, reachability graphs, synthesis.
 
 Weighted arcs, integer markings. Markings are tuples aligned with the
-declared place order. The reachability graph is itself an `Lts` whose states
-are canonical marking names, which lets the region machinery and the token
-game meet in `verify_embedding`.
+declared place order, and so are a transition's arc weights: `pre[t]` is what
+t takes from each place, `post[t]` what it puts back, and firing t turns
+marking M into M - pre[t] + post[t]. Synthesis makes one place per region,
+so `pre[t]` and `post[t]` hold label t's consume and produce weight in every
+region. The reachability graph is itself an `Lts` whose states are canonical
+marking names, which lets the region machinery and the token game meet in
+`verify_embedding`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from operator import add, ge, sub
 
 from .lts import Edge, FormatError, Lts, _content_lines, spanning_tree
 from .regions import NotEmbeddable, separating_regions
@@ -20,24 +24,23 @@ Marking = tuple[int, ...]
 
 @dataclass(frozen=True)
 class PetriNet:
-    """Arc weights are stored sparsely, keyed (place, transition); `consume`
-    holds place->transition weights, `produce` transition->place weights."""
+    """`pre[t]` and `post[t]` hold transition t's input and output arc
+    weights, one per place in declared order (0 where there is no arc)."""
 
     places: tuple[str, ...]
     transitions: tuple[str, ...]
-    consume: dict[tuple[str, str], int]
-    produce: dict[tuple[str, str], int]
+    pre: dict[str, tuple[int, ...]]
+    post: dict[str, tuple[int, ...]]
     initial_marking: Marking
 
     def __post_init__(self) -> None:
         if len(self.initial_marking) != len(self.places):
             raise ValueError("initial marking length does not match place count")
-
-    def weight_in(self, place: str, transition: str) -> int:
-        return self.consume.get((place, transition), 0)
-
-    def weight_out(self, transition: str, place: str) -> int:
-        return self.produce.get((place, transition), 0)
+        for arcs in (self.pre, self.post):
+            if list(arcs) != list(self.transitions) or any(
+                len(w) != len(self.places) for w in arcs.values()
+            ):
+                raise ValueError("pre and post need one weight per place for each transition")
 
 
 class NotEnabled(ValueError):
@@ -47,39 +50,34 @@ class NotEnabled(ValueError):
         self.place = place
 
 
-def _check_transition(net: PetriNet, transition: str) -> None:
-    if transition not in net.transitions:
-        raise ValueError(f"unknown transition: {transition}")
+def _pre(net: PetriNet, transition: str) -> tuple[int, ...]:
+    try:
+        return net.pre[transition]
+    except KeyError:
+        raise ValueError(f"unknown transition: {transition}") from None
 
 
 def enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
-    """True when every place holds at least the transition's consume weight.
+    """True when every place holds at least the transition's input weight.
     Transitions with no input arcs are always enabled."""
-    _check_transition(net, transition)
-    return all(
-        marking[i] >= net.weight_in(p, transition) for i, p in enumerate(net.places)
-    )
+    return all(map(ge, marking, _pre(net, transition)))
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
-    """Successor marking; raises NotEnabled (naming a short place) otherwise."""
-    _check_transition(net, transition)
-    for i, p in enumerate(net.places):
-        if marking[i] < net.weight_in(p, transition):
-            raise NotEnabled(transition, p)
-    return tuple(
-        marking[i] - net.weight_in(p, transition) + net.weight_out(transition, p)
-        for i, p in enumerate(net.places)
-    )
+    """Successor marking; raises NotEnabled (naming the first short place)
+    otherwise."""
+    pre = _pre(net, transition)
+    if not all(map(ge, marking, pre)):
+        short = next(p for p, m, w in zip(net.places, marking, pre) if m < w)
+        raise NotEnabled(transition, short)
+    return tuple(map(add, map(sub, marking, pre), net.post[transition]))
 
 
 def marking_name(net: PetriNet, marking: Marking) -> str:
     """Canonical state name for a marking: "p1:5,p2:1,..." in declared place
     order. A net with no places gets the single name "-" (the empty join is
     not a usable token in the LTS text format)."""
-    if not net.places:
-        return "-"
-    return ",".join(f"{p}:{marking[i]}" for i, p in enumerate(net.places))
+    return ",".join(f"{p}:{m}" for p, m in zip(net.places, marking)) or "-"
 
 
 @dataclass(frozen=True)
@@ -133,16 +131,10 @@ def synthesize(lts: Lts) -> PetriNet:
     places whose transitions are the labels."""
     regions = separating_regions(lts)
     places = tuple(f"p{i + 1}" for i in range(len(regions)))
-    consume: dict[tuple[str, str], int] = {}
-    produce: dict[tuple[str, str], int] = {}
-    for p, reg in zip(places, regions):
-        for t in lts.labels:
-            if reg.consume[t]:
-                consume[(p, t)] = reg.consume[t]
-            if reg.produce[t]:
-                produce[(p, t)] = reg.produce[t]
+    pre = {t: tuple(reg.consume[t] for reg in regions) for t in lts.labels}
+    post = {t: tuple(reg.produce[t] for reg in regions) for t in lts.labels}
     initial = tuple(reg.state_value[lts.initial] for reg in regions)
-    return PetriNet(places, tuple(lts.labels), consume, produce, initial)
+    return PetriNet(places, tuple(lts.labels), pre, post, initial)
 
 
 @dataclass(frozen=True)
@@ -156,32 +148,17 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     """Check that the canonical marking map embeds the LTS into the net's
     reachability graph.
 
-    The map sends a state to the initial marking shifted by the net effect of
-    the state's tree walk. Checked in order: all markings nonnegative, the
-    map is injective, and every LTS edge is enabled at its source marking and
-    fires to its target marking. Every LTS label must be a transition of the
-    net (ValueError otherwise)."""
-    missing = [t for t in lts.labels if t not in net.transitions]
+    The map sends a state to the initial marking plus the effects
+    post[t] - pre[t] of the labels on the state's tree path. Checked in
+    order: all markings nonnegative, the map is injective, and every LTS edge
+    fires at its source marking (the token game's own enabling check) to its
+    target marking. Every LTS label must be a transition of the net
+    (ValueError otherwise)."""
+    missing = [t for t in lts.labels if t not in net.pre]
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
-    tree = spanning_tree(lts)
-    label_list = list(lts.labels)
-    delta = {
-        t: tuple(
-            net.weight_out(t, p) - net.weight_in(p, t) for p in net.places
-        )
-        for t in label_list
-    }
-    mapping: dict[str, Marking] = {}
-    for s in lts.states:
-        p = tree.parikh[s]
-        m = list(net.initial_marking)
-        for i, t in enumerate(label_list):
-            if p[i]:
-                d = delta[t]
-                for j in range(len(m)):
-                    m[j] += p[i] * d[j]
-        mapping[s] = tuple(m)
+    effects = [tuple(map(sub, net.post[t], net.pre[t])) for t in lts.labels]
+    mapping = spanning_tree(lts).walk(effects, start=net.initial_marking)
     for s in lts.states:
         if any(v < 0 for v in mapping[s]):
             return Verification(False, mapping, f"negative-marking {s}")
@@ -192,13 +169,13 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
             return Verification(False, mapping, f"not-injective {seen[m]} {s}")
         seen[m] = s
     for e in lts.edges:
-        m = mapping[e.source]
-        for i, p in enumerate(net.places):
-            if m[i] < net.weight_in(p, e.label):
-                return Verification(
-                    False, mapping, f"not-enabled {e.source} {e.label} {p}"
-                )
-        if fire(net, m, e.label) != mapping[e.target]:
+        try:
+            fired = fire(net, mapping[e.source], e.label)
+        except NotEnabled as short:
+            return Verification(
+                False, mapping, f"not-enabled {e.source} {e.label} {short.place}"
+            )
+        if fired != mapping[e.target]:
             return Verification(
                 False, mapping, f"edge-mismatch {e.source} {e.label} {e.target}"
             )
@@ -268,13 +245,9 @@ def parse_net(text: str) -> PetriNet:
             store[key] = w
         else:
             raise FormatError(n, f"unknown directive: {kind}")
-    return PetriNet(
-        tuple(places),
-        tuple(transitions),
-        consume,
-        produce,
-        tuple(tokens[p] for p in places),
-    )
+    pre = {t: tuple(consume.get((p, t), 0) for p in places) for t in transitions}
+    post = {t: tuple(produce.get((p, t), 0) for p in places) for t in transitions}
+    return PetriNet(tuple(places), tuple(transitions), pre, post, tuple(tokens.values()))
 
 
 def _nonneg_int(raw: str, line: int, what: str) -> int:
@@ -288,17 +261,13 @@ def _nonneg_int(raw: str, line: int, what: str) -> int:
 
 
 def format_net(net: PetriNet) -> str:
-    """Canonical text form: places, transitions, then input arcs and output
-    arcs each in (place, transition) declared order."""
+    """Canonical text form: places, transitions, then the input arcs and the
+    output arcs, each walked place by place and, within a place, transition
+    by transition in declared order."""
     out = ["net"]
-    for i, p in enumerate(net.places):
-        out.append(f"place {p} {net.initial_marking[i]}")
-    for t in net.transitions:
-        out.append(f"trans {t}")
-    t_idx = {t: i for i, t in enumerate(net.transitions)}
-    p_idx = {p: i for i, p in enumerate(net.places)}
-    for (p, t), w in sorted(net.consume.items(), key=lambda kv: (p_idx[kv[0][0]], t_idx[kv[0][1]])):
-        out.append(f"arc {p} {t} {w}")
-    for (p, t), w in sorted(net.produce.items(), key=lambda kv: (p_idx[kv[0][0]], t_idx[kv[0][1]])):
-        out.append(f"arc {t} {p} {w}")
+    out += [f"place {p} {m}" for p, m in zip(net.places, net.initial_marking)]
+    out += [f"trans {t}" for t in net.transitions]
+    for arcs, arc in ((net.pre, "arc {p} {t} {w}"), (net.post, "arc {t} {p} {w}")):
+        for i, p in enumerate(net.places):
+            out += [arc.format(p=p, t=t, w=arcs[t][i]) for t in net.transitions if arcs[t][i]]
     return "\n".join(out) + "\n"

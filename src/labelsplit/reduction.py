@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .lts import Lts
-from .splitting import LabelSplitting, from_partitions, validate_splitting
+from .splitting import LabelSplitting, validate_splitting
 
 
 @dataclass(frozen=True)
@@ -177,24 +177,6 @@ def _gamma_edges(lts: Lts, n: int) -> list[tuple[int, int, int]]:
         assert lts.edges[slot].source.startswith("h6.")
         triples.append((fwd, rev, slot))
     return triples
-
-
-def index_set_splitting(
-    instance: SubsetSumInstance, lts: Lts, index_set: set[int] | frozenset[int]
-) -> LabelSplitting:
-    """The canonical tight-budget splitting encoding an index set: each g_i
-    splits in two with the balance slot joining the forward block when i is
-    in the set, the reverse block otherwise."""
-    for i in index_set:
-        if not 1 <= i <= instance.n:
-            raise ValueError(f"index {i} out of range 1..{instance.n}")
-    partitions: dict[str, list[list[int]]] = {}
-    for i, (fwd, rev, slot) in enumerate(_gamma_edges(lts, instance.n), start=1):
-        if i in index_set:
-            partitions[f"g{i}"] = [[fwd, slot], [rev]]
-        else:
-            partitions[f"g{i}"] = [[fwd], [rev, slot]]
-    return from_partitions(lts, partitions)
 
 
 def extract_solution(

@@ -37,43 +37,6 @@ class Region:
     consume: dict[str, int]
     produce: dict[str, int]
 
-    def effect(self, label: str) -> int:
-        return self.produce[label] - self.consume[label]
-
-    def separates(self, s: str, t: str) -> bool:
-        return self.state_value[s] != self.state_value[t]
-
-    def violations(self, lts: Lts) -> list[str]:
-        """Why this is not a valid region of `lts`; empty list means valid."""
-        problems: list[str] = []
-        for s in lts.states:
-            if s not in self.state_value:
-                problems.append(f"no value for state {s}")
-            elif self.state_value[s] < 0:
-                problems.append(f"negative value at state {s}")
-        for t in lts.labels:
-            if self.consume.get(t, 0) < 0 or self.produce.get(t, 0) < 0:
-                problems.append(f"negative consume/produce at label {t}")
-            if t not in self.consume or t not in self.produce:
-                problems.append(f"no consume/produce for label {t}")
-        if problems:
-            return problems
-        for e in lts.edges:
-            have = self.state_value[e.source]
-            need = self.consume[e.label]
-            if have < need:
-                problems.append(
-                    f"edge {e.source} -{e.label}-> {e.target}: value {have} below consume {need}"
-                )
-                continue
-            after = have - need + self.produce[e.label]
-            if after != self.state_value[e.target]:
-                problems.append(
-                    f"edge {e.source} -{e.label}-> {e.target}: "
-                    f"expected value {after}, declared {self.state_value[e.target]}"
-                )
-        return problems
-
 
 @dataclass(frozen=True)
 class EmbeddabilityReport:

@@ -19,6 +19,16 @@ def load_net(name: str):
     return parse_net((FIXTURES / name).read_text())
 
 
+def ring_net(places: int, tokens: int):
+    """A ring of `places` places, the first holding `tokens` tokens; transition
+    t_i moves one token from p_i to the next place."""
+    lines = ["net"] + [f"place p{i} {tokens if i == 0 else 0}" for i in range(places)]
+    lines += [f"trans t{i}" for i in range(places)]
+    for i in range(places):
+        lines += [f"arc p{i} t{i} 1", f"arc t{i} p{(i + 1) % places} 1"]
+    return parse_net("\n".join(lines) + "\n")
+
+
 def random_lts(
     rng: random.Random,
     max_states: int = 8,

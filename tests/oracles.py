@@ -2,8 +2,10 @@
 
 Everything here is written the slow, obvious way: `Fraction` row reduction
 through `linalg.rref`, Parikh vectors found by climbing the spanning tree,
-dot products per state or per pair, and a splitting search that builds and
-checks every leaf's split LTS. None of it runs in the package.
+dot products per state or per pair, a splitting search that builds and
+checks every leaf's split LTS, region validity checked edge by edge, and
+markings from Parikh vectors times transition effects. None of it runs in
+the package.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ from typing import Iterator, Sequence
 
 from labelsplit.linalg import rref
 from labelsplit.lts import Lts, SpanningTree, spanning_tree
-from labelsplit.regions import effect_space, is_embeddable
+from labelsplit.petri import Marking, PetriNet
+from labelsplit.reduction import SubsetSumInstance, _gamma_edges
+from labelsplit.regions import Region, effect_space, is_embeddable
 from labelsplit.splitting import (
+    LabelSplitting,
     SplitOutcome,
     apply_splitting,
     conflict_pairs,
@@ -188,3 +193,72 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
             break
         else:
             return SplitOutcome(False, None, None, False, nodes, leaves)
+
+
+def separates(region: Region, s: str, t: str) -> bool:
+    return region.state_value[s] != region.state_value[t]
+
+
+def region_violations(region: Region, lts: Lts) -> list[str]:
+    """Why `region` is not a valid region of `lts`; empty list means valid."""
+    problems: list[str] = []
+    for s in lts.states:
+        if s not in region.state_value:
+            problems.append(f"no value for state {s}")
+        elif region.state_value[s] < 0:
+            problems.append(f"negative value at state {s}")
+    for t in lts.labels:
+        if region.consume.get(t, 0) < 0 or region.produce.get(t, 0) < 0:
+            problems.append(f"negative consume/produce at label {t}")
+        if t not in region.consume or t not in region.produce:
+            problems.append(f"no consume/produce for label {t}")
+    if problems:
+        return problems
+    for e in lts.edges:
+        have = region.state_value[e.source]
+        need = region.consume[e.label]
+        if have < need:
+            problems.append(
+                f"edge {e.source} -{e.label}-> {e.target}: value {have} below consume {need}"
+            )
+            continue
+        after = have - need + region.produce[e.label]
+        if after != region.state_value[e.target]:
+            problems.append(
+                f"edge {e.source} -{e.label}-> {e.target}: "
+                f"expected value {after}, declared {region.state_value[e.target]}"
+            )
+    return problems
+
+
+def index_set_splitting(
+    instance: SubsetSumInstance, lts: Lts, index_set: set[int] | frozenset[int]
+) -> LabelSplitting:
+    """The canonical tight-budget splitting of a subset-sum gadget encoding an
+    index set: each g_i splits in two with the balance slot joining the
+    forward block when i is in the set, the reverse block otherwise."""
+    for i in index_set:
+        if not 1 <= i <= instance.n:
+            raise ValueError(f"index {i} out of range 1..{instance.n}")
+    partitions: dict[str, list[list[int]]] = {}
+    for i, (fwd, rev, slot) in enumerate(_gamma_edges(lts, instance.n), start=1):
+        if i in index_set:
+            partitions[f"g{i}"] = [[fwd, slot], [rev]]
+        else:
+            partitions[f"g{i}"] = [[fwd], [rev, slot]]
+    return from_partitions(lts, partitions)
+
+
+def marking_map(lts: Lts, net: PetriNet) -> dict[str, Marking]:
+    """Every state's marking: the initial marking plus, for each label, the
+    state's tree Parikh count times the transition's effect post - pre,
+    place by place."""
+    tree = spanning_tree(lts)
+    mapping = {}
+    for s in lts.states:
+        m = list(net.initial_marking)
+        for count, t in zip(state_parikh(tree, s), lts.labels):
+            for j in range(len(m)):
+                m[j] += count * (net.post[t][j] - net.pre[t][j])
+        mapping[s] = tuple(m)
+    return mapping

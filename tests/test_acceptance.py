@@ -13,13 +13,12 @@ from labelsplit.reduction import (
     SubsetSumInstance,
     build_lts,
     extract_solution,
-    index_set_splitting,
     params,
     subset_sum_brute,
 )
 from labelsplit.regions import effect_space, is_embeddable
 from labelsplit.splitting import apply_splitting, decide, optimize
-from oracles import in_span, ssp_solvable, state_parikh, state_signature
+from oracles import in_span, index_set_splitting, ssp_solvable, state_parikh, state_signature
 
 
 @contextmanager

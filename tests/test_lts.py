@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import load_lts, random_lts
+from helpers import load_lts, random_lts, ring_net
 from labelsplit.lts import (
     Dangling,
     FormatError,
@@ -16,7 +16,7 @@ from labelsplit.lts import (
     spanning_tree,
     validate,
 )
-from labelsplit.petri import parse_net, reachability_graph
+from labelsplit.petri import reachability_graph
 from oracles import edge_parikh, in_span, rref_rows, state_parikh
 
 
@@ -184,11 +184,7 @@ def test_cycle_base_equals_rref_of_chords_random():
 
 @pytest.mark.parametrize("places,tokens", [(2, 5), (3, 4), (4, 3)])
 def test_cycle_base_equals_rref_of_chords_ring(places, tokens):
-    lines = ["net"] + [f"place p{i} {tokens if i == 0 else 0}" for i in range(places)]
-    lines += [f"trans t{i}" for i in range(places)]
-    for i in range(places):
-        lines += [f"arc p{i} t{i} 1", f"arc t{i} p{(i + 1) % places} 1"]
-    rg = reachability_graph(parse_net("\n".join(lines) + "\n"))
+    rg = reachability_graph(ring_net(places, tokens))
     base = cycle_base(rg)
     assert (base.rows, base.pivots) == chord_rref_oracle(rg)
     assert base.rows == ((1,) * places,)  # every cycle of a ring fires each transition equally

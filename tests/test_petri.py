@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import load_lts, load_net, random_lts
+from helpers import load_lts, load_net, random_lts, ring_net
 from labelsplit.lts import FormatError, Lts, validate
 from labelsplit.petri import (
     BoundExceeded,
@@ -18,6 +18,7 @@ from labelsplit.petri import (
     verify_embedding,
 )
 from labelsplit.regions import NotEmbeddable, is_embeddable
+from oracles import marking_map
 
 
 def test_parse_fig2_net():
@@ -25,9 +26,11 @@ def test_parse_fig2_net():
     assert net.places == ("p1", "p2", "p3", "p4")
     assert net.transitions == ("a", "b", "c")
     assert net.initial_marking == (5, 1, 0, 0)
-    assert net.weight_in("p1", "a") == 2
-    assert net.weight_out("c", "p1") == 3
-    assert net.weight_in("p3", "a") == 0
+    assert net.pre["a"][0] == 2
+    assert net.post["c"][0] == 3
+    assert net.pre["a"][2] == 0
+    assert net.pre["a"] == (2, 1, 0, 0)
+    assert net.post["a"] == (0, 0, 1, 0)
 
 
 def test_net_round_trip():
@@ -64,12 +67,36 @@ def test_enabled_and_fire_fig2():
     with pytest.raises(NotEnabled) as err:
         fire(net, m0, "c")
     assert err.value.place == "p3"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown transition: zz"):
         enabled(net, m0, "zz")
+    with pytest.raises(ValueError, match="unknown transition: zz"):
+        fire(net, m0, "zz")
+
+
+@pytest.mark.parametrize(
+    "pre,post",
+    [
+        ({"t": (0,)}, {"t": (0,), "u": (0,)}),  # pre misses a transition
+        ({"t": (0,), "u": (0,), "v": (0,)}, {"t": (0,), "u": (0,)}),  # an extra one
+        ({"u": (0,), "t": (0,)}, {"t": (0,), "u": (0,)}),  # not in declared order
+        ({"t": (0,), "u": ()}, {"t": (0,), "u": (0,)}),  # a row too short
+        ({"t": (0,), "u": (0,)}, {"t": (0, 1), "u": (0,)}),  # a row too long
+    ],
+)
+def test_petri_net_rejects_wrong_arc_shape(pre, post):
+    with pytest.raises(ValueError, match="one weight per place"):
+        PetriNet(("p",), ("t", "u"), pre, post, (0,))
+    with pytest.raises(ValueError, match="one weight per place"):
+        PetriNet(("p",), ("t", "u"), post, pre, (0,))
+
+
+def test_petri_net_rejects_wrong_marking_length():
+    with pytest.raises(ValueError, match="initial marking length"):
+        PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (0,)}, ())
 
 
 def test_transition_without_inputs_always_enabled():
-    net = PetriNet(("p",), ("t",), {}, {("p", "t"): 1}, (0,))
+    net = PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (1,)}, (0,))
     assert enabled(net, (0,), "t")
     assert fire(net, (0,), "t") == (1,)
 
@@ -77,7 +104,7 @@ def test_transition_without_inputs_always_enabled():
 def test_marking_name():
     net = load_net("fig2.net")
     assert marking_name(net, (5, 1, 0, 0)) == "p1:5,p2:1,p3:0,p4:0"
-    empty = PetriNet((), ("t",), {}, {}, ())
+    empty = PetriNet((), ("t",), {"t": ()}, {"t": ()}, ())
     assert marking_name(empty, ()) == "-"
 
 
@@ -134,7 +161,7 @@ def test_reachability_graph_isomorphic_to_fig2_middle():
 
 
 def test_reachability_graph_no_places():
-    net = PetriNet((), ("t",), {}, {}, ())
+    net = PetriNet((), ("t",), {"t": ()}, {"t": ()}, ())
     rg = reachability_graph(net)
     assert isinstance(rg, Lts)
     assert rg.states == ("-",)
@@ -143,7 +170,7 @@ def test_reachability_graph_no_places():
 
 def test_reachability_graph_bound():
     # t keeps producing: unbounded, any cap is exceeded
-    net = PetriNet(("p",), ("t",), {}, {("p", "t"): 1}, (0,))
+    net = PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (1,)}, (0,))
     result = reachability_graph(net, max_states=3)
     assert result == BoundExceeded(3)
     capped = reachability_graph(net, max_states=50)
@@ -153,7 +180,7 @@ def test_reachability_graph_bound():
 
 def test_reachability_graph_bound_is_inclusive():
     # a net with exactly 2 reachable markings fits in max_states=2
-    net = PetriNet(("p",), ("t",), {("p", "t"): 1}, {}, (1,))
+    net = PetriNet(("p",), ("t",), {"t": (1,)}, {"t": (0,)}, (1,))
     rg = reachability_graph(net, max_states=2)
     assert isinstance(rg, Lts)
     assert len(rg.states) == 2
@@ -201,10 +228,55 @@ def test_verify_embedding_marking_map_matches_rg():
 
 def test_verify_embedding_not_injective():
     lts = Lts.from_edges("s0", [("s0", "t", "s1")])
-    net = PetriNet((), ("t",), {}, {}, ())
+    net = PetriNet((), ("t",), {"t": ()}, {"t": ()}, ())
     outcome = verify_embedding(lts, net)
     assert not outcome.embeds
     assert outcome.reason == "not-injective s0 s1"
+
+
+def test_verify_embedding_not_enabled_names_first_short_place():
+    # the marking map is nonnegative and injective, but t needs more tokens
+    # than s0's marking holds
+    lts = Lts.from_edges("s0", [("s0", "t", "s1")])
+    net = PetriNet(("p", "q"), ("t",), {"t": (0, 1)}, {"t": (1, 2)}, (0, 0))
+    assert verify_embedding(lts, net).reason == "not-enabled s0 t q"
+    net = PetriNet(("p", "q"), ("t",), {"t": (1, 1)}, {"t": (2, 2)}, (0, 0))
+    assert verify_embedding(lts, net).reason == "not-enabled s0 t p"
+
+
+def test_verify_embedding_no_labels_maps_to_initial_marking():
+    lts = Lts(("s0",), (), (), "s0")
+    outcome = verify_embedding(lts, load_net("fig2.net"))
+    assert outcome.embeds
+    assert outcome.marking_map == {"s0": (5, 1, 0, 0)}
+
+
+@pytest.mark.parametrize("places,tokens", [(2, 5), (3, 4), (4, 3)])
+def test_verify_embedding_marking_map_equals_oracle_ring(places, tokens):
+    net = ring_net(places, tokens)
+    rg = reachability_graph(net)
+    outcome = verify_embedding(rg, net)
+    assert outcome.embeds
+    assert outcome.marking_map == marking_map(rg, net)
+    assert all(marking_name(net, m) == s for s, m in outcome.marking_map.items())
+
+
+def test_verify_embedding_marking_map_equals_oracle_random():
+    # synthesized nets, and random nets over the same labels that mostly do
+    # not embed the LTS: the map is the same formula either way
+    rng = random.Random(67)
+    for _ in range(100):
+        lts = random_lts(rng)
+        if is_embeddable(lts).embeddable:
+            net = synthesize(lts)
+            assert verify_embedding(lts, net).marking_map == marking_map(lts, net)
+        places = tuple(f"p{i}" for i in range(rng.randint(0, 3)))
+
+        def arcs():
+            return {t: tuple(rng.choice((0, 0, 1, 2)) for _ in places) for t in lts.labels}
+
+        net = PetriNet(places, lts.labels, arcs(), arcs(), tuple(rng.randint(0, 3) for _ in places))
+        assert verify_embedding(lts, net).marking_map == marking_map(lts, net)
 
 
 def test_verify_embedding_unknown_label():

@@ -6,14 +6,16 @@ import io
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from operator import itemgetter
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import FIXTURES, load_lts, random_lts
 from labelsplit.cli import main
 from labelsplit.lts import FormatError, format_lts, parse_lts
-from labelsplit.petri import PetriNet, format_net, parse_net
+from labelsplit.petri import NotEnabled, PetriNet, enabled, fire, format_net, parse_net
 from labelsplit.splitting import parse_splitting
 
 FIG1_RIGHT = load_lts("fig1-right.lts")
@@ -59,7 +61,9 @@ def test_lts_round_trip(seed):
 
 
 @st.composite
-def nets(draw):
+def sparse_nets(draw):
+    """A net built from drawn arc maps keyed (place, transition), returned
+    with the maps: (net, consume, produce)."""
     places = [f"p{i}" for i in range(draw(st.integers(0, 4)))]
     transitions = [f"t{i}" for i in range(draw(st.integers(0, 4)))]
     pairs = [(p, t) for p in places for t in transitions]
@@ -67,13 +71,50 @@ def nets(draw):
     consume = draw(st.dictionaries(st.sampled_from(pairs), weights)) if pairs else {}
     produce = draw(st.dictionaries(st.sampled_from(pairs), weights)) if pairs else {}
     marking = tuple(draw(st.integers(0, 9)) for _ in places)
-    return PetriNet(tuple(places), tuple(transitions), consume, produce, marking)
+    pre = {t: tuple(consume.get((p, t), 0) for p in places) for t in transitions}
+    post = {t: tuple(produce.get((p, t), 0) for p in places) for t in transitions}
+    return PetriNet(tuple(places), tuple(transitions), pre, post, marking), consume, produce
+
+
+def nets():
+    return sparse_nets().map(itemgetter(0))
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(nets())
 def test_net_round_trip(net):
     assert parse_net(format_net(net)) == net
+
+
+NO_PLACES = PetriNet((), ("t0",), {"t0": ()}, {"t0": ()}, ())
+# t1 has no arcs at all
+IDLE_T1 = PetriNet(
+    ("p0", "p1"), ("t0", "t1"), {"t0": (0, 3), "t1": (0, 0)}, {"t0": (1, 0), "t1": (0, 0)}, (0, 2)
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(sparse_nets())
+@example((NO_PLACES, {}, {}))
+@example((IDLE_T1, {("p1", "t0"): 3}, {("p0", "t0"): 1}))
+def test_token_game_equals_per_place_oracle(drawn):
+    # at the initial marking, each transition against the sparse arc maps
+    # read one place at a time
+    net, consume, produce = drawn
+    marking = net.initial_marking
+    for t in net.transitions:
+        need = [consume.get((p, t), 0) for p in net.places]
+        short = [p for p, have, w in zip(net.places, marking, need) if have < w]
+        assert enabled(net, marking, t) == (not short)
+        if short:
+            with pytest.raises(NotEnabled) as err:
+                fire(net, marking, t)
+            assert (err.value.transition, err.value.place) == (t, short[0])
+        else:
+            after = [m - w + produce.get((p, t), 0) for p, m, w in zip(net.places, marking, need)]
+            assert fire(net, marking, t) == tuple(after)
+    with pytest.raises(ValueError, match="unknown transition: zz"):
+        fire(net, marking, "zz")
 
 
 # --- command line ---------------------------------------------------------

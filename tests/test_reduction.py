@@ -6,7 +6,6 @@ from labelsplit.reduction import (
     SubsetSumInstance,
     build_lts,
     extract_solution,
-    index_set_splitting,
     params,
     subset_sum_brute,
     unit_word,
@@ -18,7 +17,7 @@ from labelsplit.splitting import (
     decide,
     validate_splitting,
 )
-from oracles import in_span, ssp_solvable
+from oracles import in_span, index_set_splitting, region_violations, separates, ssp_solvable
 
 
 def test_instance_validation():
@@ -142,11 +141,11 @@ def test_strand_constant_region():
             {t: 0 for t in lts.labels},
             {t: (int(t[1]) if t in entries else 0) for t in lts.labels},
         )
-        assert region.violations(lts) == []
+        assert region_violations(region, lts) == []
         for s in lts.states:
             for t in lts.states:
                 if s != t and strand(s) != strand(t):
-                    assert region.separates(s, t)
+                    assert separates(region, s, t)
 
 
 def test_full_calibration_vector_in_effect_space():

@@ -13,7 +13,14 @@ from labelsplit.regions import (
     region_from_effect,
     separating_regions,
 )
-from oracles import in_span, ssp_solvable, state_parikh, state_signature
+from oracles import (
+    in_span,
+    region_violations,
+    separates,
+    ssp_solvable,
+    state_parikh,
+    state_signature,
+)
 
 
 def test_effect_space_fig2_middle():
@@ -126,19 +133,19 @@ def test_region_from_zero_effect():
 def test_region_from_effect_fig2_middle():
     lts = load_lts("fig2-middle.lts")
     region = region_from_effect(lts, (1, 1, -2))
-    assert region.violations(lts) == []
+    assert region_violations(region, lts) == []
     assert region.state_value["s0"] == 0
     assert region.state_value["s3"] == 2
     assert region.state_value["s7"] == 4
     assert region.consume == {"a": 0, "b": 0, "c": 2}
     assert region.produce == {"a": 1, "b": 1, "c": 0}
-    assert region.separates("s3", "s7")
+    assert separates(region, "s3", "s7")
 
 
 def test_region_from_effect_shifts_to_nonnegative():
     lts = load_lts("fig2-middle.lts")
     region = region_from_effect(lts, (-1, -1, 2))
-    assert region.violations(lts) == []
+    assert region_violations(region, lts) == []
     assert region.state_value["s0"] == 4
     assert min(region.state_value.values()) == 0
 
@@ -160,10 +167,10 @@ def test_separating_regions_fig2_middle():
     regions = separating_regions(lts)
     assert len(regions) == 2
     for region in regions:
-        assert region.violations(lts) == []
+        assert region_violations(region, lts) == []
     for i, s in enumerate(lts.states):
         for t in lts.states[i + 1 :]:
-            assert any(r.separates(s, t) for r in regions)
+            assert any(separates(r, s, t) for r in regions)
 
 
 def test_separating_regions_raises_with_witness():
@@ -187,7 +194,7 @@ def test_random_regions_are_valid():
             c = rng.randint(-3, 3)
             effect = [x + c * y for x, y in zip(effect, b)]
         region = region_from_effect(lts, effect)
-        assert region.violations(lts) == []
+        assert region_violations(region, lts) == []
 
 
 def test_ssp_witness_yields_separating_region():
@@ -203,8 +210,8 @@ def test_ssp_witness_yields_separating_region():
                 if e is None:
                     continue
                 region = region_from_effect(lts, e)
-                assert region.violations(lts) == []
-                assert region.separates(s, t)
+                assert region_violations(region, lts) == []
+                assert separates(region, s, t)
                 checked += 1
     assert checked > 50
 
@@ -224,12 +231,12 @@ def test_region_value_shift_preserves_separation():
             dict(region.consume),
             dict(region.produce),
         )
-        assert shifted.violations(lts) == []
+        assert region_violations(shifted, lts) == []
         pairs = lambda r: {
             (s, t)
             for i, s in enumerate(lts.states)
             for t in lts.states[i + 1 :]
-            if r.separates(s, t)
+            if separates(r, s, t)
         }
         assert pairs(region) == pairs(shifted)
 
