@@ -54,12 +54,10 @@ from .regions import (
 )
 from .splitting import (
     LabelSplitting,
-    SearchBudgetExhausted,
     SplitOutcome,
     apply_splitting,
     decide,
     from_partitions,
-    identity_splitting,
     optimize,
     parse_splitting,
     serialize_splitting,

@@ -24,7 +24,7 @@ from .petri import (
 )
 from .reduction import BRUTE_MAX_N, SubsetSumInstance, build_lts, params, subset_sum_brute
 from .regions import NotEmbeddable, is_embeddable
-from .splitting import SearchBudgetExhausted, decide, optimize, serialize_splitting
+from .splitting import decide, optimize, serialize_splitting
 
 
 class _Fail(Exception):
@@ -153,16 +153,10 @@ def _cmd_split(args: argparse.Namespace) -> int:
     _at_least("--node-budget", args.node_budget, 0)
     lts = _load_lts(args.lts_file)
     if args.optimize:
-        try:
-            _, witness = optimize(lts, node_budget=args.node_budget)
-        except SearchBudgetExhausted:
-            print("budget-exhausted")
-            return 3
-        sys.stdout.write(serialize_splitting(lts, witness))
-        return 0
-    outcome = decide(lts, args.max_labels, node_budget=args.node_budget)
-    if outcome.found:
-        assert outcome.splitting is not None
+        outcome = optimize(lts, node_budget=args.node_budget)
+    else:
+        outcome = decide(lts, args.max_labels, node_budget=args.node_budget)
+    if outcome.splitting is not None:
         sys.stdout.write(serialize_splitting(lts, outcome.splitting))
         return 0
     if outcome.exhausted:

@@ -126,22 +126,32 @@ def validate(lts: Lts) -> list[Violation]:
             problems.append(Nondeterministic(e.source, e.label))
         seen_pairs.add(key)
     if lts.initial in state_set:
-        reached = {lts.initial}
-        frontier = deque([lts.initial])
-        out: dict[str, list[str]] = {}
-        for e in lts.edges:
-            if e.source in state_set and e.target in state_set:
-                out.setdefault(e.source, []).append(e.target)
-        while frontier:
-            s = frontier.popleft()
-            for t in out.get(s, ()):
-                if t not in reached:
-                    reached.add(t)
-                    frontier.append(t)
-        for s in lts.states:
-            if s not in reached:
-                problems.append(Unreachable(s))
+        parent = _bfs_parents(lts)
+        problems += [Unreachable(s) for s in lts.states if s != lts.initial and s not in parent]
     return problems
+
+
+def _bfs_parents(lts: Lts) -> dict[str, int]:
+    """Breadth-first search from the initial state, taking each state's
+    edges in canonical order and skipping edges with an undeclared end: the
+    index of the edge that first reached each state, in discovery order."""
+    edges = lts.edges
+    out: dict[str, list[int]] = {s: [] for s in lts.states}
+    for i, e in enumerate(edges):
+        succ = out.get(e.source)
+        if succ is not None:
+            succ.append(i)
+    parent: dict[str, int] = {}
+    reached = {lts.initial}
+    frontier = deque([lts.initial])
+    while frontier:
+        for i in out[frontier.popleft()]:
+            target = edges[i].target
+            if target not in reached and target in out:
+                reached.add(target)
+                parent[target] = i
+                frontier.append(target)
+    return parent
 
 
 # --- spanning tree and Parikh vectors -----------------------------------
@@ -191,21 +201,9 @@ class SpanningTree:
 def spanning_tree(lts: Lts) -> SpanningTree:
     """Deterministic BFS tree: states are discovered in canonical edge order,
     so repeated calls give the same tree."""
-    out: dict[str, list[int]] = {s: [] for s in lts.states}
-    for i, e in enumerate(lts.edges):
-        out[e.source].append(i)
-    parent: dict[str, int] = {}
-    reached = {lts.initial}
-    frontier = deque([lts.initial])
-    while frontier:
-        for i in out[frontier.popleft()]:
-            target = lts.edges[i].target
-            if target not in reached:
-                reached.add(target)
-                parent[target] = i
-                frontier.append(target)
-    if len(reached) != len(lts.states):
-        missing = [s for s in lts.states if s not in reached]
+    parent = _bfs_parents(lts)
+    if len(parent) + 1 != len(lts.states):
+        missing = [s for s in lts.states if s != lts.initial and s not in parent]
         raise ValueError(f"state not reachable from {lts.initial}: {missing[0]}")
     return SpanningTree(lts, parent)
 

@@ -102,9 +102,10 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | BoundExc
     while frontier:
         m = frontier.popleft()
         for t in net.transitions:
-            if not enabled(net, m, t):
+            try:
+                succ = fire(net, m, t)
+            except NotEnabled:
                 continue
-            succ = fire(net, m, t)
             if succ not in names:
                 if len(names) == max_states:
                     return BoundExceeded(max_states)

@@ -29,7 +29,7 @@ on the split LTS before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -50,14 +50,6 @@ class LabelSplitting:
 
     def labels_used(self) -> int:
         return len(self.alphabet)
-
-
-def identity_splitting(lts: Lts) -> LabelSplitting:
-    return LabelSplitting(
-        tuple(lts.labels),
-        {t: t for t in lts.labels},
-        tuple(e.label for e in lts.edges),
-    )
 
 
 def from_partitions(
@@ -278,20 +270,18 @@ def conflict_pairs(lts: Lts) -> dict[str, list[tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class SplitOutcome:
-    """`found` with a witness, definitive not-found, or `exhausted` when the
-    node budget ran out before the search completed. `leaves` counts the
-    leaf checks run: embeddability tests of complete candidates."""
+    """A witness `splitting`, a definitive not-found (None), or `exhausted`
+    when the node budget ran out first. `nodes` counts search nodes, `leaves`
+    the leaf checks run: embeddability tests of complete candidates."""
 
-    found: bool
     splitting: LabelSplitting | None
-    labels_used: int | None
     exhausted: bool
     nodes: int
     leaves: int
 
-
-class SearchBudgetExhausted(RuntimeError):
-    pass
+    @property
+    def found(self) -> bool:
+        return self.splitting is not None
 
 
 class _Search:
@@ -407,7 +397,7 @@ def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitO
     lts, order, suffix = search.lts, search.order, search.suffix
     extra_budget = max_labels - len(lts.labels)
     if extra_budget < 0 or suffix[0] > extra_budget:
-        return SplitOutcome(False, None, None, False, 0, 0)
+        return SplitOutcome(None, False, 0, 0)
     nodes = leaves = 0
     chosen: dict[str, list[list[int]]] = {}
     # one frame per label with a chosen partition: (extra labels used by the
@@ -423,14 +413,14 @@ def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitO
         else:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(False, None, None, True, nodes, leaves)
+                return SplitOutcome(None, True, nodes, leaves)
             leaves += 1
             if search.embeddable(chosen):
                 # built once, and confirmed on the split LTS itself
                 candidate = from_partitions(lts, chosen)
                 if not is_embeddable(apply_splitting(lts, candidate)).embeddable:
                     raise AssertionError("leaf check accepted a splitting that does not embed")
-                return SplitOutcome(True, candidate, candidate.labels_used(), False, nodes, leaves)
+                return SplitOutcome(candidate, False, nodes, leaves)
         # move the deepest frame to its next admissible partition, popping
         # the frames that have none left (a popped label's entry in `chosen`
         # is overwritten before the next leaf)
@@ -443,7 +433,7 @@ def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitO
             t = order[len(stack) - 1]
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(False, None, None, True, nodes, leaves)
+                return SplitOutcome(None, True, nodes, leaves)
             idxs = search.per_label[t]
             block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
             if any(block_of[a] == block_of[b] for a, b in search.conflicts[t]):
@@ -452,27 +442,23 @@ def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitO
             extra_used = base_used + len(blocks) - 1
             break
         else:
-            return SplitOutcome(False, None, None, False, nodes, leaves)
+            return SplitOutcome(None, False, nodes, leaves)
 
 
-def optimize(lts: Lts, node_budget: int | None = None) -> tuple[int, LabelSplitting]:
-    """Minimum label count over all splittings with an embeddable result,
-    with a witness achieving it.
+def optimize(lts: Lts, node_budget: int | None = None) -> SplitOutcome:
+    """A splitting with the fewest labels whose result is embeddable.
 
     Tries budgets |labels|, |labels|+1, ... upward; the fully split LTS (all
     edge labels distinct) is always embeddable, so the loop ends by
     |labels| + |edges|. The analysis of the graph is shared by every round.
-    Raises SearchBudgetExhausted if any round runs out of nodes before
-    settling."""
-    if not lts.labels:
-        return (0, identity_splitting(lts))
+    `node_budget` caps each round on its own; a round that runs out ends the
+    search `exhausted`. `nodes` and `leaves` sum over the rounds run."""
     search = _Search(lts)
+    nodes = leaves = 0
     for q in range(len(lts.labels), len(lts.labels) + len(lts.edges) + 1):
         outcome = _decide(search, q, node_budget)
-        if outcome.exhausted:
-            raise SearchBudgetExhausted(f"node budget ran out at label budget {q}")
-        if outcome.found:
-            assert outcome.splitting is not None
-            assert outcome.labels_used == q, "found earlier budget should have caught this"
-            return (q, outcome.splitting)
+        nodes += outcome.nodes
+        leaves += outcome.leaves
+        if outcome.found or outcome.exhausted:
+            return replace(outcome, nodes=nodes, leaves=leaves)
     raise AssertionError("fully split LTS must be embeddable")

@@ -136,9 +136,9 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
     """`splitting.decide` as it was before leaves reused the graph analysis:
     every leaf builds its canonical splitting, applies it, and runs
     `is_embeddable` on the split LTS. Same search order, node counting and
-    budget rules; `leaves` counts the `is_embeddable` calls."""
-    if max_labels < 1:
-        raise ValueError(f"label budget must be at least 1, got {max_labels}")
+    budget rules; `leaves` counts the `is_embeddable` calls. It takes any
+    budget, like one round of `splitting.optimize`, which runs q = 0 on an
+    LTS without labels; `decide` itself rejects a budget below 1."""
     per_label = {t: [] for t in lts.labels}
     for i, e in enumerate(lts.edges):
         per_label[e.label].append(i)
@@ -150,7 +150,7 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
     for i in range(len(order) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + (1 if conflicts[order[i]] else 0)
     if extra_budget < 0 or suffix[0] > extra_budget:
-        return SplitOutcome(False, None, None, False, 0, 0)
+        return SplitOutcome(None, False, 0, 0)
     nodes = leaves = 0
     chosen: dict[str, list[list[int]]] = {}
     # one frame per label with a chosen partition: (extra labels used by the
@@ -166,11 +166,11 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
         else:
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(False, None, None, True, nodes, leaves)
+                return SplitOutcome(None, True, nodes, leaves)
             leaves += 1
             candidate = from_partitions(lts, chosen)
             if is_embeddable(apply_splitting(lts, candidate)).embeddable:
-                return SplitOutcome(True, candidate, candidate.labels_used(), False, nodes, leaves)
+                return SplitOutcome(candidate, False, nodes, leaves)
         # move the deepest frame to its next admissible partition, popping
         # the frames that have none left (a popped label's entry in `chosen`
         # is overwritten before the next leaf)
@@ -183,7 +183,7 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
             t = order[len(stack) - 1]
             nodes += 1
             if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(False, None, None, True, nodes, leaves)
+                return SplitOutcome(None, True, nodes, leaves)
             idxs = per_label[t]
             block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
             if any(block_of[a] == block_of[b] for a, b in conflicts[t]):
@@ -192,7 +192,7 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
             extra_used = base_used + len(blocks) - 1
             break
         else:
-            return SplitOutcome(False, None, None, False, nodes, leaves)
+            return SplitOutcome(None, False, nodes, leaves)
 
 
 def separates(region: Region, s: str, t: str) -> bool:

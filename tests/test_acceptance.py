@@ -61,8 +61,8 @@ def test_criterion_1_figure_fixtures():
 def test_criterion_2_optimal_splitting_golden():
     with criterion("2 optimal splitting golden", 1.0):
         lts = load_lts("fig1-right.lts")
-        q, witness = optimize(lts)
-        assert q == 3
+        witness = optimize(lts).splitting
+        assert witness.labels_used() == 3
         assert is_embeddable(apply_splitting(lts, witness)).embeddable
         assert not decide(lts, 2).found
 

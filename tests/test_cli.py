@@ -165,6 +165,18 @@ def test_split_optimize_long_chain(tmp_path, capsys):
     assert capsys.readouterr().out == "labels 1200\n"
 
 
+def test_split_no_edges_both_modes(tmp_path, capsys):
+    # no labels at all: the first round's only leaf is the unsplit LTS, and
+    # a budget of 0 nodes stops either mode before it
+    path = tmp_path / "single.lts"
+    path.write_text("lts\ninitial s0\n")
+    for mode in (["--optimize"], ["--max-labels", "1"]):
+        assert main(["split", str(path), *mode]) == 0
+        assert capsys.readouterr().out == "labels 0\n"
+        assert main(["split", str(path), *mode, "--node-budget", "0"]) == 3
+        assert capsys.readouterr().out == "budget-exhausted\n"
+
+
 def test_split_requires_exactly_one_mode(capsys):
     assert main(["split", FIG1_RIGHT]) == 2
     assert main(["split", FIG1_RIGHT, "--max-labels", "3", "--optimize"]) == 2

@@ -94,6 +94,21 @@ def test_validate_dangling():
     assert any(isinstance(p, Dangling) for p in problems)
 
 
+def test_validate_mixed_violations_exact():
+    # edge 1 repeats (s0, a); edges 2 and 3 run through an undeclared state,
+    # which the reachability search skips, so s3 is unreachable
+    from labelsplit.lts import Edge
+
+    edges = [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "ghost"), ("ghost", "a", "s3")]
+    lts = Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
+    assert validate(lts) == [
+        Dangling("edge 2 target ghost not declared"),
+        Dangling("edge 3 source ghost not declared"),
+        Nondeterministic("s0", "a"),
+        Unreachable("s3"),
+    ]
+
+
 def test_spanning_tree_tree_lts_uses_all_edges():
     lts = load_lts("fig1-left.lts")
     tree = spanning_tree(lts)
@@ -105,12 +120,22 @@ def test_spanning_tree_fig2_middle_picks_first_use_edges():
     tree = spanning_tree(lts)
     # chords are the three c-edges and the duplicate route to s3
     assert tree.tree_edges() == frozenset({0, 1, 2, 3, 4, 5, 9})
+    # in the order the search discovers the states
+    assert list(tree.parent_edge.items()) == [
+        ("s1", 0), ("s2", 1), ("s3", 5), ("s4", 2), ("s6", 3), ("s5", 9), ("s7", 4)
+    ]
     assert spanning_tree(lts).tree_edges() == tree.tree_edges()  # deterministic
 
 
 def test_spanning_tree_rejects_unreachable():
     lts = Lts(("s0", "s1"), ("a",), (), "s0")
     with pytest.raises(ValueError):
+        spanning_tree(lts)
+
+
+def test_spanning_tree_names_first_unreachable_state():
+    lts = Lts.from_edges("s0", [("s1", "a", "s2")])
+    with pytest.raises(ValueError, match="^state not reachable from s0: s1$"):
         spanning_tree(lts)
 
 

@@ -226,7 +226,7 @@ def test_decide_tight_budget_solvable():
     p = params(inst)
     outcome = decide(lts, p.label_budget)
     assert outcome.found
-    assert outcome.labels_used == p.label_budget
+    assert outcome.splitting.labels_used() == p.label_budget
     assert extract_solution(inst, outcome.splitting) == (1,)
     below = decide(lts, p.label_budget - 1)
     assert not below.found and not below.exhausted
@@ -253,13 +253,11 @@ def test_extract_solution_rejects_malformed():
     lts = build_lts(inst)
     p = params(inst)
     # identity: wrong label count
-    from labelsplit.splitting import identity_splitting
-
-    with pytest.raises(ValueError):
-        extract_solution(inst, identity_splitting(lts))
-    # right count, but splits a non-gamma label instead of encoding an index set
     from labelsplit.splitting import from_partitions
 
+    with pytest.raises(ValueError):
+        extract_solution(inst, from_partitions(lts, {}))
+    # right count, but splits a non-gamma label instead of encoding an index set
     alpha_edge = next(i for i, e in enumerate(lts.edges) if e.label == "alpha")
     o_edges = [i for i, e in enumerate(lts.edges) if e.label == "o"]
     sp = from_partitions(

@@ -1,7 +1,8 @@
 """The search against `oracles.decide_oracle`, which checks every leaf on the
 split LTS itself: same outcomes, node and leaf counts, witnesses and
-budget behaviour. And the leaf check against `is_embeddable` on the split
-LTS, for arbitrary partitions."""
+budget behaviour, for `decide` at one budget and for `optimize` against
+the oracle run round by round. And the leaf check against `is_embeddable`
+on the split LTS, for arbitrary partitions."""
 
 import random
 
@@ -12,7 +13,14 @@ from helpers import FIXTURES, random_lts
 from labelsplit.lts import Lts, parse_lts
 from labelsplit.reduction import SubsetSumInstance, build_lts, params
 from labelsplit.regions import is_embeddable
-from labelsplit.splitting import _Search, apply_splitting, decide, from_partitions
+from labelsplit.splitting import (
+    SplitOutcome,
+    _Search,
+    apply_splitting,
+    decide,
+    from_partitions,
+    optimize,
+)
 from oracles import decide_oracle
 
 # the subset-sum gadgets of the benchmark: three unsolvable all-even
@@ -46,6 +54,32 @@ def sweep(lts: Lts) -> None:
         q += 1
 
 
+def optimize_oracle(lts: Lts, node_budget: int | None) -> tuple[SplitOutcome, int]:
+    """`optimize` by hand: `decide_oracle` at q = |labels|, |labels|+1, ...
+    until a round finds a witness or runs out of nodes. Returns that round's
+    outcome with nodes and leaves summed over every round, and the number of
+    rounds run."""
+    nodes = leaves = rounds = 0
+    while True:
+        last = decide_oracle(lts, len(lts.labels) + rounds, node_budget)
+        rounds += 1
+        nodes += last.nodes
+        leaves += last.leaves
+        if last.found or last.exhausted:
+            return SplitOutcome(last.splitting, last.exhausted, nodes, leaves), rounds
+
+
+def assert_optimize_same(lts: Lts) -> set[tuple[bool, bool]]:
+    """`optimize` equals the oracle's rounds at every node budget; returns
+    the (exhausted, more than one round) kinds seen."""
+    kinds = set()
+    for node_budget in NODE_BUDGETS:
+        want, rounds = optimize_oracle(lts, node_budget)
+        assert optimize(lts, node_budget) == want, (lts, node_budget)
+        kinds.add((want.exhausted, rounds > 1))
+    return kinds
+
+
 def test_gadgets_at_tight_budget_and_below():
     for target, values in GADGETS:
         instance = SubsetSumInstance(target, values)
@@ -65,6 +99,20 @@ def test_random_draws():
         sweep(random_lts(rng))
 
 
+def test_optimize_fixtures():
+    for path in sorted(FIXTURES.glob("*.lts")):
+        assert_optimize_same(parse_lts(path.read_text()))
+
+
+def test_optimize_random_draws():
+    rng = random.Random(53)
+    kinds = set()
+    for _ in range(200):
+        kinds |= assert_optimize_same(random_lts(rng))
+    # found and exhausted outcomes, each after one round and after several
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
 def test_leaves_counted_on_unsolvable_gadgets():
     # every leaf of the 2^n tree is checked; nodes are as before
     for values, leaves, nodes in [((2, 4, 6, 8), 16, 242), ((2, 4, 6, 8, 10, 12), 64, 963)]:
@@ -77,6 +125,9 @@ def test_leaves_counted_on_unsolvable_gadgets():
 def test_zero_edges():
     for lts in (Lts(("s0",), (), (), "s0"), Lts(("s0",), ("a",), (), "s0")):
         assert assert_same(lts, 1)
+        # the first round's only leaf is the unsplit LTS, even with no labels
+        assert optimize(lts) == SplitOutcome(from_partitions(lts, {}), False, 1, 1)
+        assert optimize(lts, node_budget=0) == SplitOutcome(None, True, 1, 0)
 
 
 def test_self_loops():

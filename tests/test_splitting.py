@@ -7,12 +7,10 @@ from helpers import load_lts, minimal_split_labels, random_lts, tiny_random_lts
 from labelsplit.lts import FormatError, Lts, validate
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import (
-    SearchBudgetExhausted,
     apply_splitting,
     conflict_pairs,
     decide,
     from_partitions,
-    identity_splitting,
     optimize,
     parse_splitting,
     serialize_splitting,
@@ -21,9 +19,12 @@ from labelsplit.splitting import (
 )
 
 
-def test_identity_splitting_noop():
+def test_unsplit_partitions_are_identity():
     lts = load_lts("fig1-right.lts")
-    sp = identity_splitting(lts)
+    sp = from_partitions(lts, {})
+    assert sp.alphabet == lts.labels
+    assert sp.parent == {"a": "a", "b": "b"}
+    assert sp.edge_labels == tuple(e.label for e in lts.edges)
     assert sp.labels_used() == 2
     assert validate_splitting(lts, sp) == []
     assert apply_splitting(lts, sp) == lts
@@ -76,7 +77,7 @@ def test_alternative_single_edge_split_makes_fig1_right_embeddable():
 
 def test_validate_splitting_catches_breakage():
     lts = load_lts("fig1-right.lts")
-    sp = identity_splitting(lts)
+    sp = from_partitions(lts, {})
     broken = type(sp)(sp.alphabet, dict(sp.parent), ("a",) * 6)
     problems = validate_splitting(lts, broken)
     assert problems
@@ -150,8 +151,8 @@ def test_decide_long_single_label_chain():
     edges = [(f"s{i}", "a", f"s{i + 1}") for i in range(1500)]
     lts = Lts.from_edges("s0", edges)
     outcome = decide(lts, 1)
-    assert outcome.found and outcome.labels_used == 1
-    assert outcome.splitting == identity_splitting(lts)
+    assert outcome.found and outcome.splitting.labels_used() == 1
+    assert outcome.splitting == from_partitions(lts, {})
     assert outcome.nodes == 2  # the one-block partition and its leaf
 
 
@@ -161,8 +162,8 @@ def test_decide_long_chain_of_distinct_labels():
     edges = [(f"s{i}", f"t{i}", f"s{i + 1}") for i in range(1200)]
     lts = Lts.from_edges("s0", edges)
     outcome = decide(lts, 1200)
-    assert outcome.found and outcome.labels_used == 1200
-    assert outcome.splitting == identity_splitting(lts)
+    assert outcome.found and outcome.splitting.labels_used() == 1200
+    assert outcome.splitting == from_partitions(lts, {})
     assert outcome.nodes == 1201  # one partition per label, then the leaf
 
 
@@ -184,7 +185,7 @@ def test_decide_fig1_right():
     assert not decide(lts, 2).found
     outcome = decide(lts, 3)
     assert outcome.found
-    assert outcome.labels_used == 3
+    assert outcome.splitting.labels_used() == 3
     assert not outcome.exhausted
     assert validate_splitting(lts, outcome.splitting) == []
     assert is_embeddable(apply_splitting(lts, outcome.splitting)).embeddable
@@ -194,8 +195,8 @@ def test_decide_embeddable_input_returns_identity():
     lts = load_lts("fig2-middle.lts")
     outcome = decide(lts, 3)
     assert outcome.found
-    assert outcome.splitting == identity_splitting(lts)
-    assert outcome.labels_used == 3
+    assert outcome.splitting == from_partitions(lts, {})
+    assert outcome.splitting.labels_used() == 3
 
 
 def test_decide_budget_below_label_count():
@@ -226,36 +227,45 @@ def test_two_cycle_needs_two_blocks():
     assert outcome.nodes == 0  # lower bound prunes at the root
     outcome = decide(lts, 2)
     assert outcome.found
-    assert outcome.labels_used == 2
+    assert outcome.splitting.labels_used() == 2
     labels = outcome.splitting.edge_labels
     assert labels[0] != labels[1]
 
 
 def test_optimize_fig1_right():
     lts = load_lts("fig1-right.lts")
-    q, witness = optimize(lts)
-    assert q == 3
-    assert witness.labels_used() == 3
-    assert is_embeddable(apply_splitting(lts, witness)).embeddable
+    outcome = optimize(lts)
+    assert outcome.found and not outcome.exhausted
+    assert outcome.splitting == decide(lts, 3).splitting
+    assert outcome.splitting.labels_used() == 3
+    assert is_embeddable(apply_splitting(lts, outcome.splitting)).embeddable
 
 
 def test_optimize_embeddable_is_identity():
     lts = load_lts("fig2-left.lts")
-    q, witness = optimize(lts)
-    assert q == 3
-    assert witness == identity_splitting(lts)
+    outcome = optimize(lts)
+    assert outcome.splitting == from_partitions(lts, {})
+    assert outcome.splitting.labels_used() == 3
 
 
 def test_optimize_no_labels():
     lts = Lts(("s0",), (), (), "s0")
-    q, witness = optimize(lts)
-    assert q == 0
-    assert witness.labels_used() == 0
+    outcome = optimize(lts)
+    assert outcome.found
+    assert outcome.splitting.labels_used() == 0
 
 
-def test_optimize_raises_on_exhaustion():
-    with pytest.raises(SearchBudgetExhausted):
-        optimize(load_lts("fig1-right.lts"), node_budget=1)
+def test_optimize_exhaustion():
+    lts = load_lts("fig1-right.lts")
+    outcome = optimize(lts, node_budget=1)
+    assert outcome.exhausted and not outcome.found
+    # round q=2 is the one that runs out; it counts the node that tripped it
+    assert outcome.nodes == 2
+    # the budget caps each round, not their sum: round q=3's own count
+    # lets both rounds settle
+    budget = decide(lts, 3).nodes
+    capped = optimize(lts, node_budget=budget)
+    assert capped.found and capped.nodes > budget
 
 
 def test_decide_monotone_in_budget():
