@@ -8,7 +8,6 @@ answers exercise the whole stack end to end.
 
 from .linalg import integer_echelon, nullspace_basis
 from .lts import (
-    CycleBase,
     Edge,
     FormatError,
     Lts,

@@ -39,6 +39,9 @@ def _read(path: str) -> str:
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
         raise _Fail(2) from None
+    except UnicodeDecodeError:
+        print(f"{path}: not valid UTF-8 text", file=sys.stderr)
+        raise _Fail(2) from None
 
 
 def _write(path: str, text: str) -> None:

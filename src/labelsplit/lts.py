@@ -5,6 +5,10 @@ and reachable from its initial state. States and labels are strings; edges
 keep a canonical order (order of first appearance), and everything downstream
 (spanning trees, Parikh vectors, splitting witnesses) is indexed against that
 order, so two structurally equal systems behave identically.
+
+The breadth-first search from the initial state runs once per `Lts` (the
+memoised `Lts._parents`) and feeds both `validate` and `spanning_tree`;
+`cycle_base` returns the integer echelon `(rows, pivots)` of the chords.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from functools import cached_property
 from operator import add
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .linalg import integer_echelon
+from .linalg import IntRows, integer_echelon
 
 
 class Edge(NamedTuple):
@@ -68,6 +72,31 @@ class Lts:
 
     def label_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.labels)}
+
+    @cached_property
+    def _parents(self) -> dict[str, int]:
+        """Breadth-first search from the initial state, taking each state's
+        edges in canonical order and skipping edges with an undeclared end:
+        the index of the edge that first reached each state, in discovery
+        order. Run once per LTS and read by `validate` and `spanning_tree`;
+        equality and hashing see only the fields above."""
+        edges = self.edges
+        out: dict[str, list[int]] = {s: [] for s in self.states}
+        for i, e in enumerate(edges):
+            succ = out.get(e.source)
+            if succ is not None:
+                succ.append(i)
+        parent: dict[str, int] = {}
+        reached = {self.initial}
+        frontier = deque([self.initial])
+        while frontier:
+            for i in out[frontier.popleft()]:
+                target = edges[i].target
+                if target not in reached and target in out:
+                    reached.add(target)
+                    parent[target] = i
+                    frontier.append(target)
+        return parent
 
 
 # --- validation ---------------------------------------------------------
@@ -126,32 +155,9 @@ def validate(lts: Lts) -> list[Violation]:
             problems.append(Nondeterministic(e.source, e.label))
         seen_pairs.add(key)
     if lts.initial in state_set:
-        parent = _bfs_parents(lts)
+        parent = lts._parents
         problems += [Unreachable(s) for s in lts.states if s != lts.initial and s not in parent]
     return problems
-
-
-def _bfs_parents(lts: Lts) -> dict[str, int]:
-    """Breadth-first search from the initial state, taking each state's
-    edges in canonical order and skipping edges with an undeclared end: the
-    index of the edge that first reached each state, in discovery order."""
-    edges = lts.edges
-    out: dict[str, list[int]] = {s: [] for s in lts.states}
-    for i, e in enumerate(edges):
-        succ = out.get(e.source)
-        if succ is not None:
-            succ.append(i)
-    parent: dict[str, int] = {}
-    reached = {lts.initial}
-    frontier = deque([lts.initial])
-    while frontier:
-        for i in out[frontier.popleft()]:
-            target = edges[i].target
-            if target not in reached and target in out:
-                reached.add(target)
-                parent[target] = i
-                frontier.append(target)
-    return parent
 
 
 # --- spanning tree and Parikh vectors -----------------------------------
@@ -160,7 +166,8 @@ def _bfs_parents(lts: Lts) -> dict[str, int]:
 @dataclass(frozen=True)
 class SpanningTree:
     """BFS spanning tree of an LTS: the index of the tree edge into every
-    state but the initial one, in the order BFS discovered the states."""
+    state but the initial one, in the order BFS discovered the states. Every
+    tree of one LTS shares its memoised map, so it must not be mutated."""
 
     lts: Lts
     parent_edge: dict[str, int]
@@ -200,8 +207,8 @@ class SpanningTree:
 
 def spanning_tree(lts: Lts) -> SpanningTree:
     """Deterministic BFS tree: states are discovered in canonical edge order,
-    so repeated calls give the same tree."""
-    parent = _bfs_parents(lts)
+    so repeated calls give the same tree, over the same memoised parent map."""
+    parent = lts._parents
     if len(parent) + 1 != len(lts.states):
         missing = [s for s in lts.states if s != lts.initial and s not in parent]
         raise ValueError(f"state not reachable from {lts.initial}: {missing[0]}")
@@ -216,25 +223,15 @@ def _chord(tree: SpanningTree, e: Edge, idx: dict[str, int]) -> list[int]:
     return v
 
 
-@dataclass(frozen=True)
-class CycleBase:
-    """Echelon basis of the chord Parikh vectors, in the integer form of
-    `linalg.integer_echelon`; the rows span the cycle space of the underlying
-    graph (independent of the tree used)."""
-
-    labels: tuple[str, ...]
-    rows: tuple[tuple[int, ...], ...]
-    pivots: tuple[int, ...]
-
-
-def cycle_base(lts: Lts, tree: SpanningTree | None = None) -> CycleBase:
-    """Chord Parikh vectors in one pass, eliminated in integers."""
-    if tree is None:
-        tree = spanning_tree(lts)
+def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
+    """Chord Parikh vectors in one pass, eliminated in integers: the
+    `(rows, pivots)` of `linalg.integer_echelon`. The rows span the cycle
+    space of the underlying graph, whatever tree the chords close."""
+    tree = spanning_tree(lts)
     idx = lts.label_index()
     tree_edges = tree.tree_edges()
     chords = (_chord(tree, e, idx) for i, e in enumerate(lts.edges) if i not in tree_edges)
-    return CycleBase(lts.labels, *integer_echelon(chords, len(lts.labels)))
+    return integer_echelon(chords, len(lts.labels))
 
 
 # --- text format --------------------------------------------------------

@@ -12,8 +12,10 @@ feasible label effects), and ask whether effect vectors can tell every pair
 of states apart. All of it runs in integers: the cycle base is an integer
 echelon form, the effect basis is read off it with denominators already
 cleared, and a state's signature (its value under every basis vector) comes
-from one pass down the spanning tree. The tests check this decision against
-two independent ones: span membership of Parikh differences, and a
+from one pass down the spanning tree. Every function takes only the LTS;
+its spanning tree and cycle base `(rows, pivots)` rest on the one
+breadth-first search each `Lts` runs. The tests check this decision
+against two independent ones: span membership of Parikh differences, and a
 separating effect per pair.
 """
 
@@ -24,7 +26,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import nullspace_basis
-from .lts import CycleBase, Lts, SpanningTree, cycle_base, spanning_tree
+from .lts import Lts, SpanningTree, cycle_base, spanning_tree
 
 EffectVector = tuple[int, ...]
 
@@ -57,7 +59,7 @@ class CycleInconsistent(ValueError):
     """Effect vector does not vanish on the cycle space."""
 
 
-def effect_space(lts: Lts, base: CycleBase | None = None) -> list[EffectVector]:
+def effect_space(lts: Lts) -> list[EffectVector]:
     """Integer basis of the feasible label-effect space.
 
     Feasible means orthogonal to every cycle of the LTS (walking a cycle must
@@ -66,9 +68,7 @@ def effect_space(lts: Lts, base: CycleBase | None = None) -> list[EffectVector]:
     integer multiple of the rational solution that is 1 there. The list is
     empty exactly when the cycle base has full rank |labels|.
     """
-    if base is None:
-        base = cycle_base(lts)
-    return nullspace_basis(base.rows, base.pivots, len(base.labels))
+    return nullspace_basis(*cycle_base(lts), len(lts.labels))
 
 
 def is_embeddable(lts: Lts) -> EmbeddabilityReport:
@@ -79,8 +79,7 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
     pairwise distinct. The witness on failure is the first colliding pair in
     canonical state order.
     """
-    tree = spanning_tree(lts)
-    return _report(lts, tree, effect_space(lts, cycle_base(lts, tree)))
+    return _report(lts, spanning_tree(lts), effect_space(lts))
 
 
 def _report(
@@ -113,13 +112,13 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
     effect = tuple(effect)
     if len(effect) != len(lts.labels):
         raise ValueError("effect vector length does not match label count")
-    tree = spanning_tree(lts)
-    for row in cycle_base(lts, tree).rows:
+    rows, _ = cycle_base(lts)
+    for row in rows:
         if sum(map(mul, row, effect)):
             raise CycleInconsistent(
                 "effect vector has nonzero work around a cycle of the LTS"
             )
-    walk = tree.walk([(x,) for x in effect])
+    walk = spanning_tree(lts).walk([(x,) for x in effect])
     return _region(lts, effect, {s: w for s, (w,) in walk.items()})
 
 
@@ -136,9 +135,8 @@ def separating_regions(lts: Lts) -> list[Region]:
     every pair of states. Raises NotEmbeddable (with a witness pair) when no
     region set can. One analysis is shared by the check and every region:
     region k's state values are column k of the signatures."""
-    tree = spanning_tree(lts)
-    basis = effect_space(lts, cycle_base(lts, tree))
-    report = _report(lts, tree, basis)
+    basis = effect_space(lts)
+    report = _report(lts, spanning_tree(lts), basis)
     if not report.embeddable:
         assert report.witness is not None
         raise NotEmbeddable(report.witness)

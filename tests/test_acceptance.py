@@ -48,7 +48,7 @@ def test_criterion_1_figure_fixtures():
         assert is_embeddable(left).embeddable
         assert is_embeddable(middle).embeddable
 
-        assert cycle_base(middle).rows == ((1, 1, 1),)
+        assert cycle_base(middle)[0] == ((1, 1, 1),)
 
         net = load_net("fig2.net")
         rg = reachability_graph(net, max_states=1000)
@@ -87,8 +87,8 @@ def test_criterion_4_three_code_paths_agree():
         for _ in range(200):
             lts = random_lts(rng, max_states=8)
             tree = spanning_tree(lts)
-            base = cycle_base(lts, tree)
-            basis = effect_space(lts, base)
+            rows, _ = cycle_base(lts)
+            basis = effect_space(lts)
             for i, s in enumerate(lts.states):
                 sig_s = state_signature(lts, basis, s)
                 for t in lts.states[i + 1 :]:
@@ -97,7 +97,7 @@ def test_criterion_4_three_code_paths_agree():
                         a - b
                         for a, b in zip(state_parikh(tree, s), state_parikh(tree, t))
                     )
-                    in_base_span = in_span(base.rows, diff)
+                    in_base_span = in_span(rows, diff)
                     solvable = ssp_solvable(lts, s, t) is not None
                     assert sig_differs == (not in_base_span) == solvable, (lts, s, t)
 

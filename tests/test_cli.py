@@ -40,6 +40,32 @@ def test_check_malformed_file(tmp_path, capsys):
     assert f"{bad}:3:" in err
 
 
+NOT_UTF8 = b"lts\ninitial s\xff\n"
+
+
+@pytest.mark.parametrize(
+    "verb",
+    [
+        lambda bad, out: ["check", bad],
+        lambda bad, out: ["synth", bad, "-o", out],
+        lambda bad, out: ["rg", bad, "-o", out],
+        lambda bad, out: ["verify", bad, FIG2_NET],
+        lambda bad, out: ["verify", FIG2_MIDDLE, bad],
+        lambda bad, out: ["split", bad, "--optimize"],
+    ],
+    ids=["check", "synth", "rg", "verify-lts", "verify-net", "split"],
+)
+def test_non_utf8_file_is_input_error(verb, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    out = tmp_path / "out.txt"
+    assert main(verb(str(bad), str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}: not valid UTF-8 text\n"
+    assert not out.exists()
+
+
 def test_check_contract_violation(tmp_path, capsys):
     bad = tmp_path / "nondet.lts"
     bad.write_text("lts\ninitial s0\nedge s0 a s1\nedge s0 a s2\n")

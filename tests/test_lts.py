@@ -139,6 +139,29 @@ def test_spanning_tree_names_first_unreachable_state():
         spanning_tree(lts)
 
 
+def test_one_breadth_first_search_per_lts():
+    # validate and every spanning tree read the same memoised parent map
+    lts = load_lts("fig2-middle.lts")
+    assert validate(lts) == []
+    parent = spanning_tree(lts).parent_edge
+    assert spanning_tree(lts).parent_edge is parent
+    assert validate(lts) == []
+    assert spanning_tree(lts).parent_edge is parent
+    cycle_base(lts)
+    assert spanning_tree(lts).parent_edge is parent
+
+
+def test_analysed_lts_equals_and_hashes_like_fresh_copy():
+    for name in ("fig1-right.lts", "fig2-middle.lts"):
+        analysed = load_lts(name)
+        assert validate(analysed) == []
+        cycle_base(analysed)
+        fresh = load_lts(name)
+        assert analysed == fresh
+        assert hash(analysed) == hash(fresh)
+        assert {analysed: 1}[fresh] == 1
+
+
 def test_state_parikh_fig2_middle():
     lts = load_lts("fig2-middle.lts")
     tree = spanning_tree(lts)
@@ -173,21 +196,23 @@ def test_edge_parikh_chords_fig2_middle():
 
 def test_cycle_base_fig2_middle():
     lts = load_lts("fig2-middle.lts")
-    base = cycle_base(lts)
-    assert base.labels == ("a", "b", "c")
-    assert base.rows == ((1, 1, 1),)
-    assert base.pivots == (0,)
+    rows, pivots = cycle_base(lts)
+    assert lts.labels == ("a", "b", "c")
+    assert rows == ((1, 1, 1),)
+    assert pivots == (0,)
 
 
 def test_cycle_base_empty_for_trees():
-    base = cycle_base(load_lts("fig1-right.lts"))
-    assert base.rows == ()
-    assert base.labels == ("a", "b")
+    lts = load_lts("fig1-right.lts")
+    rows, pivots = cycle_base(lts)
+    assert rows == ()
+    assert pivots == ()
+    assert lts.labels == ("a", "b")
 
 
 def test_cycle_base_fig2_left():
-    base = cycle_base(load_lts("fig2-left.lts"))
-    assert base.rows == ((1, 1, 1),)
+    rows, _ = cycle_base(load_lts("fig2-left.lts"))
+    assert rows == ((1, 1, 1),)
 
 
 def chord_rref_oracle(lts):
@@ -203,16 +228,15 @@ def test_cycle_base_equals_rref_of_chords_random():
     rng = random.Random(41)
     for _ in range(150):
         lts = random_lts(rng, max_states=8, max_labels=5, extra_edges=8)
-        base = cycle_base(lts)
-        assert (base.rows, base.pivots) == chord_rref_oracle(lts)
+        assert cycle_base(lts) == chord_rref_oracle(lts)
 
 
 @pytest.mark.parametrize("places,tokens", [(2, 5), (3, 4), (4, 3)])
 def test_cycle_base_equals_rref_of_chords_ring(places, tokens):
     rg = reachability_graph(ring_net(places, tokens))
-    base = cycle_base(rg)
-    assert (base.rows, base.pivots) == chord_rref_oracle(rg)
-    assert base.rows == ((1,) * places,)  # every cycle of a ring fires each transition equally
+    rows, pivots = cycle_base(rg)
+    assert (rows, pivots) == chord_rref_oracle(rg)
+    assert rows == ((1,) * places,)  # every cycle of a ring fires each transition equally
 
 
 def test_random_walk_parikh_consistency():
@@ -238,11 +262,11 @@ def test_random_chords_in_cycle_base_span():
     for _ in range(50):
         lts = random_lts(rng)
         tree = spanning_tree(lts)
-        base = cycle_base(lts, tree)
+        rows, _ = cycle_base(lts)
         for i in range(len(lts.edges)):
             if i in tree.tree_edges():
                 continue
-            assert in_span(base.rows, edge_parikh(tree, i))
+            assert in_span(rows, edge_parikh(tree, i))
 
 
 def test_random_walk_difference_in_cycle_span():
@@ -252,7 +276,7 @@ def test_random_walk_difference_in_cycle_span():
     for _ in range(40):
         lts = random_lts(rng)
         tree = spanning_tree(lts)
-        base = cycle_base(lts, tree)
+        rows, _ = cycle_base(lts)
         idx = lts.label_index()
         out = {}
         for e in lts.edges:
@@ -273,7 +297,7 @@ def test_random_walk_difference_in_cycle_span():
                     state_parikh(tree, start), counts, state_parikh(tree, here)
                 )
             )
-            assert in_span(base.rows, diff)
+            assert in_span(rows, diff)
 
 
 def test_from_edges_explicit_labels_must_cover():

@@ -1,6 +1,7 @@
 """Property tests of the text formats and the command line: parsers return a
 value or raise `FormatError` on any text, format then parse round-trips,
-and fuzzed arguments never end in a traceback or an undocumented exit."""
+and fuzzed arguments or file contents never end in a traceback or an
+undocumented exit."""
 
 import io
 import os
@@ -188,3 +189,69 @@ def test_cli_fuzz_never_crashes(tmp_path_factory, argv):
     assert "Traceback" not in text, argv
     # a failed parse leaves the cached parser usable
     assert after == (0, "1\n")
+
+
+# every verb that reads a file, once per file it reads: the format of that
+# file, and a well-formed call with its path in the first argument
+FILE_READERS = {
+    "check": ("lts", lambda f: ["check", f]),
+    "synth": ("lts", lambda f: ["synth", f, "-o", "out.net"]),
+    "rg": ("net", lambda f: ["rg", f, "--bound", "50", "-o", "out.lts"]),
+    "verify-lts": ("lts", lambda f: ["verify", f, NET_FILES[0]]),
+    "verify-net": ("net", lambda f: ["verify", LTS_FILES[1], f]),
+    "split-decide": ("lts", lambda f: ["split", f, "--max-labels", "3", "--node-budget", "50"]),
+    "split-optimize": ("lts", lambda f: ["split", f, "--optimize", "--node-budget", "50"]),
+}
+states = st.sampled_from(["s0", "s1", "s2"])
+ids = st.sampled_from(["a", "b", "c", "p"])
+counts = st.sampled_from(["0", "1", "2", "3"])
+# a format's header and its own lines, so that some files parse and reach
+# the analysis, or else text of the formats' words
+documents = {
+    "lts": st.one_of(
+        texts,
+        st.lists(st.builds("edge {} {} {}".format, states, ids, states), max_size=8).map(
+            lambda ls: "\n".join(["lts", "initial s0", *ls])
+        ),
+    ),
+    "net": st.one_of(
+        texts,
+        st.lists(
+            st.one_of(
+                st.builds("place {} {}".format, ids, counts),
+                st.builds("trans {}".format, ids),
+                st.builds("arc {} {} {}".format, ids, ids, counts),
+            ),
+            max_size=8,
+        ).map(lambda ls: "\n".join(["net", *ls])),
+    ),
+}
+
+
+def contents(document: st.SearchStrategy[str]) -> st.SearchStrategy[bytes]:
+    """Raw bytes, and documents as UTF-8 with or without raw bytes after them."""
+    return st.one_of(
+        st.binary(max_size=64),
+        document.map(str.encode),
+        st.tuples(document, st.binary(min_size=1, max_size=4)).map(
+            lambda db: db[0].encode() + db[1]
+        ),
+    )
+
+
+@pytest.mark.parametrize("reader", sorted(FILE_READERS))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.data())
+def test_cli_file_fuzz_never_crashes(tmp_path_factory, reader, data):
+    kind, argv = FILE_READERS[reader]
+    raw = data.draw(contents(documents[kind]))
+    home = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cli"))
+    try:
+        with open("input.file", "wb") as handle:
+            handle.write(raw)
+        code, text = run(argv("input.file"))
+    finally:
+        os.chdir(home)
+    assert code in (0, 1, 2, 3), raw
+    assert "Traceback" not in text, raw
