@@ -75,17 +75,19 @@ class Lts:
 
     @cached_property
     def _parents(self) -> dict[str, int]:
-        """Breadth-first search from the initial state, taking each state's
-        edges in canonical order and skipping edges with an undeclared end:
-        the index of the edge that first reached each state, in discovery
-        order. Run once per LTS and read by `validate` and `spanning_tree`;
-        equality and hashing see only the fields above."""
+        """Breadth-first search from the initial state, which must be declared,
+        taking each state's edges in canonical order and skipping edges with
+        an undeclared end: the index of the edge that first reached each
+        state, in discovery order. Run once per LTS and read by `validate`
+        and `spanning_tree`; equality and hashing see only the fields above."""
         edges = self.edges
         out: dict[str, list[int]] = {s: [] for s in self.states}
         for i, e in enumerate(edges):
             succ = out.get(e.source)
             if succ is not None:
                 succ.append(i)
+        if self.initial not in out:
+            raise ValueError(f"initial state {self.initial} not declared")
         parent: dict[str, int] = {}
         reached = {self.initial}
         frontier = deque([self.initial])

@@ -82,16 +82,9 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
     return _report(lts, spanning_tree(lts), effect_space(lts))
 
 
-def _report(
-    lts: Lts,
-    tree: SpanningTree,
-    basis: list[EffectVector],
-    columns: Sequence[int] | None = None,
-) -> EmbeddabilityReport:
-    """Signatures under `basis` and the first collision in state order.
-    `columns` maps each edge to its coordinate in the basis vectors, as in
-    `SpanningTree.walk`; by default an edge takes its label's."""
-    walk = tree.walk(list(zip(*basis)), columns) if basis else dict.fromkeys(lts.states, ())
+def _report(lts: Lts, tree: SpanningTree, basis: list[EffectVector]) -> EmbeddabilityReport:
+    """Signatures under `basis` and the first collision in state order."""
+    walk = tree.walk(list(zip(*basis))) if basis else dict.fromkeys(lts.states, ())
     signatures = {s: walk[s] for s in lts.states}
     first_owner: dict[tuple[int, ...], str] = {}
     for s, sig in signatures.items():

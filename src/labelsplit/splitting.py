@@ -18,24 +18,27 @@ effect x to satisfy 2x = 0, forcing equal values on s and s', so such pairs
 are inseparable. That rule gives a sound per-label lower bound of two blocks
 and a partition filter; both prunings preserve completeness.
 
-A leaf of the search never builds its split LTS. The spanning tree and each
-chord's fundamental cycle, as a list of edge indices, are computed once per
-search (once per `optimize`); a leaf maps edges to block columns, sums the
-cycles into chord rows and runs the integer echelon, effect basis and
-signature walk of `regions.is_embeddable` on them. Only a leaf that passes
-is turned into a `LabelSplitting`, and it is confirmed with `is_embeddable`
-on the split LTS before it is returned.
+A leaf of the search never builds its split LTS. With one column per label,
+the sum of its blocks, and one per fresh block, every leaf's cycle base has
+the same label columns, so a search eliminates them from the chord rows once.
+Only states that collide unsplit can collide at a leaf, since splitting
+refines the alphabet. A leaf sums the remaining rows over its fresh blocks,
+takes the effect basis of those few columns and compares each collision
+class under it. A leaf that passes becomes a `LabelSplitting`, confirmed
+with `is_embeddable` on the split LTS before it is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import integer_echelon, nullspace_basis
 from .lts import FormatError, Lts, SpanningTree, spanning_tree
-from .regions import _report, is_embeddable
+from .regions import is_embeddable
 
 
 @dataclass(frozen=True)
@@ -287,18 +290,15 @@ class SplitOutcome:
 class _Search:
     """What a search needs that no label budget changes: each label's edge
     indices, its two-cycle conflicts and the order labels are split in, and
-    for the leaf check the spanning tree and every chord's fundamental
-    cycle. A splitting changes edge labels only, never the graph, so the
-    tree and the cycles, written over edge indices, hold at every leaf.
-    They are built at the first leaf; `optimize` shares one `_Search`
+    for the leaf check the factored cycle base of the unsplit LTS. A
+    splitting changes edge labels, never the graph, so it holds at every
+    leaf. It is built at the first leaf; `optimize` shares one `_Search`
     across its budget rounds."""
 
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
-        # column of each edge's original label, before fresh blocks shift
-        # it (see `embeddable`)
-        column = {t: len(lts.labels) - 1 - k for k, t in enumerate(lts.labels)}
-        self.label_columns = [column[e.label] for e in lts.edges]
+        index = lts.label_index()
+        self.label_columns = [index[e.label] for e in lts.edges]
         self.per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
         for i, e in enumerate(lts.edges):
             self.per_label[e.label].append(i)
@@ -319,63 +319,101 @@ class _Search:
         return spanning_tree(self.lts)
 
     @cached_property
-    def cycles(self) -> list[tuple[list[int], list[int]]]:
-        """Per chord s -> s', the edges of its fundamental cycle: the chord
-        and the tree path from s up to the common ancestor count +1, the
-        path from s' up to it counts -1. Summed per label, a cycle is the
-        chord vector parikh(s) + unit - parikh(s') of `lts.cycle_base`."""
-        edges, parent = self.lts.edges, self.tree.parent_edge
-        depth = {self.lts.initial: 0}
+    def factored(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int, list[list[str]]]:
+        """Sparse chord rows over labels (key ~label) and splittable edges
+        (those of labels with two or more edges), label columns eliminated:
+        the remainder rows; the label rows by pivot label p_k, pivot a_k;
+        scale = lcm(a_k); and the classes, two or more states with equal
+        unsplit signatures. u_s = scale * (splittable edges on the path to s)
+        - sum over k of parikh(s)[p_k] * scale / a_k * row_k."""
+        lts, label, parent = self.lts, self.label_columns, self.tree.parent_edge
+        splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
+        depth = {lts.initial: 0}
         for state, i in parent.items():  # parents are discovered first
-            depth[state] = depth[edges[i].source] + 1
+            depth[state] = depth[lts.edges[i].source] + 1
         tree_edges = self.tree.tree_edges()
-        cycles = []
-        for i, e in enumerate(edges):
+        label_rows: dict[int, dict[int, int]] = {}
+        remainder = []
+        for i, e in enumerate(lts.edges):
             if i in tree_edges:
                 continue
-            plus, minus = [i], []
+            # the fundamental cycle: the chord s -> t and the tree path from
+            # s up to the common ancestor count +1, the path from t -1
             s, t = e.source, e.target
+            cycle = {i: 1}
             while s != t:
                 if depth[s] >= depth[t]:
-                    plus.append(parent[s])
-                    s = edges[parent[s]].source
+                    cycle[parent[s]] = 1
+                    s = lts.edges[parent[s]].source
                 else:
-                    minus.append(parent[t])
-                    t = edges[parent[t]].source
-            cycles.append((plus, minus))
-        return cycles
+                    cycle[parent[t]] = -1
+                    t = lts.edges[parent[t]].source
+            row = {j: sign for j, sign in cycle.items() if j in splittable}
+            for j, sign in cycle.items():
+                row[~label[j]] = row.get(~label[j], 0) + sign
+            row = {k: x for k, x in row.items() if x}
+            for key, pivot_row in label_rows.items():
+                if key in row:
+                    row = _combine(row, pivot_row, key)
+            lead = next((k for k in row if k < 0), None)
+            if lead is None:
+                if row:
+                    remainder.append(row)
+                continue
+            for key, pivot_row in label_rows.items():
+                if lead in pivot_row:
+                    label_rows[key] = _combine(pivot_row, row, lead)
+            label_rows[lead] = row
+        scale = lcm(*(row[key] for key, row in label_rows.items()))
+        label_rows = {~key: row for key, row in label_rows.items()}
+        # unsplit signatures: parikh(s) less the label rows, at the free labels
+        free = [j for j in range(len(lts.labels)) if j not in label_rows]
+        steps = [tuple(scale * (j == k) for j in free) for k in range(len(lts.labels))]
+        for k, row in label_rows.items():
+            steps[k] = tuple(-(scale // row[~k]) * row.get(~j, 0) for j in free)
+        walk = self.tree.walk(steps, label)
+        groups: dict[tuple[int, ...], list[str]] = {}
+        for s in lts.states:
+            groups.setdefault(walk[s], []).append(s)
+        classes = [g for g in groups.values() if len(g) > 1]
+        return remainder, label_rows, scale, classes
 
     def embeddable(self, chosen: dict[str, list[list[int]]]) -> bool:
-        """Leaf check: does the LTS split by `chosen` embed? The chord rows,
-        summed from the cycles through an edge -> column map, go through the
-        echelon, the effect basis and the signature walk that `is_embeddable`
-        runs, without building the split LTS.
-
-        The answer does not depend on the order of the columns, but the
-        echelon's cost does, since it pivots on the first nonzero column of
-        each row. Fresh blocks come first, then the original labels in
-        reverse first-use order: a label first used deep in the graph lies
-        on few fundamental cycles, so pivoting on it early fills in less.
-        On the subset-sum gadgets this more than halves the elimination time."""
+        """Leaf check: does the LTS split by `chosen` embed? Iff the states of
+        each class differ in their fresh-block sums w_s of u_s under Y, the
+        effect basis of the remainder rows summed over each fresh block."""
         fresh = [block for blocks in chosen.values() for block in blocks[1:]]
-        columns = [len(fresh) + c for c in self.label_columns]
-        for c, block in enumerate(fresh):
+        remainder, label_rows, scale, classes = self.factored
+        if not fresh or not classes:
+            return not classes
+
+        def sums(row: dict[int, int]) -> list[int]:
+            return [sum(row.get(i, 0) for i in block) for block in fresh]
+
+        ys = nullspace_basis(*integer_echelon(map(sums, remainder), len(fresh)), len(fresh))
+        if not ys:
+            return False
+        # w_s . y, in one walk: an edge steps by its label row's block sums
+        # times -scale / a_k, plus scale on its fresh block, projected on Y
+        steps = [(0,) * len(ys)] * len(self.lts.labels)
+        for k, row in label_rows.items():
+            steps[k] = tuple(-(scale // row[~k]) * sum(map(mul, sums(row), y)) for y in ys)
+        columns = list(self.label_columns)
+        for b, block in enumerate(fresh):
             for i in block:
-                columns[i] = c
-        cols = len(fresh) + len(self.lts.labels)
-        rows = (_cycle_row(cycle, columns, cols) for cycle in self.cycles)
-        basis = nullspace_basis(*integer_echelon(rows, cols), cols)
-        return _report(self.lts, self.tree, basis, columns).embeddable
+                steps.append(tuple(x + scale * y[b] for x, y in zip(steps[columns[i]], ys)))
+                columns[i] = len(steps) - 1
+        walk = self.tree.walk(steps, columns)
+        return all(len({walk[s] for s in group}) == len(group) for group in classes)
 
 
-def _cycle_row(cycle: tuple[list[int], list[int]], columns: list[int], cols: int) -> list[int]:
-    plus, minus = cycle
-    row = [0] * cols
-    for i in plus:
-        row[columns[i]] += 1
-    for i in minus:
-        row[columns[i]] -= 1
-    return row
+def _combine(v: dict[int, int], row: dict[int, int], key: int) -> dict[int, int]:
+    """`linalg._eliminate` on sparse rows: zero at `key`, entries of gcd 1."""
+    g = gcd(row[key], v[key])
+    a, b = row[key] // g, v[key] // g
+    w = {k: x for k in v.keys() | row.keys() if (x := a * v.get(k, 0) - b * row.get(k, 0))}
+    g = gcd(*w.values())
+    return {k: x // g for k, x in w.items()} if g > 1 else w
 
 
 def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOutcome:

@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way: `Fraction` row reduction
 through `linalg.rref`, Parikh vectors found by climbing the spanning tree,
 dot products per state or per pair, a splitting search that builds and
-checks every leaf's split LTS, region validity checked edge by edge, and
+checks every leaf's split LTS, a leaf check that eliminates every leaf's
+block columns anew, region validity checked edge by edge, and
 markings from Parikh vectors times transition effects. None of it runs in
 the package.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterator, Sequence
 
-from labelsplit.linalg import rref
+from labelsplit.linalg import integer_echelon, nullspace_basis, rref
 from labelsplit.lts import Lts, SpanningTree, spanning_tree
 from labelsplit.petri import Marking, PetriNet
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges
@@ -193,6 +194,36 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
             break
         else:
             return SplitOutcome(None, False, nodes, leaves)
+
+
+def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
+    """The leaf check the search ran before it factored the cycle base once
+    per search: does `lts`, split by the per-label partitions `chosen`,
+    embed? Without building the split LTS: one column per block (a label's
+    first block keeps the label's column, each further block gets its own),
+    block-column Parikh vectors of the chords eliminated in integers, their
+    effect basis, and pairwise distinct signatures along the tree."""
+    tree = spanning_tree(lts)
+    idx = lts.label_index()
+    columns = [idx[e.label] for e in lts.edges]
+    cols = len(lts.labels)
+    for blocks in chosen.values():
+        for block in blocks[1:]:
+            for i in block:
+                columns[i] = cols
+            cols += 1
+    units = [tuple(int(c == j) for j in range(cols)) for c in range(cols)]
+    parikh = tree.walk(units, columns)
+    tree_edges = tree.tree_edges()
+    chords = []
+    for i, e in enumerate(lts.edges):
+        if i not in tree_edges:
+            chord = [a - b for a, b in zip(parikh[e.source], parikh[e.target])]
+            chord[columns[i]] += 1
+            chords.append(chord)
+    basis = nullspace_basis(*integer_echelon(chords, cols), cols)
+    signatures = {tuple(dot(b, parikh[s]) for b in basis) for s in lts.states}
+    return len(signatures) == len(lts.states)
 
 
 def separates(region: Region, s: str, t: str) -> bool:

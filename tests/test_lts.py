@@ -17,6 +17,7 @@ from labelsplit.lts import (
     validate,
 )
 from labelsplit.petri import reachability_graph
+from labelsplit.regions import effect_space, is_embeddable
 from oracles import edge_parikh, in_span, rref_rows, state_parikh
 
 
@@ -137,6 +138,16 @@ def test_spanning_tree_names_first_unreachable_state():
     lts = Lts.from_edges("s0", [("s1", "a", "s2")])
     with pytest.raises(ValueError, match="^state not reachable from s0: s1$"):
         spanning_tree(lts)
+
+
+def test_undeclared_initial_state_is_a_value_error():
+    # the analyses say what `validate` says, where the search used to fail
+    # with a bare KeyError
+    lts = Lts(("s0",), (), (), "x")
+    for analyse in (spanning_tree, cycle_base, effect_space, is_embeddable):
+        with pytest.raises(ValueError, match="^initial state x not declared$"):
+            analyse(lts)
+    assert validate(lts) == [Dangling("initial state x not declared")]
 
 
 def test_one_breadth_first_search_per_lts():

@@ -2,16 +2,20 @@
 split LTS itself: same outcomes, node and leaf counts, witnesses and
 budget behaviour, for `decide` at one budget and for `optimize` against
 the oracle run round by round. And the leaf check against `is_embeddable`
-on the split LTS, for arbitrary partitions."""
+on the split LTS and against the old block-column leaf, for arbitrary
+partitions, with the invariants of the factored cycle base it shares."""
 
+import itertools
 import random
+from typing import Iterator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURES, random_lts
-from labelsplit.lts import Lts, parse_lts
-from labelsplit.reduction import SubsetSumInstance, build_lts, params
+from helpers import FIXTURES, random_lts, tiny_random_lts
+from labelsplit.linalg import rref
+from labelsplit.lts import Lts, cycle_base, parse_lts, spanning_tree
+from labelsplit.reduction import SubsetSumInstance, _gamma_edges, build_lts, params
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import (
     SplitOutcome,
@@ -20,8 +24,9 @@ from labelsplit.splitting import (
     decide,
     from_partitions,
     optimize,
+    set_partitions,
 )
-from oracles import decide_oracle
+from oracles import block_leaf_oracle, decide_oracle, ssp_solvable
 
 # the subset-sum gadgets of the benchmark: three unsolvable all-even
 # instances, one solvable instance and one unsolvable odd target
@@ -153,14 +158,14 @@ def test_long_chain_with_chords_to_the_start():
     assert decide(lts, 4).leaves == 5
 
 
-@st.composite
-def partitioned_lts(draw):
-    lts = random_lts(random.Random(draw(st.integers(0, 2**32))))
-    per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
-    for i, e in enumerate(lts.edges):
-        per_label[e.label].append(i)
+# the benchmark gadgets, built once for the partition draws below
+GADGET_LTS = [build_lts(SubsetSumInstance(target, values)) for target, values in GADGETS]
+
+
+def draw_partitions(draw, lts: Lts) -> dict[str, list[list[int]]]:
+    """Random partitions of the edges of some labels; the rest stay whole."""
     chosen = {}
-    for t, edges in per_label.items():
+    for t, edges in _Search(lts).per_label.items():
         if edges and draw(st.booleans()):
             blocks: list[list[int]] = []
             for i in edges:
@@ -169,12 +174,163 @@ def partitioned_lts(draw):
                     blocks.append([])
                 blocks[b].append(i)
             chosen[t] = blocks
+    return chosen
+
+
+@st.composite
+def partitioned_lts(draw):
+    shape = draw(st.sampled_from(["small", "dense", "gadget"]))
+    if shape != "gadget":
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        dense = {"max_states": 10, "max_labels": 3, "extra_edges": 8} if shape == "dense" else {}
+        lts = random_lts(rng, **dense)
+        return lts, draw_partitions(draw, lts)
+    k = draw(st.integers(0, len(GADGETS) - 1))
+    lts = GADGET_LTS[k]
+    chosen = draw_partitions(draw, lts)
+    if draw(st.booleans()):
+        # each g_i split as a tight-budget witness splits it, so that some
+        # leaves embed
+        triples = _gamma_edges(lts, len(GADGETS[k][1]))
+        for i, (forward, reverse, slot) in enumerate(triples, start=1):
+            joins_forward = draw(st.booleans())
+            chosen[f"g{i}"] = [[forward, slot], [reverse]] if joins_forward else [[forward], [reverse, slot]]
     return lts, chosen
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=600, deadline=None)
 @given(partitioned_lts())
 def test_leaf_check_matches_is_embeddable(case):
     lts, chosen = case
     split = apply_splitting(lts, from_partitions(lts, chosen))
-    assert _Search(lts).embeddable(chosen) == is_embeddable(split).embeddable
+    got = _Search(lts).embeddable(chosen)
+    assert got == is_embeddable(split).embeddable == block_leaf_oracle(lts, chosen)
+
+
+# --- the factorisation every leaf shares ---------------------------------
+
+
+def every_leaf(lts: Lts) -> Iterator[dict[str, list[list[int]]]]:
+    """Every combination of per-label partitions, for small systems."""
+    per_label = _Search(lts).per_label
+    options = [
+        [(t, [[edges[k] for k in block] for block in blocks]) for blocks in set_partitions(len(edges))]
+        for t, edges in per_label.items()
+        if edges
+    ]
+    for combination in itertools.product(*options):
+        yield dict(combination)
+
+
+def chord_rows(lts: Lts) -> list[list[int]]:
+    """Each chord's fundamental cycle over the labels, then every edge of a
+    label with two or more edges (zero at the others), found by climbing
+    the tree from both ends of the chord."""
+    tree = spanning_tree(lts)
+    idx, per_label = lts.label_index(), _Search(lts).per_label
+    n = len(lts.labels)
+
+    def row(*ends: tuple[str, int]) -> list[int]:
+        v = [0] * (n + len(lts.edges))
+        for state, sign in ends:
+            while state != lts.initial:
+                i = tree.parent_edge[state]
+                v[idx[lts.edges[i].label]] += sign
+                v[n + i] += sign
+                state = lts.edges[i].source
+        return v
+
+    rows = []
+    for i in sorted(set(range(len(lts.edges))) - tree.tree_edges()):
+        e = lts.edges[i]
+        v = row((e.source, 1), (e.target, -1))
+        v[idx[e.label]] += 1
+        v[n + i] += 1
+        rows.append([x if k < n or len(per_label[lts.edges[k - n].label]) > 1 else 0 for k, x in enumerate(v)])
+    return rows
+
+
+def assert_factorisation(lts: Lts) -> _Search:
+    """The invariants of `_Search.factored`, and the
+    leaf check at every leaf against `is_embeddable` and the old leaf."""
+    search = _Search(lts)
+    # the classes: the groups of equal unsplit signatures, and exactly the
+    # pairs that no feasible effect separates
+    groups: dict[tuple[int, ...], list[str]] = {}
+    for s, sig in is_embeddable(lts).signatures.items():
+        groups.setdefault(sig, []).append(s)
+    remainder, label_rows, scale, classes = search.factored
+    assert classes == [g for g in groups.values() if len(g) > 1]
+    inseparable = {
+        frozenset(pair)
+        for pair in itertools.combinations(lts.states, 2)
+        if ssp_solvable(lts, *pair) is None
+    }
+    assert inseparable == {
+        frozenset(pair) for group in classes for pair in itertools.combinations(group, 2)
+    }
+    # one label row per pivot of the cycle base, each zero at the other
+    # pivots; remainder rows zero at every label; together they span the
+    # chord rows and no more
+    assert len(label_rows) == len(cycle_base(lts)[1])
+    for k, row in label_rows.items():
+        assert scale % row[~k] == 0
+        assert not any(~other in row for other in label_rows if other != k)
+    assert all(key >= 0 and x for row in remainder for key, x in row.items())
+    n = len(lts.labels)
+    factored = [
+        [row.get(k - n if k >= n else ~k, 0) for k in range(n + len(lts.edges))]
+        for row in [*label_rows.values(), *remainder]
+    ]
+    chords = chord_rows(lts)
+    assert len(rref(factored + chords)[1]) == len(rref(chords)[1]) == len(factored)
+    for chosen in every_leaf(lts):
+        split = apply_splitting(lts, from_partitions(lts, chosen))
+        got = search.embeddable(chosen)
+        assert got == is_embeddable(split).embeddable == block_leaf_oracle(lts, chosen), chosen
+    return search
+
+
+def test_factorisation_without_cycles():
+    # a tree: no chord rows, scale 1; s3 and s4 share a Parikh vector, and
+    # splitting either label separates them
+    lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "b", "s3"), ("s0", "b", "s2"), ("s2", "a", "s4")])
+    search = assert_factorisation(lts)
+    assert search.factored == ([], {}, 1, [["s3", "s4"]])
+
+
+def test_factorisation_without_splittable_labels():
+    # every label has one edge: nothing to split, and nothing collides
+    lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "b", "s2"), ("s2", "c", "s0")])
+    search = assert_factorisation(lts)
+    remainder, label_rows, _, classes = search.factored
+    assert classes == []
+    assert remainder == [] and all(key < 0 for row in label_rows.values() for key in row)
+
+
+def test_factorisation_with_self_loops():
+    for edges in (
+        [("s0", "a", "s0")],
+        [("s0", "a", "s1"), ("s1", "a", "s1"), ("s1", "b", "s0")],
+        [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "b", "s2"), ("s0", "b", "s0"), ("s1", "c", "s0")],
+    ):
+        assert_factorisation(Lts.from_edges("s0", edges))
+
+
+def test_factorisation_with_every_state_in_one_class():
+    # a^2 b and a^3 b close cycles: every effect is zero, so all states
+    # collide until a splits
+    lts = Lts.from_edges(
+        "s0", [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s3"), ("s2", "b", "s0"), ("s3", "b", "s0")]
+    )
+    search = assert_factorisation(lts)
+    assert search.factored[3] == [list(lts.states)]
+    assert assert_same(lts, 4)
+
+
+def test_factorisation_on_fixtures_and_random_draws():
+    for path in sorted(FIXTURES.glob("*.lts")):
+        assert_factorisation(parse_lts(path.read_text()))
+    rng = random.Random(7)
+    for _ in range(60):
+        assert_factorisation(tiny_random_lts(rng))
