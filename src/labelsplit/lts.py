@@ -16,8 +16,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import chain
+from operator import add, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .linalg import IntRows, integer_echelon
 
@@ -47,28 +48,20 @@ class Lts:
         """Build with first-use ordering: initial state first, then states and
         labels in order of first appearance along the edge list. An explicit
         `labels` sequence overrides the derived one (it must cover all used
-        labels)."""
-        edge_tuples = tuple(Edge(*e) for e in edges)
-        states: list[str] = [initial]
-        seen_states = {initial}
-        used: list[str] = []
-        seen_labels: set[str] = set()
-        for e in edge_tuples:
-            for s in (e.source, e.target):
-                if s not in seen_states:
-                    seen_states.add(s)
-                    states.append(s)
-            if e.label not in seen_labels:
-                seen_labels.add(e.label)
-                used.append(e.label)
+        labels). `Edge` values are kept as they are; other triples are
+        wrapped."""
+        edge_tuples = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        ends = chain.from_iterable(map(itemgetter(0, 2), edge_tuples))
+        states = tuple(dict.fromkeys(chain((initial,), ends)))
+        used = dict.fromkeys(map(itemgetter(1), edge_tuples))
         if labels is None:
             label_tuple = tuple(used)
         else:
             label_tuple = tuple(labels)
-            missing = seen_labels - set(label_tuple)
+            missing = used.keys() - set(label_tuple)
             if missing:
                 raise ValueError(f"labels argument misses used labels: {sorted(missing)}")
-        return cls(tuple(states), label_tuple, edge_tuples, initial)
+        return cls(states, label_tuple, edge_tuples, initial)
 
     def label_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.labels)}
@@ -143,19 +136,28 @@ def validate(lts: Lts) -> list[Violation]:
         problems.append(Dangling("duplicate label declaration"))
     if lts.initial not in state_set:
         problems.append(Dangling(f"initial state {lts.initial} not declared"))
-    for i, e in enumerate(lts.edges):
-        if e.source not in state_set:
-            problems.append(Dangling(f"edge {i} source {e.source} not declared"))
-        if e.target not in state_set:
-            problems.append(Dangling(f"edge {i} target {e.target} not declared"))
-        if e.label not in label_set:
-            problems.append(Dangling(f"edge {i} label {e.label} not declared"))
-    seen_pairs: set[tuple[str, str]] = set()
-    for e in lts.edges:
-        key = (e.source, e.label)
-        if key in seen_pairs:
-            problems.append(Nondeterministic(e.source, e.label))
-        seen_pairs.add(key)
+    edges = lts.edges
+    # whole-list checks first; the per-edge loops only say where they fail
+    declared = (
+        state_set.issuperset(map(itemgetter(0), edges))
+        and label_set.issuperset(map(itemgetter(1), edges))
+        and state_set.issuperset(map(itemgetter(2), edges))
+    )
+    if not declared:
+        for i, e in enumerate(edges):
+            if e.source not in state_set:
+                problems.append(Dangling(f"edge {i} source {e.source} not declared"))
+            if e.target not in state_set:
+                problems.append(Dangling(f"edge {i} target {e.target} not declared"))
+            if e.label not in label_set:
+                problems.append(Dangling(f"edge {i} label {e.label} not declared"))
+    if len(set(map(itemgetter(0, 1), edges))) != len(edges):
+        seen_pairs: set[tuple[str, str]] = set()
+        for e in edges:
+            key = (e.source, e.label)
+            if key in seen_pairs:
+                problems.append(Nondeterministic(e.source, e.label))
+            seen_pairs.add(key)
     if lts.initial in state_set:
         parent = lts._parents
         problems += [Unreachable(s) for s in lts.states if s != lts.initial and s not in parent]
@@ -261,22 +263,22 @@ def parse_lts(text: str) -> Lts:
     run `validate` for the structural contract.
     """
     lines = _content_lines(text)
-    if not lines:
+    n, parts = next(lines, (1, None))
+    if parts is None:
         raise FormatError(1, "empty input, expected 'lts' header")
-    n, parts = lines[0]
     if parts != ["lts"]:
         raise FormatError(n, "expected 'lts' header")
-    if len(lines) < 2:
+    n, parts = next(lines, (n, None))
+    if parts is None:
         raise FormatError(n, "missing 'initial' line")
-    n, parts = lines[1]
     if len(parts) != 2 or parts[0] != "initial":
         raise FormatError(n, "expected 'initial <state>'")
     initial = parts[1]
-    edges: list[tuple[str, str, str]] = []
-    for n, parts in lines[2:]:
+    edges: list[Edge] = []
+    for n, parts in lines:
         if parts[0] != "edge" or len(parts) != 4:
             raise FormatError(n, "expected 'edge <source> <label> <target>'")
-        edges.append((parts[1], parts[2], parts[3]))
+        edges.append(Edge(parts[1], parts[2], parts[3]))
     return Lts.from_edges(initial, edges)
 
 
@@ -290,11 +292,10 @@ def format_lts(lts: Lts) -> str:
     return "\n".join(out) + "\n"
 
 
-def _content_lines(text: str) -> list[tuple[int, list[str]]]:
-    """(line number, tokens) for each non-blank, non-comment line."""
-    result = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            result.append((i, body.split()))
-    return result
+def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) for each non-blank, non-comment line. Lines end
+    at line feeds alone, as `grep -n` counts them (not `str.splitlines`)."""
+    for i, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.partition("#")[0].split()
+        if parts:
+            yield i, parts

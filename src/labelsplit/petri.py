@@ -3,29 +3,32 @@
 Weighted arcs, integer markings. Markings are tuples aligned with the
 declared place order, and so are a transition's arc weights: `pre[t]` is what
 t takes from each place, `post[t]` what it puts back, and firing t turns
-marking M into M - pre[t] + post[t]. Synthesis makes one place per region,
-so `pre[t]` and `post[t]` hold label t's consume and produce weight in every
-region. The reachability graph is itself an `Lts` whose states are canonical
+marking M into M - pre[t] + post[t]. The token game reads `PetriNet.moves`,
+each transition's input arcs and effect post[t] - pre[t], made once per net.
+Synthesis makes one place per region, so `pre[t]` and `post[t]` hold label
+t's consume and produce weight in every region. The reachability graph is itself an `Lts` whose states are canonical
 marking names, which lets the region machinery and the token game meet in
 `verify_embedding`.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from operator import add, ge, sub
+from functools import cached_property
+from operator import add, sub
 
 from .lts import Edge, FormatError, Lts, _content_lines, spanning_tree
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
+Move = tuple[tuple[tuple[int, int], ...], Marking]
 
 
 @dataclass(frozen=True)
 class PetriNet:
     """`pre[t]` and `post[t]` hold transition t's input and output arc
-    weights, one per place in declared order (0 where there is no arc)."""
+    weights, one per place in declared order (0 where there is no arc).
+    The maps must not change once the net is built: `moves` reads them once."""
 
     places: tuple[str, ...]
     transitions: tuple[str, ...]
@@ -42,6 +45,18 @@ class PetriNet:
             ):
                 raise ValueError("pre and post need one weight per place for each transition")
 
+    @cached_property
+    def moves(self) -> dict[str, Move]:
+        """Per transition, once per net: its input arcs as `(place index,
+        weight)` pairs in place order, and its effect `post - pre`."""
+        return {
+            t: (
+                tuple((i, w) for i, w in enumerate(self.pre[t]) if w),
+                tuple(map(sub, self.post[t], self.pre[t])),
+            )
+            for t in self.transitions
+        }
+
 
 class NotEnabled(ValueError):
     def __init__(self, transition: str, place: str) -> None:
@@ -50,27 +65,27 @@ class NotEnabled(ValueError):
         self.place = place
 
 
-def _pre(net: PetriNet, transition: str) -> tuple[int, ...]:
+def _move(net: PetriNet, transition: str) -> Move:
     try:
-        return net.pre[transition]
+        return net.moves[transition]
     except KeyError:
         raise ValueError(f"unknown transition: {transition}") from None
 
 
 def enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
-    """True when every place holds at least the transition's input weight.
+    """True when every input place holds at least the arc's weight.
     Transitions with no input arcs are always enabled."""
-    return all(map(ge, marking, _pre(net, transition)))
+    return all(marking[i] >= w for i, w in _move(net, transition)[0])
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Successor marking; raises NotEnabled (naming the first short place)
-    otherwise."""
-    pre = _pre(net, transition)
-    if not all(map(ge, marking, pre)):
-        short = next(p for p, m, w in zip(net.places, marking, pre) if m < w)
-        raise NotEnabled(transition, short)
-    return tuple(map(add, map(sub, marking, pre), net.post[transition]))
+    otherwise. Only input places are tested: markings are nonnegative."""
+    inputs, effect = _move(net, transition)
+    for i, w in inputs:
+        if marking[i] < w:
+            raise NotEnabled(transition, net.places[i])
+    return tuple(map(add, marking, effect))
 
 
 def marking_name(net: PetriNet, marking: Marking) -> str:
@@ -96,25 +111,24 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | BoundExc
     """
     start = net.initial_marking
     names: dict[Marking, str] = {start: marking_name(net, start)}
-    order: list[Marking] = [start]
+    order: list[Marking] = [start]  # the BFS queue: read on while it grows
     edges: list[Edge] = []
-    frontier = deque([start])
-    while frontier:
-        m = frontier.popleft()
+    for m in order:
+        source = names[m]
         for t in net.transitions:
             try:
                 succ = fire(net, m, t)
             except NotEnabled:
                 continue
-            if succ not in names:
+            target = names.get(succ)
+            if target is None:
                 if len(names) == max_states:
                     return BoundExceeded(max_states)
-                names[succ] = marking_name(net, succ)
+                target = names[succ] = marking_name(net, succ)
                 order.append(succ)
-                frontier.append(succ)
-            edges.append(Edge(names[m], t, names[succ]))
+            edges.append(Edge(source, t, target))
     return Lts(
-        states=tuple(names[m] for m in order),
+        states=tuple(names.values()),
         labels=net.transitions,
         edges=tuple(edges),
         initial=names[start],
@@ -158,7 +172,7 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     missing = [t for t in lts.labels if t not in net.pre]
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
-    effects = [tuple(map(sub, net.post[t], net.pre[t])) for t in lts.labels]
+    effects = [net.moves[t][1] for t in lts.labels]
     mapping = spanning_tree(lts).walk(effects, start=net.initial_marking)
     for s in lts.states:
         if any(v < 0 for v in mapping[s]):
@@ -197,7 +211,7 @@ def parse_net(text: str) -> PetriNet:
     Place and transition ids must be disjoint; an arc's direction is inferred
     from which end is the place. `#` comments and blank lines are ignored.
     """
-    lines = _content_lines(text)
+    lines = list(_content_lines(text))
     if not lines:
         raise FormatError(1, "empty input, expected 'net' header")
     n, parts = lines[0]

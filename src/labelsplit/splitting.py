@@ -164,10 +164,11 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
     not collide with a different original label.
 
     Unlike the LTS/net formats this one has no comment syntax: canonical
-    fresh labels contain `#`, so `#` stays an ordinary character here."""
+    fresh labels contain `#`, so `#` stays an ordinary character here.
+    Lines end at line feeds alone, as in the other formats."""
     lines = [
         (i, raw.split())
-        for i, raw in enumerate(text.splitlines(), start=1)
+        for i, raw in enumerate(text.split("\n"), start=1)
         if raw.strip()
     ]
     if not lines:

@@ -4,20 +4,40 @@ Everything here is written the slow, obvious way: `Fraction` row reduction
 through `linalg.rref`, Parikh vectors found by climbing the spanning tree,
 dot products per state or per pair, a splitting search that builds and
 checks every leaf's split LTS, a leaf check that eliminates every leaf's
-block columns anew, region validity checked edge by edge, and
-markings from Parikh vectors times transition effects. None of it runs in
-the package.
+block columns anew, region validity checked edge by edge,
+markings from Parikh vectors times transition effects, a token game that
+compares every place against the dense `pre`/`post` rows, and a `validate`
+that walks the edges once per kind of violation. None of it runs in the
+package.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
+from operator import add, ge, sub
 from typing import Iterator, Sequence
 
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
-from labelsplit.lts import Lts, SpanningTree, spanning_tree
-from labelsplit.petri import Marking, PetriNet
+from labelsplit.lts import (
+    Dangling,
+    Edge,
+    Lts,
+    Nondeterministic,
+    SpanningTree,
+    Unreachable,
+    Violation,
+    spanning_tree,
+)
+from labelsplit.petri import (
+    BoundExceeded,
+    Marking,
+    NotEnabled,
+    PetriNet,
+    Verification,
+    marking_name,
+)
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges
 from labelsplit.regions import Region, effect_space, is_embeddable
 from labelsplit.splitting import (
@@ -293,3 +313,121 @@ def marking_map(lts: Lts, net: PetriNet) -> dict[str, Marking]:
                 m[j] += count * (net.post[t][j] - net.pre[t][j])
         mapping[s] = tuple(m)
     return mapping
+
+
+# --- token game on the dense arc rows -----------------------------------
+
+
+def fire_oracle(net: PetriNet, marking: Marking, transition: str) -> Marking:
+    """One firing, comparing the marking with the whole `pre` row place by
+    place: raises NotEnabled naming the first short place, ValueError for
+    an unknown transition."""
+    try:
+        pre = net.pre[transition]
+    except KeyError:
+        raise ValueError(f"unknown transition: {transition}") from None
+    if not all(map(ge, marking, pre)):
+        short = next(p for p, m, w in zip(net.places, marking, pre) if m < w)
+        raise NotEnabled(transition, short)
+    return tuple(map(add, map(sub, marking, pre), net.post[transition]))
+
+
+def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | BoundExceeded:
+    """Breadth-first search over `fire_oracle` with a separate queue, every
+    transition tried at every marking and a disabled one caught as
+    NotEnabled."""
+    start = net.initial_marking
+    names: dict[Marking, str] = {start: marking_name(net, start)}
+    order: list[Marking] = [start]
+    edges: list[Edge] = []
+    frontier = deque([start])
+    while frontier:
+        m = frontier.popleft()
+        for t in net.transitions:
+            try:
+                succ = fire_oracle(net, m, t)
+            except NotEnabled:
+                continue
+            if succ not in names:
+                if len(names) == max_states:
+                    return BoundExceeded(max_states)
+                names[succ] = marking_name(net, succ)
+                order.append(succ)
+                frontier.append(succ)
+            edges.append(Edge(names[m], t, names[succ]))
+    return Lts(
+        states=tuple(names[m] for m in order),
+        labels=net.transitions,
+        edges=tuple(edges),
+        initial=names[start],
+    )
+
+
+def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
+    """The embedding check with markings from `marking_map` and every LTS
+    edge replayed through `fire_oracle`, in the order negative markings,
+    injectivity, then edges."""
+    missing = [t for t in lts.labels if t not in net.pre]
+    if missing:
+        raise ValueError(f"label is not a transition of the net: {missing[0]}")
+    mapping = marking_map(lts, net)
+    for s in lts.states:
+        if any(v < 0 for v in mapping[s]):
+            return Verification(False, mapping, f"negative-marking {s}")
+    seen: dict[Marking, str] = {}
+    for s in lts.states:
+        m = mapping[s]
+        if m in seen:
+            return Verification(False, mapping, f"not-injective {seen[m]} {s}")
+        seen[m] = s
+    for e in lts.edges:
+        try:
+            fired = fire_oracle(net, mapping[e.source], e.label)
+        except NotEnabled as short:
+            return Verification(
+                False, mapping, f"not-enabled {e.source} {e.label} {short.place}"
+            )
+        if fired != mapping[e.target]:
+            return Verification(
+                False, mapping, f"edge-mismatch {e.source} {e.label} {e.target}"
+            )
+    return Verification(True, mapping, None)
+
+
+def validate_oracle(lts: Lts) -> list[Violation]:
+    """`validate` with one pass over the edges for undeclared ends and
+    labels, one for repeated (source, label) pairs, and a reachability
+    search of its own over the declared states."""
+    problems: list[Violation] = []
+    state_set = set(lts.states)
+    label_set = set(lts.labels)
+    if len(state_set) != len(lts.states):
+        problems.append(Dangling("duplicate state declaration"))
+    if len(label_set) != len(lts.labels):
+        problems.append(Dangling("duplicate label declaration"))
+    if lts.initial not in state_set:
+        problems.append(Dangling(f"initial state {lts.initial} not declared"))
+    for i, e in enumerate(lts.edges):
+        if e.source not in state_set:
+            problems.append(Dangling(f"edge {i} source {e.source} not declared"))
+        if e.target not in state_set:
+            problems.append(Dangling(f"edge {i} target {e.target} not declared"))
+        if e.label not in label_set:
+            problems.append(Dangling(f"edge {i} label {e.label} not declared"))
+    seen_pairs: set[tuple[str, str]] = set()
+    for e in lts.edges:
+        key = (e.source, e.label)
+        if key in seen_pairs:
+            problems.append(Nondeterministic(e.source, e.label))
+        seen_pairs.add(key)
+    if lts.initial in state_set:
+        reached = {lts.initial}
+        grew = True
+        while grew:
+            grew = False
+            for e in lts.edges:
+                if e.source in reached and e.target in state_set and e.target not in reached:
+                    reached.add(e.target)
+                    grew = True
+        problems += [Unreachable(s) for s in lts.states if s not in reached]
+    return problems

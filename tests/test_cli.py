@@ -40,6 +40,13 @@ def test_check_malformed_file(tmp_path, capsys):
     assert f"{bad}:3:" in err
 
 
+def test_diagnostic_line_matches_grep_after_form_feed(tmp_path, capsys):
+    bad = tmp_path / "ff.lts"
+    bad.write_bytes(b"lts\ninitial s0\x0c\nedge s0 a\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:3: expected 'edge <source> <label> <target>'\n"
+
+
 NOT_UTF8 = b"lts\ninitial s\xff\n"
 
 

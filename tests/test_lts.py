@@ -16,8 +16,9 @@ from labelsplit.lts import (
     spanning_tree,
     validate,
 )
-from labelsplit.petri import reachability_graph
+from labelsplit.petri import parse_net, reachability_graph
 from labelsplit.regions import effect_space, is_embeddable
+from labelsplit.splitting import parse_splitting
 from oracles import edge_parikh, in_span, rref_rows, state_parikh
 
 
@@ -47,6 +48,34 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line == 3
     with pytest.raises(FormatError):
         parse_lts("")
+    # only blank and comment lines follow the header: the header's line
+    with pytest.raises(FormatError) as err:
+        parse_lts("# heading\nlts\n\n# no initial state\n   \n")
+    assert (err.value.line, err.value.message) == (2, "missing 'initial' line")
+
+
+# characters `str.splitlines` would also break a line at
+NOT_LINE_FEEDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", NOT_LINE_FEEDS, ids=lambda c: f"U+{ord(c):04X}")
+def test_line_numbers_count_line_feeds_only(separator):
+    with pytest.raises(FormatError) as err:
+        parse_lts(f"lts\ninitial s0{separator}\nedge s0 a\n")
+    assert err.value.line == 3
+    lts = parse_lts(f"lts\ninitial s0\nedge s0{separator}a s1\n")
+    assert lts.edges == (("s0", "a", "s1"),)
+    with pytest.raises(FormatError) as err:
+        parse_net(f"net{separator}\nplace p one\n")
+    assert err.value.line == 2
+    with pytest.raises(FormatError) as err:
+        parse_splitting(load_lts("fig1-right.lts"), f"labels 3{separator}\nsplit x b#1\n")
+    assert err.value.line == 2
+
+
+def test_carriage_returns_are_whitespace():
+    lts = parse_lts("lts\r\ninitial s0\r\nedge s0 a s1\r\n")
+    assert lts == parse_lts("lts\ninitial s0\nedge s0 a s1\n")
 
 
 def test_header_is_bare_lts_as_in_readme():

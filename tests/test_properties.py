@@ -1,12 +1,14 @@
-"""Property tests of the text formats and the command line: parsers return a
-value or raise `FormatError` on any text, format then parse round-trips,
-and fuzzed arguments or file contents never end in a traceback or an
-undocumented exit."""
+"""Property tests of the text formats, the token game and the command line:
+parsers return a value or raise `FormatError` on any text, format then parse
+round-trips, the reachability graph, the embedding check and `validate`
+agree with their oracles, and fuzzed arguments or file contents never end
+in a traceback or an undocumented exit."""
 
 import io
 import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from operator import itemgetter
 
 import pytest
@@ -15,9 +17,22 @@ from hypothesis import strategies as st
 
 from helpers import FIXTURES, load_lts, random_lts
 from labelsplit.cli import main
-from labelsplit.lts import FormatError, format_lts, parse_lts
-from labelsplit.petri import NotEnabled, PetriNet, enabled, fire, format_net, parse_net
+from labelsplit.lts import Edge, FormatError, Lts, format_lts, parse_lts, validate
+from labelsplit.petri import (
+    BoundExceeded,
+    NotEnabled,
+    PetriNet,
+    enabled,
+    fire,
+    format_net,
+    parse_net,
+    reachability_graph,
+    synthesize,
+    verify_embedding,
+)
+from labelsplit.regions import is_embeddable
 from labelsplit.splitting import parse_splitting
+from oracles import reachability_graph_oracle, validate_oracle, verify_embedding_oracle
 
 FIG1_RIGHT = load_lts("fig1-right.lts")
 
@@ -116,6 +131,135 @@ def test_token_game_equals_per_place_oracle(drawn):
             assert fire(net, marking, t) == tuple(after)
     with pytest.raises(ValueError, match="unknown transition: zz"):
         fire(net, marking, "zz")
+
+
+@st.composite
+def game_nets(draw):
+    """A drawn net in which some transitions become self-loops: post equal
+    to pre, so they test their input places and change nothing."""
+    net = draw(nets())
+    loops = draw(st.sets(st.sampled_from(net.transitions))) if net.transitions else set()
+    return replace(net, post={t: net.pre[t] if t in loops else w for t, w in net.post.items()})
+
+
+# t0 takes two tokens from p0 and needs p1 without using it up; t1 has no
+# input arcs and puts a token on p0, so the net is unbounded
+SIDE_CONDITION = PetriNet(
+    ("p0", "p1"), ("t0", "t1"), {"t0": (2, 1), "t1": (0, 0)}, {"t0": (0, 1), "t1": (1, 0)}, (3, 1)
+)
+RG_CAP = 40
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(game_nets())
+@example(NO_PLACES)
+@example(IDLE_T1)
+@example(SIDE_CONDITION)
+@example(PetriNet(("p",), ("t",), {"t": (3,)}, {"t": (3,)}, (5,)))
+def test_reachability_graph_equals_oracle(net):
+    # the same text, or the same BoundExceeded, at every bound up to one
+    # past the state count (up to RG_CAP when the graph is larger)
+    full = reachability_graph_oracle(net, RG_CAP)
+    top = RG_CAP if isinstance(full, BoundExceeded) else len(full.states) + 1
+    for bound in range(1, top + 1):
+        want = reachability_graph_oracle(net, bound)
+        got = reachability_graph(net, bound)
+        if isinstance(want, BoundExceeded):
+            assert got == want
+        else:
+            assert isinstance(got, Lts)
+            assert format_lts(got) == format_lts(want)
+            assert got == want
+
+
+@st.composite
+def embeddings(draw):
+    """A random embeddable LTS with its synthesized net, or with a copy of
+    that net in which one arc is dropped, one weight is changed, or some
+    places become side conditions of one transition: the same weight added
+    to its input and its output arc there."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lts = random_lts(rng, max_states=6)
+    while not is_embeddable(lts).embeddable:
+        lts = random_lts(rng, max_states=6)
+    net = synthesize(lts)
+    kind = draw(st.sampled_from(["none", "drop", "reweigh", "side-condition"]))
+    places = range(len(net.places))
+    arcs = [(rows, t, i) for rows in ("pre", "post") for t in net.transitions for i in places]
+    if kind == "drop":
+        arcs = [(rows, t, i) for rows, t, i in arcs if getattr(net, rows)[t][i]]
+    if kind == "none" or not arcs:
+        return lts, net
+    pre, post = dict(net.pre), dict(net.post)
+    if kind == "side-condition":
+        t = draw(st.sampled_from(net.transitions))
+        chosen = draw(st.sets(st.sampled_from(places), min_size=1))
+        extra = {i: draw(st.integers(1, 3)) for i in chosen}
+        pre[t] = tuple(w + extra.get(i, 0) for i, w in enumerate(pre[t]))
+        post[t] = tuple(w + extra.get(i, 0) for i, w in enumerate(post[t]))
+    else:
+        rows, t, i = draw(st.sampled_from(arcs))
+        weights = pre if rows == "pre" else post
+        row = list(weights[t])
+        row[i] = 0 if kind == "drop" else draw(st.integers(0, 4).filter(lambda w: w != row[i]))
+        weights[t] = tuple(row)
+    return lts, replace(net, pre=pre, post=post)
+
+
+# two places short at once: the reason names the first
+TWO_SHORT = (
+    Lts.from_edges("s0", [("s0", "a", "s1")]),
+    PetriNet(("p1", "p2"), ("a",), {"a": (1, 1)}, {"a": (2, 2)}, (0, 0)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(embeddings())
+@example(TWO_SHORT)
+def test_verify_embedding_equals_oracle(drawn):
+    lts, net = drawn
+    assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net)
+
+
+# --- validation -----------------------------------------------------------
+
+
+@st.composite
+def damaged_lts(draw):
+    """A random valid LTS, then up to five edits: an edge end or label
+    replaced by an undeclared one, an edge repeating the (source, label)
+    pair of another, a state or label declaration dropped, or a state
+    declared twice."""
+    lts = random_lts(random.Random(draw(st.integers(0, 2**32))))
+    states, labels, edges = list(lts.states), list(lts.labels), list(lts.edges)
+    kinds = ["source", "label", "target", "repeat", "drop-state", "drop-label", "redeclare"]
+    for n in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "drop-state" and states:
+            del states[draw(st.integers(0, len(states) - 1))]
+        elif kind == "drop-label" and labels:
+            del labels[draw(st.integers(0, len(labels) - 1))]
+        elif kind == "redeclare" and states:
+            states.insert(draw(st.integers(0, len(states))), draw(st.sampled_from(states)))
+        elif kind in ("source", "label", "target", "repeat") and edges:
+            i = draw(st.integers(0, len(edges) - 1))
+            source, label, target = edges[i]
+            if kind == "source":
+                edges[i] = Edge(f"ghost{n}", label, target)
+            elif kind == "label":
+                edges[i] = Edge(source, f"zz{n}", target)
+            elif kind == "target":
+                edges[i] = Edge(source, label, f"ghost{n}")
+            else:
+                again = Edge(source, label, draw(st.sampled_from(lts.states)))
+                edges.insert(draw(st.integers(0, len(edges))), again)
+    return Lts(tuple(states), tuple(labels), tuple(edges), lts.initial)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(damaged_lts())
+def test_validate_equals_oracle(lts):
+    assert validate(lts) == validate_oracle(lts)
 
 
 # --- command line ---------------------------------------------------------
