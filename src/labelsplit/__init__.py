@@ -61,7 +61,6 @@ from .splitting import (
     parse_splitting,
     serialize_splitting,
     set_partitions,
-    validate_splitting,
 )
 
 __version__ = "0.1.0"

@@ -6,9 +6,9 @@ t takes from each place, `post[t]` what it puts back, and firing t turns
 marking M into M - pre[t] + post[t]. The token game reads `PetriNet.moves`,
 each transition's input arcs and effect post[t] - pre[t], made once per net.
 Synthesis makes one place per region, so `pre[t]` and `post[t]` hold label
-t's consume and produce weight in every region. The reachability graph is itself an `Lts` whose states are canonical
-marking names, which lets the region machinery and the token game meet in
-`verify_embedding`.
+t's consume and produce weight in every region. The reachability graph is
+itself an `Lts` whose states are canonical marking names, which lets the
+region machinery and the token game meet in `verify_embedding`.
 """
 
 from __future__ import annotations
@@ -217,9 +217,8 @@ def parse_net(text: str) -> PetriNet:
     n, parts = lines[0]
     if parts != ["net"]:
         raise FormatError(n, "expected 'net' header")
-    places: list[str] = []
-    tokens: dict[str, int] = {}
-    transitions: list[str] = []
+    tokens: dict[str, int] = {}  # by place, in declaration order
+    transitions: dict[str, None] = {}  # a dict for its order and its fast `in`
     consume: dict[tuple[str, str], int] = {}
     produce: dict[tuple[str, str], int] = {}
     for n, parts in lines[1:]:
@@ -230,16 +229,14 @@ def parse_net(text: str) -> PetriNet:
             pid, raw = parts[1], parts[2]
             if pid in tokens or pid in transitions:
                 raise FormatError(n, f"duplicate id: {pid}")
-            count = _nonneg_int(raw, n, "token count")
-            places.append(pid)
-            tokens[pid] = count
+            tokens[pid] = _nonneg_int(raw, n, "token count")
         elif kind == "trans":
             if len(parts) != 2:
                 raise FormatError(n, "expected 'trans <id>'")
             tid = parts[1]
             if tid in tokens or tid in transitions:
                 raise FormatError(n, f"duplicate id: {tid}")
-            transitions.append(tid)
+            transitions[tid] = None
         elif kind == "arc":
             if len(parts) != 4:
                 raise FormatError(n, "expected 'arc <x> <y> <weight>'")
@@ -260,9 +257,9 @@ def parse_net(text: str) -> PetriNet:
             store[key] = w
         else:
             raise FormatError(n, f"unknown directive: {kind}")
-    pre = {t: tuple(consume.get((p, t), 0) for p in places) for t in transitions}
-    post = {t: tuple(produce.get((p, t), 0) for p in places) for t in transitions}
-    return PetriNet(tuple(places), tuple(transitions), pre, post, tuple(tokens.values()))
+    pre = {t: tuple(consume.get((p, t), 0) for p in tokens) for t in transitions}
+    post = {t: tuple(produce.get((p, t), 0) for p in tokens) for t in transitions}
+    return PetriNet(tuple(tokens), tuple(transitions), pre, post, tuple(tokens.values()))
 
 
 def _nonneg_int(raw: str, line: int, what: str) -> int:

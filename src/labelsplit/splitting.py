@@ -2,7 +2,7 @@
 
 A splitting refines the alphabet: every original label keeps its name, each
 label's edge set may be partitioned into blocks, and every extra block gets a
-fresh label that maps back to the original. Splitting never changes states
+fresh label that stands for the original. Splitting never changes states
 or the shape of the graph, only edge labels, and it preserves determinism.
 
 Canonical form: per label, the block containing the lowest-numbered edge
@@ -43,12 +43,12 @@ from .regions import is_embeddable
 
 @dataclass(frozen=True)
 class LabelSplitting:
-    """`alphabet` is the refined label set, `parent` maps each of its labels
-    to the original it came from (identity on originals), and `edge_labels`
-    gives the new label of every edge in canonical edge order."""
+    """`edge_labels` gives the new label of every edge in canonical edge
+    order; a label that is not an original stands for the original of the
+    edges it relabels. `alphabet` is the refined label set: the originals,
+    then the new labels by first use."""
 
     alphabet: tuple[str, ...]
-    parent: dict[str, str]
     edge_labels: tuple[str, ...]
 
     def labels_used(self) -> int:
@@ -61,39 +61,30 @@ def from_partitions(
     """Canonical splitting from per-label partitions of edge indices.
 
     `partitions` maps a label to a partition of that label's edge indices
-    (absolute indices into lts.edges); labels not in the dict stay unsplit.
+    (absolute indices into lts.edges) into nonempty blocks; labels not in the
+    dict stay unsplit.
     """
     per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
     for i, e in enumerate(lts.edges):
         per_label[e.label].append(i)
-    originals = set(lts.labels)
-    parent: dict[str, str] = {t: t for t in lts.labels}
-    edge_labels: list[str] = [e.label for e in lts.edges]
-    fresh: list[tuple[int, str]] = []
-    for t in lts.labels:
-        blocks = [sorted(int(i) for i in blk) for blk in partitions.get(t, [])]
-        if not blocks:
-            blocks = [per_label[t]] if per_label[t] else []
+    edge_labels = [e.label for e in lts.edges]
+    for t, partition in partitions.items():
+        # disjoint nonempty blocks sort by their lowest edge
+        blocks = sorted(sorted(int(i) for i in blk) for blk in partition)
         flat = sorted(i for blk in blocks for i in blk)
-        if flat != per_label[t]:
+        if t not in per_label or not all(blocks) or flat != per_label[t]:
             raise ValueError(f"partition for {t} does not cover its edge set exactly")
-        blocks.sort(key=lambda blk: blk[0])
         counter = 0
         for blk in blocks[1:]:
             counter += 1
             name = f"{t}#{counter}"
-            while name in originals:
+            while name in per_label:
                 counter += 1
                 name = f"{t}#{counter}"
-            fresh.append((blk[0], name))
-            parent[name] = t
             for i in blk:
                 edge_labels[i] = name
-    # alphabet: originals in canonical order, then fresh labels by the lowest
-    # edge they relabel (= first-use order in the witness serialization)
-    fresh.sort()
-    alphabet = tuple(lts.labels) + tuple(name for _, name in fresh)
-    return LabelSplitting(alphabet, parent, tuple(edge_labels))
+    alphabet = tuple(dict.fromkeys([*lts.labels, *edge_labels]))
+    return LabelSplitting(alphabet, tuple(edge_labels))
 
 
 def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
@@ -104,44 +95,6 @@ def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
         (e.source, splitting.edge_labels[i], e.target) for i, e in enumerate(lts.edges)
     )
     return Lts.from_edges(lts.initial, edges, labels=splitting.alphabet)
-
-
-def validate_splitting(lts: Lts, splitting: LabelSplitting) -> list[str]:
-    """Contract check; empty list means well formed (and the result stays
-    deterministic)."""
-    problems: list[str] = []
-    if len(set(splitting.alphabet)) != len(splitting.alphabet):
-        problems.append("alphabet has duplicate labels")
-    originals = set(lts.labels)
-    for t in lts.labels:
-        if t not in splitting.alphabet:
-            problems.append(f"original label {t} missing from alphabet")
-        elif splitting.parent.get(t) != t:
-            problems.append(f"parent map is not the identity on original label {t}")
-    for t in splitting.alphabet:
-        p = splitting.parent.get(t)
-        if p is None:
-            problems.append(f"no parent for label {t}")
-        elif p not in originals:
-            problems.append(f"parent of {t} is not an original label: {p}")
-    if len(splitting.edge_labels) != len(lts.edges):
-        problems.append("edge relabelling length differs from edge count")
-        return problems
-    for i, e in enumerate(lts.edges):
-        new = splitting.edge_labels[i]
-        if new not in splitting.parent:
-            problems.append(f"edge {i} assigned unknown label {new}")
-        elif splitting.parent[new] != e.label:
-            problems.append(
-                f"edge {i} relabelled {e.label} -> {new}, which maps back to {splitting.parent[new]}"
-            )
-    seen: set[tuple[str, str]] = set()
-    for i, e in enumerate(lts.edges):
-        key = (e.source, splitting.edge_labels[i])
-        if key in seen:
-            problems.append(f"result nondeterministic at {key[0]} with label {key[1]}")
-        seen.add(key)
-    return problems
 
 
 # --- witness text form --------------------------------------------------
@@ -160,8 +113,9 @@ def serialize_splitting(lts: Lts, splitting: LabelSplitting) -> str:
 
 def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
     """Parse a witness against the LTS it splits. New labels are taken as
-    written; each must be used on edges of a single original label and must
-    not collide with a different original label.
+    written; each relabels edges of a single original label, and an original
+    name may only keep its own edges. `labels N` counts the originals plus
+    the new labels, which enter the alphabet in the order of their lines.
 
     Unlike the LTS/net formats this one has no comment syntax: canonical
     fresh labels contain `#`, so `#` stays an ordinary character here.
@@ -182,9 +136,9 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
         raise FormatError(n, f"label count must be an integer, got {parts[1]!r}") from None
     edge_labels = [e.label for e in lts.edges]
     relabelled: set[int] = set()
-    originals = set(lts.labels)
-    parent: dict[str, str] = {t: t for t in lts.labels}
-    fresh: list[str] = []
+    # the original each label stands for: the originals, then the new labels
+    # by first use
+    stands_for = {t: t for t in lts.labels}
     for n, parts in lines[1:]:
         if len(parts) != 3 or parts[0] != "split":
             raise FormatError(n, "expected 'split <edge-index> <new-label>'")
@@ -197,28 +151,17 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
         if i in relabelled:
             raise FormatError(n, f"edge {i} relabelled twice")
         relabelled.add(i)
-        new = parts[2]
-        original = lts.edges[i].label
-        if new in originals:
-            if new != original:
-                raise FormatError(
-                    n, f"edge {i} relabelled to a different original label {new}"
-                )
-        elif new in parent:
-            if parent[new] != original:
-                raise FormatError(
-                    n, f"label {new} used for edges of both {parent[new]} and {original}"
-                )
-        else:
-            parent[new] = original
-            fresh.append(new)
+        new, original = parts[2], lts.edges[i].label
+        if stands_for.setdefault(new, original) != original:
+            raise FormatError(
+                n, f"edge {i} of {original} relabelled to {new}, which stands for {stands_for[new]}"
+            )
         edge_labels[i] = new
-    alphabet = tuple(lts.labels) + tuple(fresh)
-    if declared != len(alphabet):
+    if declared != len(stands_for):
         raise FormatError(
-            lines[0][0], f"declared {declared} labels, witness uses {len(alphabet)}"
+            lines[0][0], f"declared {declared} labels, witness uses {len(stands_for)}"
         )
-    return LabelSplitting(alphabet, parent, tuple(edge_labels))
+    return LabelSplitting(tuple(stands_for), tuple(edge_labels))
 
 
 # --- search -------------------------------------------------------------

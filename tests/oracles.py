@@ -6,9 +6,9 @@ dot products per state or per pair, a splitting search that builds and
 checks every leaf's split LTS, a leaf check that eliminates every leaf's
 block columns anew, region validity checked edge by edge,
 markings from Parikh vectors times transition effects, a token game that
-compares every place against the dense `pre`/`post` rows, and a `validate`
-that walks the edges once per kind of violation. None of it runs in the
-package.
+compares every place against the dense `pre`/`post` rows, a `validate`
+that walks the edges once per kind of violation, and the splitting contract
+checked clause by clause. None of it runs in the package.
 """
 
 from __future__ import annotations
@@ -279,6 +279,41 @@ def region_violations(region: Region, lts: Lts) -> list[str]:
                 f"edge {e.source} -{e.label}-> {e.target}: "
                 f"expected value {after}, declared {region.state_value[e.target]}"
             )
+    return problems
+
+
+def validate_splitting(lts: Lts, splitting: LabelSplitting) -> list[str]:
+    """The splitting contract; empty list means well formed (and the result
+    stays deterministic). Each original stands for itself; a new label
+    stands for the original of the first edge it relabels, and must stand
+    for that one on every edge it relabels."""
+    problems: list[str] = []
+    if len(set(splitting.alphabet)) != len(splitting.alphabet):
+        problems.append("alphabet has duplicate labels")
+    for t in lts.labels:
+        if t not in splitting.alphabet:
+            problems.append(f"original label {t} missing from alphabet")
+    if len(splitting.edge_labels) != len(lts.edges):
+        problems.append("edge relabelling length differs from edge count")
+        return problems
+    parent = {t: t for t in lts.labels}
+    for i, e in enumerate(lts.edges):
+        new = splitting.edge_labels[i]
+        if new not in splitting.alphabet:
+            problems.append(f"edge {i} assigned unknown label {new}")
+        elif parent.setdefault(new, e.label) != e.label:
+            problems.append(
+                f"edge {i} relabelled {e.label} -> {new}, which maps back to {parent[new]}"
+            )
+    for t in splitting.alphabet:
+        if t not in parent:
+            problems.append(f"label {t} relabels no edge, so it stands for no original")
+    seen: set[tuple[str, str]] = set()
+    for i, e in enumerate(lts.edges):
+        key = (e.source, splitting.edge_labels[i])
+        if key in seen:
+            problems.append(f"result nondeterministic at {key[0]} with label {key[1]}")
+        seen.add(key)
     return problems
 
 

@@ -18,7 +18,14 @@ from labelsplit.reduction import (
 )
 from labelsplit.regions import effect_space, is_embeddable
 from labelsplit.splitting import apply_splitting, decide, optimize
-from oracles import in_span, index_set_splitting, ssp_solvable, state_parikh, state_signature
+from oracles import (
+    in_span,
+    index_set_splitting,
+    ssp_solvable,
+    state_parikh,
+    state_signature,
+    validate_splitting,
+)
 
 
 @contextmanager
@@ -147,6 +154,7 @@ def test_criterion_6_subset_sum_equivalence():
             assert at_q.found == solvable, (b, values)
             assert not below.found, (b, values)
             if at_q.found:
+                assert validate_splitting(gadget, at_q.splitting) == [], (b, values)
                 solution = extract_solution(inst, at_q.splitting)
                 assert sum(values[i - 1] for i in solution) == b
         if exhausted:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -54,6 +55,30 @@ def test_parse_net_errors():
     with pytest.raises(FormatError) as err:
         parse_net("net\nplace p 1\ntrans t\narc p p 1\n")
     assert err.value.line == 4
+
+
+def test_parse_net_is_linear_in_transitions():
+    # each id lookup is O(1), so 4x the transitions take about 4x the time
+    # (5x measured); a lookup in a list makes it 14-18x
+    def net_text(count):
+        lines = ["net", "place p 1"]
+        for i in range(count):
+            lines += [f"trans t{i}", f"arc p t{i} 1"]
+        return "\n".join(lines) + "\n"
+
+    def best_time(text):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse_net(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = net_text(5_000), net_text(20_000)
+    assert best_time(large) < 10 * best_time(small)
+    net = parse_net(large)
+    assert len(net.transitions) == 20_000
+    assert net.pre["t19999"] == (1,)
 
 
 def test_enabled_and_fire_fig2():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from labelsplit.lts import spanning_tree, validate
@@ -15,9 +17,17 @@ from labelsplit.splitting import (
     apply_splitting,
     conflict_pairs,
     decide,
+    parse_splitting,
+    serialize_splitting,
+)
+from oracles import (
+    in_span,
+    index_set_splitting,
+    region_violations,
+    separates,
+    ssp_solvable,
     validate_splitting,
 )
-from oracles import in_span, index_set_splitting, region_violations, separates, ssp_solvable
 
 
 def test_instance_validation():
@@ -227,6 +237,7 @@ def test_decide_tight_budget_solvable():
     outcome = decide(lts, p.label_budget)
     assert outcome.found
     assert outcome.splitting.labels_used() == p.label_budget
+    assert validate_splitting(lts, outcome.splitting) == []
     assert extract_solution(inst, outcome.splitting) == (1,)
     below = decide(lts, p.label_budget - 1)
     assert not below.found and not below.exhausted
@@ -245,6 +256,7 @@ def test_decide_two_values():
     lts = build_lts(inst)
     outcome = decide(lts, params(inst).label_budget)
     assert outcome.found
+    assert validate_splitting(lts, outcome.splitting) == []
     assert extract_solution(inst, outcome.splitting) == (1, 2)
 
 
@@ -266,6 +278,43 @@ def test_extract_solution_rejects_malformed():
     assert sp.labels_used() == p.alphabet_size + 1
     with pytest.raises(ValueError):
         extract_solution(inst, sp)
+
+
+def test_extract_solution_rejects_tight_witnesses_of_the_wrong_shape():
+    # b=3, c=(1, 2): 16 labels, tight budget 18; g1 is on edges 29 (forward)
+    # and 30 (reverse), g2 on 32 and 33, o on 14
+    inst = SubsetSumInstance(3, (1, 2))
+    lts = build_lts(inst)
+    assert params(inst).label_budget == 18
+    for text in [
+        "labels 18\nsplit 29 x\nsplit 30 y\n",  # both g1 edges move, g2 unsplit
+        "labels 18\nsplit 14 o#1\nsplit 30 g1#1\n",  # o and g1 split, g2 unsplit
+    ]:
+        sp = parse_splitting(lts, text)
+        assert validate_splitting(lts, sp) == []
+        with pytest.raises(ValueError, match="g2 keeps its two-state cycle"):
+            extract_solution(inst, sp)
+    # tight witnesses of other gadgets: one edge fewer, then the same edge
+    # count with the values swapped
+    for other_inst, index_set, match in [
+        (SubsetSumInstance(1, (1, 4)), {1}, "edge count"),
+        (SubsetSumInstance(3, (2, 1)), {1, 2}, "not a splitting of the gadget"),
+    ]:
+        other = build_lts(other_inst)
+        assert params(other_inst).label_budget == 18
+        sp = parse_splitting(
+            other, serialize_splitting(other, index_set_splitting(other_inst, other, index_set))
+        )
+        assert sp.labels_used() == 18
+        with pytest.raises(ValueError, match=match):
+            extract_solution(inst, sp)
+    assert len(build_lts(SubsetSumInstance(3, (2, 1))).edges) == len(lts.edges)
+    # the right relabelling under an alphabet that names a label no edge uses
+    good = index_set_splitting(inst, lts, {1, 2})
+    assert extract_solution(inst, good) == (1, 2)
+    renamed = replace(good, alphabet=good.alphabet[:-1] + ("zz",))
+    with pytest.raises(ValueError, match="alphabet differs"):
+        extract_solution(inst, renamed)
 
 
 def test_extract_solution_rejects_wrong_sum():

@@ -15,15 +15,14 @@ from labelsplit.splitting import (
     parse_splitting,
     serialize_splitting,
     set_partitions,
-    validate_splitting,
 )
+from oracles import validate_splitting
 
 
 def test_unsplit_partitions_are_identity():
     lts = load_lts("fig1-right.lts")
     sp = from_partitions(lts, {})
     assert sp.alphabet == lts.labels
-    assert sp.parent == {"a": "a", "b": "b"}
     assert sp.edge_labels == tuple(e.label for e in lts.edges)
     assert sp.labels_used() == 2
     assert validate_splitting(lts, sp) == []
@@ -35,7 +34,6 @@ def test_from_partitions_canonical_names():
     # a-edges are 0, 2, 4: the block with edge 0 keeps the name
     sp = from_partitions(lts, {"a": [[2, 4], [0]]})
     assert sp.alphabet == ("a", "b", "a#1")
-    assert sp.parent == {"a": "a", "a#1": "a", "b": "b"}
     assert sp.edge_labels == ("a", "b", "a#1", "b", "a#1", "b")
     assert validate_splitting(lts, sp) == []
 
@@ -46,6 +44,10 @@ def test_from_partitions_rejects_bad_cover():
         from_partitions(lts, {"a": [[0]]})
     with pytest.raises(ValueError):
         from_partitions(lts, {"a": [[0, 1], [2, 4]]})
+    with pytest.raises(ValueError, match="does not cover"):
+        from_partitions(lts, {"zz": [[0]]})  # the LTS has no label zz
+    with pytest.raises(ValueError, match="does not cover"):
+        from_partitions(lts, {"a": [[0, 2, 4], []]})
 
 
 def test_fresh_names_skip_colliding_originals():
@@ -78,10 +80,15 @@ def test_alternative_single_edge_split_makes_fig1_right_embeddable():
 def test_validate_splitting_catches_breakage():
     lts = load_lts("fig1-right.lts")
     sp = from_partitions(lts, {})
-    broken = type(sp)(sp.alphabet, dict(sp.parent), ("a",) * 6)
-    problems = validate_splitting(lts, broken)
-    assert problems
+    problems = validate_splitting(lts, type(sp)(sp.alphabet, ("a",) * 6))
     assert any("nondeterministic" in p for p in problems)
+    assert any("edge 1 relabelled b -> a" in p for p in problems)
+    # a new label that relabels no edge stands for no original
+    problems = validate_splitting(lts, type(sp)(sp.alphabet + ("x",), sp.edge_labels))
+    assert problems == ["label x relabels no edge, so it stands for no original"]
+    # a new label relabelling edges of two originals
+    problems = validate_splitting(lts, type(sp)(("a", "b", "x"), ("x",) * 2 + sp.edge_labels[2:]))
+    assert any("maps back to a" in p for p in problems)
 
 
 def test_serialize_parse_round_trip():
@@ -107,6 +114,14 @@ def test_parse_splitting_errors():
         parse_splitting(lts, "labels 3\nsplit 0 x\nsplit 1 x\n")  # x spans a and b
     with pytest.raises(FormatError):
         parse_splitting(lts, "labels 7\nsplit 0 x\n")  # count mismatch
+
+
+def test_parse_splitting_alphabet_follows_line_order():
+    lts = load_lts("fig1-right.lts")
+    sp = parse_splitting(lts, "labels 4\nsplit 3 y\nsplit 2 x\n")
+    assert sp.alphabet == ("a", "b", "y", "x")
+    assert sp.edge_labels == ("a", "b", "x", "y", "a", "b")
+    assert validate_splitting(lts, sp) == []
 
 
 def test_set_partitions_counts():
