@@ -42,7 +42,6 @@ from .reduction import (
     unit_word,
 )
 from .regions import (
-    CycleInconsistent,
     EmbeddabilityReport,
     NotEmbeddable,
     Region,

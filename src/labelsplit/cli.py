@@ -10,12 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .lts import FormatError, Lts, format_lts, parse_lts, validate
 from .petri import (
     BoundExceeded,
-    PetriNet,
     format_net,
     parse_net,
     reachability_graph,
@@ -53,7 +52,10 @@ def _write(path: str, text: str) -> None:
         raise _Fail(2) from None
 
 
-def _parse_file(path: str, parser: Callable[[str], object]) -> object:
+T = TypeVar("T")
+
+
+def _parse_file(path: str, parser: Callable[[str], T]) -> T:
     try:
         return parser(_read(path))
     except FormatError as exc:
@@ -63,19 +65,12 @@ def _parse_file(path: str, parser: Callable[[str], object]) -> object:
 
 def _load_lts(path: str) -> Lts:
     lts = _parse_file(path, parse_lts)
-    assert isinstance(lts, Lts)
     problems = validate(lts)
     if problems:
         for p in problems:
             print(f"{path}: {p}", file=sys.stderr)
         raise _Fail(2)
     return lts
-
-
-def _load_net(path: str) -> PetriNet:
-    net = _parse_file(path, parse_net)
-    assert isinstance(net, PetriNet)
-    return net
 
 
 def _values_list(raw: str) -> tuple[int, ...]:
@@ -123,7 +118,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_rg(args: argparse.Namespace) -> int:
     _at_least("--bound", args.bound, 1)
-    net = _load_net(args.net_file)
+    net = _parse_file(args.net_file, parse_net)
     result = reachability_graph(net, max_states=args.bound)
     if isinstance(result, BoundExceeded):
         print("bound-exceeded")
@@ -138,7 +133,7 @@ def _cmd_rg(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lts = _load_lts(args.lts_file)
-    net = _load_net(args.net_file)
+    net = _parse_file(args.net_file, parse_net)
     try:
         outcome = verify_embedding(lts, net)
     except ValueError as exc:

@@ -9,6 +9,8 @@ order, so two structurally equal systems behave identically.
 The breadth-first search from the initial state runs once per `Lts` (the
 memoised `Lts._parents`) and feeds both `validate` and `spanning_tree`;
 `cycle_base` returns the integer echelon `(rows, pivots)` of the chords.
+The reading rules of all three text formats (lines, headers, integer
+tokens) live here, next to `FormatError`, and the other parsers use them.
 """
 
 from __future__ import annotations
@@ -262,12 +264,8 @@ def parse_lts(text: str) -> Lts:
     line number on malformed input. The parsed system is not validated here;
     run `validate` for the structural contract.
     """
-    lines = _content_lines(text)
-    n, parts = next(lines, (1, None))
-    if parts is None:
-        raise FormatError(1, "empty input, expected 'lts' header")
-    if parts != ["lts"]:
-        raise FormatError(n, "expected 'lts' header")
+    lines = _content_lines(text, "#")
+    n = _expect_header(lines, "lts")
     n, parts = next(lines, (n, None))
     if parts is None:
         raise FormatError(n, "missing 'initial' line")
@@ -292,10 +290,32 @@ def format_lts(lts: Lts) -> str:
     return "\n".join(out) + "\n"
 
 
-def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    """(line number, tokens) for each non-blank, non-comment line. Lines end
-    at line feeds alone, as `grep -n` counts them (not `str.splitlines`)."""
+def _content_lines(text: str, comment: str | None) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tokens) for each line with a token, the reading rule of
+    every text format. Lines end at line feeds alone, as `grep -n` counts them
+    (not `str.splitlines`); `comment`, the format's comment character if it
+    has one, hides the rest of its line."""
     for i, raw in enumerate(text.split("\n"), start=1):
-        parts = raw.partition("#")[0].split()
+        parts = (raw.partition(comment)[0] if comment else raw).split()
         if parts:
             yield i, parts
+
+
+def _expect_header(lines: Iterator[tuple[int, list[str]]], word: str) -> int:
+    """Read the first content line, which must be the bare word `word`;
+    return its line number."""
+    n, parts = next(lines, (1, None))
+    if parts is None:
+        raise FormatError(1, f"empty input, expected '{word}' header")
+    if parts != [word]:
+        raise FormatError(n, f"expected '{word}' header")
+    return n
+
+
+def _int_token(raw: str, line: int, what: str) -> int:
+    """`raw` as an integer. `int` also refuses a token of more digits than
+    Python converts (4,300 by default), which is reported the same way."""
+    try:
+        return int(raw)
+    except ValueError:
+        raise FormatError(line, f"{what} must be an integer, got {raw!r}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
 
-from .lts import Edge, FormatError, Lts, _content_lines, spanning_tree
+from .lts import Edge, FormatError, Lts, _content_lines, _expect_header, _int_token, spanning_tree
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
@@ -109,6 +109,8 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | BoundExc
     enabled anywhere or not) when it has at most `max_states` states, else a
     BoundExceeded marker.
     """
+    if max_states < 1:
+        raise ValueError(f"state bound must be at least 1, got {max_states}")
     start = net.initial_marking
     names: dict[Marking, str] = {start: marking_name(net, start)}
     order: list[Marking] = [start]  # the BFS queue: read on while it grows
@@ -211,17 +213,13 @@ def parse_net(text: str) -> PetriNet:
     Place and transition ids must be disjoint; an arc's direction is inferred
     from which end is the place. `#` comments and blank lines are ignored.
     """
-    lines = list(_content_lines(text))
-    if not lines:
-        raise FormatError(1, "empty input, expected 'net' header")
-    n, parts = lines[0]
-    if parts != ["net"]:
-        raise FormatError(n, "expected 'net' header")
+    lines = _content_lines(text, "#")
+    _expect_header(lines, "net")
     tokens: dict[str, int] = {}  # by place, in declaration order
     transitions: dict[str, None] = {}  # a dict for its order and its fast `in`
     consume: dict[tuple[str, str], int] = {}
     produce: dict[tuple[str, str], int] = {}
-    for n, parts in lines[1:]:
+    for n, parts in lines:
         kind = parts[0]
         if kind == "place":
             if len(parts) != 3:
@@ -263,10 +261,7 @@ def parse_net(text: str) -> PetriNet:
 
 
 def _nonneg_int(raw: str, line: int, what: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError:
-        raise FormatError(line, f"{what} must be an integer, got {raw!r}") from None
+    value = _int_token(raw, line, what)
     if value < 0:
         raise FormatError(line, f"{what} must be nonnegative, got {value}")
     return value

@@ -55,10 +55,6 @@ class NotEmbeddable(ValueError):
         self.witness = witness
 
 
-class CycleInconsistent(ValueError):
-    """Effect vector does not vanish on the cycle space."""
-
-
 def effect_space(lts: Lts) -> list[EffectVector]:
     """Integer basis of the feasible label-effect space.
 
@@ -108,9 +104,7 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
     rows, _ = cycle_base(lts)
     for row in rows:
         if sum(map(mul, row, effect)):
-            raise CycleInconsistent(
-                "effect vector has nonzero work around a cycle of the LTS"
-            )
+            raise ValueError("effect vector has nonzero work around a cycle of the LTS")
     walk = spanning_tree(lts).walk([(x,) for x in effect])
     return _region(lts, effect, {s: w for s, (w,) in walk.items()})
 

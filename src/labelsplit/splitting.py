@@ -37,7 +37,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import integer_echelon, nullspace_basis
-from .lts import FormatError, Lts, SpanningTree, spanning_tree
+from .lts import FormatError, Lts, SpanningTree, _content_lines, _int_token, spanning_tree
 from .regions import is_embeddable
 
 
@@ -118,34 +118,23 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
     the new labels, which enter the alphabet in the order of their lines.
 
     Unlike the LTS/net formats this one has no comment syntax: canonical
-    fresh labels contain `#`, so `#` stays an ordinary character here.
-    Lines end at line feeds alone, as in the other formats."""
-    lines = [
-        (i, raw.split())
-        for i, raw in enumerate(text.split("\n"), start=1)
-        if raw.strip()
-    ]
-    if not lines:
+    fresh labels contain `#`, so `#` stays an ordinary character here."""
+    lines = _content_lines(text, None)
+    header, parts = next(lines, (1, None))
+    if parts is None:
         raise FormatError(1, "empty input, expected 'labels' header")
-    n, parts = lines[0]
     if len(parts) != 2 or parts[0] != "labels":
-        raise FormatError(n, "expected 'labels <count>'")
-    try:
-        declared = int(parts[1])
-    except ValueError:
-        raise FormatError(n, f"label count must be an integer, got {parts[1]!r}") from None
+        raise FormatError(header, "expected 'labels <count>'")
+    declared = _int_token(parts[1], header, "label count")
     edge_labels = [e.label for e in lts.edges]
     relabelled: set[int] = set()
     # the original each label stands for: the originals, then the new labels
     # by first use
     stands_for = {t: t for t in lts.labels}
-    for n, parts in lines[1:]:
+    for n, parts in lines:
         if len(parts) != 3 or parts[0] != "split":
             raise FormatError(n, "expected 'split <edge-index> <new-label>'")
-        try:
-            i = int(parts[1])
-        except ValueError:
-            raise FormatError(n, f"edge index must be an integer, got {parts[1]!r}") from None
+        i = _int_token(parts[1], n, "edge index")
         if not 0 <= i < len(lts.edges):
             raise FormatError(n, f"edge index out of range: {i}")
         if i in relabelled:
@@ -158,9 +147,7 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
             )
         edge_labels[i] = new
     if declared != len(stands_for):
-        raise FormatError(
-            lines[0][0], f"declared {declared} labels, witness uses {len(stands_for)}"
-        )
+        raise FormatError(header, f"declared {declared} labels, witness uses {len(stands_for)}")
     return LabelSplitting(tuple(stands_for), tuple(edge_labels))
 
 
@@ -376,6 +363,8 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
 
 
 def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitOutcome:
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node budget must be at least 0, got {node_budget}")
     lts, order, suffix = search.lts, search.order, search.suffix
     extra_budget = max_labels - len(lts.labels)
     if extra_budget < 0 or suffix[0] > extra_budget:

@@ -4,11 +4,17 @@ an independent exhaustive splitting oracle."""
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 from labelsplit import Lts, apply_splitting, from_partitions, is_embeddable, parse_lts, parse_net
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# Python's int() refuses more than 4,300 digits by default; where it does, a
+# token this long is one more non-integer in every text format
+LONG_TOKEN = "9" * 5000
+INT_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_TOKEN)
 
 
 def load_lts(name: str) -> Lts:

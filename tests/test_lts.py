@@ -52,6 +52,33 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(FormatError) as err:
         parse_lts("# heading\nlts\n\n# no initial state\n   \n")
     assert (err.value.line, err.value.message) == (2, "missing 'initial' line")
+    for text, line, message in LTS_DIAGNOSTICS:
+        with pytest.raises(FormatError) as err:
+            parse_lts(text)
+        assert (err.value.line, err.value.message) == (line, message), text
+
+
+EDGE_ARITY = "expected 'edge <source> <label> <target>'"
+
+# (text, line, message) for every diagnostic of `parse_lts`
+LTS_DIAGNOSTICS = [
+    ("", 1, "empty input, expected 'lts' header"),
+    ("# heading\n\n   \n", 1, "empty input, expected 'lts' header"),
+    ("nets\ninitial s0\n", 1, "expected 'lts' header"),
+    ("\n# heading\nlts 7\n", 3, "expected 'lts' header"),
+    ("# lts\n", 1, "empty input, expected 'lts' header"),
+    ("lts\n", 1, "missing 'initial' line"),
+    ("lts\ninitial\n", 2, "expected 'initial <state>'"),
+    ("lts\ninitial s0 s1\n", 2, "expected 'initial <state>'"),
+    ("lts\n\nedge s0 a s1\n", 3, "expected 'initial <state>'"),
+    ("lts\ninitial s0\nedge s0 a\n", 3, EDGE_ARITY),
+    ("lts\ninitial s0\nedge s0 a s1 s2\n", 3, EDGE_ARITY),
+    ("lts\ninitial s0\nedge s0 a s1\nedges s1 a s0\n", 4, EDGE_ARITY),
+    ("lts\ninitial s0\ninitial s1\n", 3, EDGE_ARITY),
+    # `#` starts a comment, inside a token too
+    ("lts # v1\ninitial s0 # start\nedge s0 a #s1\n", 3, EDGE_ARITY),
+    ("lts\ninitial s0\nedge s0 b#1 s1\n", 3, EDGE_ARITY),
+]
 
 
 # characters `str.splitlines` would also break a line at

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from helpers import load_lts, load_net, random_lts, ring_net
+from helpers import INT_LIMITED, LONG_TOKEN, load_lts, load_net, random_lts, ring_net
 from labelsplit.lts import FormatError, Lts, validate
 from labelsplit.petri import (
     BoundExceeded,
@@ -55,6 +55,54 @@ def test_parse_net_errors():
     with pytest.raises(FormatError) as err:
         parse_net("net\nplace p 1\ntrans t\narc p p 1\n")
     assert err.value.line == 4
+    for text, line, message in NET_DIAGNOSTICS:
+        with pytest.raises(FormatError) as err:
+            parse_net(text)
+        assert (err.value.line, err.value.message) == (line, message), text[:80]
+
+
+PT = "net\nplace p 1\ntrans t\n"
+ARC_ENDS = "arc must join one declared place and one declared transition"
+
+# (text, line, message) for every diagnostic of `parse_net`
+NET_DIAGNOSTICS = [
+    ("", 1, "empty input, expected 'net' header"),
+    ("# heading\n\n", 1, "empty input, expected 'net' header"),
+    ("place p 1\n", 1, "expected 'net' header"),
+    ("\n# heading\nnet 2\n", 3, "expected 'net' header"),
+    ("net\nplace p\n", 2, "expected 'place <id> <tokens>'"),
+    ("net\nplace p 1 2\n", 2, "expected 'place <id> <tokens>'"),
+    ("net\ntrans\n", 2, "expected 'trans <id>'"),
+    ("net\ntrans t u\n", 2, "expected 'trans <id>'"),
+    (PT + "arc p t\n", 4, "expected 'arc <x> <y> <weight>'"),
+    (PT + "arc p t 1 2\n", 4, "expected 'arc <x> <y> <weight>'"),
+    ("net\nplace p one\n", 2, "token count must be an integer, got 'one'"),
+    ("net\nplace p 1.5\n", 2, "token count must be an integer, got '1.5'"),
+    ("net\nplace p -1\n", 2, "token count must be nonnegative, got -1"),
+    (PT + "arc p t x\n", 4, "arc weight must be an integer, got 'x'"),
+    (PT + "arc t p -2\n", 4, "arc weight must be nonnegative, got -2"),
+    (PT + "arc p t 0\n", 4, "arc weight must be positive"),
+    ("net\nplace p 1\nplace p 2\n", 3, "duplicate id: p"),
+    ("net\nplace p 1\ntrans p\n", 3, "duplicate id: p"),
+    ("net\ntrans t\nplace t 0\n", 3, "duplicate id: t"),
+    ("net\ntrans t\ntrans t\n", 3, "duplicate id: t"),
+    (PT + "arc p t 1\narc p t 2\n", 5, "duplicate arc: p t"),
+    (PT + "arc t p 1\n\narc t p 1\n", 6, "duplicate arc: t p"),
+    (PT + "arc p p 1\n", 4, f"{ARC_ENDS}: p p"),
+    (PT + "arc t t 1\n", 4, f"{ARC_ENDS}: t t"),
+    (PT + "arc p u 1\n", 4, f"{ARC_ENDS}: p u"),
+    ("net\narc p t 1\nplace p 1\ntrans t\n", 2, f"{ARC_ENDS}: p t"),
+    ("net\nmarking p 1\n", 2, "unknown directive: marking"),
+    # `#` starts a comment, inside a token too
+    ("net # v1\nplace p #1\n", 2, "expected 'place <id> <tokens>'"),
+    ("net\nplace p#2 1\n", 2, "expected 'place <id> <tokens>'"),
+]
+if INT_LIMITED:
+    NOT_INT = f"must be an integer, got '{LONG_TOKEN}'"
+    NET_DIAGNOSTICS += [
+        (f"net\nplace p {LONG_TOKEN}\n", 2, f"token count {NOT_INT}"),
+        (f"{PT}arc p t {LONG_TOKEN}\n", 4, f"arc weight {NOT_INT}"),
+    ]
 
 
 def test_parse_net_is_linear_in_transitions():
@@ -218,6 +266,13 @@ def test_reachability_graph_bound_is_inclusive():
     rg = reachability_graph(net, max_states=2)
     assert isinstance(rg, Lts)
     assert len(rg.states) == 2
+
+
+def test_reachability_graph_rejects_bound_below_one():
+    net = PetriNet(("p",), ("t",), {"t": (1,)}, {"t": (0,)}, (1,))
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match=f"^state bound must be at least 1, got {bound}$"):
+            reachability_graph(net, max_states=bound)
 
 
 def test_synthesize_fig2_middle():

@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from helpers import load_lts, minimal_split_labels, random_lts, tiny_random_lts
+from helpers import (
+    INT_LIMITED,
+    LONG_TOKEN,
+    load_lts,
+    minimal_split_labels,
+    random_lts,
+    tiny_random_lts,
+)
 from labelsplit.lts import FormatError, Lts, validate
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import (
@@ -114,6 +121,46 @@ def test_parse_splitting_errors():
         parse_splitting(lts, "labels 3\nsplit 0 x\nsplit 1 x\n")  # x spans a and b
     with pytest.raises(FormatError):
         parse_splitting(lts, "labels 7\nsplit 0 x\n")  # count mismatch
+    for text, line, message in SPLITTING_DIAGNOSTICS:
+        with pytest.raises(FormatError) as err:
+            parse_splitting(lts, text)
+        assert (err.value.line, err.value.message) == (line, message), text[:80]
+
+
+SPLIT_ARITY = "expected 'split <edge-index> <new-label>'"
+
+# (text, line, message) for every diagnostic of `parse_splitting` against
+# fig1-right.lts: edges 0, 2, 4 carry a and edges 1, 3, 5 carry b
+SPLITTING_DIAGNOSTICS = [
+    ("", 1, "empty input, expected 'labels' header"),
+    ("\n  \n", 1, "empty input, expected 'labels' header"),
+    ("lbls 3\n", 1, "expected 'labels <count>'"),
+    ("labels\n", 1, "expected 'labels <count>'"),
+    ("\nlabels 3 4\n", 2, "expected 'labels <count>'"),
+    ("\nlabels three\n", 2, "label count must be an integer, got 'three'"),
+    ("labels 3\nsplit 0\n", 2, SPLIT_ARITY),
+    ("labels 3\nsplit 0 x y\n", 2, SPLIT_ARITY),
+    ("labels 3\nsplat 0 x\n", 2, SPLIT_ARITY),
+    ("labels 3\nsplit zero x\n", 2, "edge index must be an integer, got 'zero'"),
+    ("labels 3\nsplit 6 x\n", 2, "edge index out of range: 6"),
+    ("labels 3\nsplit -1 x\n", 2, "edge index out of range: -1"),
+    ("labels 3\nsplit 0 x\n\nsplit 0 y\n", 4, "edge 0 relabelled twice"),
+    ("labels 3\nsplit 0 b\n", 2, "edge 0 of a relabelled to b, which stands for b"),
+    ("labels 3\nsplit 0 x\nsplit 1 x\n", 3, "edge 1 of b relabelled to x, which stands for a"),
+    ("labels 7\nsplit 0 x\n", 1, "declared 7 labels, witness uses 3"),
+    ("\n\nlabels 4\nsplit 0 x\n", 3, "declared 4 labels, witness uses 3"),
+    ("labels -3\n", 1, "declared -3 labels, witness uses 2"),
+    # `#` is an ordinary character: b#1 is a new label, `# note` two tokens
+    ("labels 2\nsplit 3 b#1\n", 1, "declared 2 labels, witness uses 3"),
+    ("labels 3 # note\n", 1, "expected 'labels <count>'"),
+    ("labels 3\nsplit 3 b#1 # note\n", 2, SPLIT_ARITY),
+]
+if INT_LIMITED:
+    NOT_INT = f"must be an integer, got '{LONG_TOKEN}'"
+    SPLITTING_DIAGNOSTICS += [
+        (f"labels {LONG_TOKEN}\n", 1, f"label count {NOT_INT}"),
+        (f"labels 3\nsplit {LONG_TOKEN} x\n", 2, f"edge index {NOT_INT}"),
+    ]
 
 
 def test_parse_splitting_alphabet_follows_line_order():
@@ -233,6 +280,18 @@ def test_decide_node_budget_exhaustion():
     assert outcome.nodes == 2  # the increment that tripped the budget is counted
     relaxed = decide(lts, 3, node_budget=10_000)
     assert relaxed.found
+
+
+def test_negative_node_budget_rejected():
+    lts = load_lts("fig1-right.lts")
+    message = "^node budget must be at least 0, got -1$"
+    with pytest.raises(ValueError, match=message):
+        decide(lts, 3, node_budget=-1)
+    with pytest.raises(ValueError, match=message):
+        optimize(lts, node_budget=-1)
+    # a budget of zero nodes is a budget: the first node exhausts it
+    assert decide(lts, 3, node_budget=0).exhausted
+    assert optimize(lts, node_budget=0).exhausted
 
 
 def test_two_cycle_needs_two_blocks():
