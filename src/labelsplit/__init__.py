@@ -19,7 +19,6 @@ from .lts import (
     validate,
 )
 from .petri import (
-    BoundExceeded,
     NotEnabled,
     PetriNet,
     Verification,

@@ -13,14 +13,7 @@ from functools import cache
 from typing import Callable, TypeVar
 
 from .lts import FormatError, Lts, format_lts, parse_lts, validate
-from .petri import (
-    BoundExceeded,
-    format_net,
-    parse_net,
-    reachability_graph,
-    synthesize,
-    verify_embedding,
-)
+from .petri import format_net, parse_net, reachability_graph, synthesize, verify_embedding
 from .reduction import BRUTE_MAX_N, SubsetSumInstance, build_lts, params, subset_sum_brute
 from .regions import NotEmbeddable, is_embeddable
 from .splitting import decide, optimize, serialize_splitting
@@ -120,7 +113,7 @@ def _cmd_rg(args: argparse.Namespace) -> int:
     _at_least("--bound", args.bound, 1)
     net = _parse_file(args.net_file, parse_net)
     result = reachability_graph(net, max_states=args.bound)
-    if isinstance(result, BoundExceeded):
+    if result is None:
         print("bound-exceeded")
         return 1
     text = format_lts(result)

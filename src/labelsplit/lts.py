@@ -15,12 +15,13 @@ tokens) live here, next to `FormatError`, and the other parsers use them.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import add, itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from operator import add, itemgetter, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import IntRows, integer_echelon
 
@@ -41,29 +42,15 @@ class Lts:
     initial: str
 
     @classmethod
-    def from_edges(
-        cls,
-        initial: str,
-        edges: Iterable[tuple[str, str, str]],
-        labels: Sequence[str] | None = None,
-    ) -> "Lts":
+    def from_edges(cls, initial: str, edges: Iterable[tuple[str, str, str]]) -> "Lts":
         """Build with first-use ordering: initial state first, then states and
-        labels in order of first appearance along the edge list. An explicit
-        `labels` sequence overrides the derived one (it must cover all used
-        labels). `Edge` values are kept as they are; other triples are
-        wrapped."""
+        labels in order of first appearance along the edge list. `Edge`
+        values are kept as they are; other triples are wrapped."""
         edge_tuples = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
         ends = chain.from_iterable(map(itemgetter(0, 2), edge_tuples))
         states = tuple(dict.fromkeys(chain((initial,), ends)))
-        used = dict.fromkeys(map(itemgetter(1), edge_tuples))
-        if labels is None:
-            label_tuple = tuple(used)
-        else:
-            label_tuple = tuple(labels)
-            missing = used.keys() - set(label_tuple)
-            if missing:
-                raise ValueError(f"labels argument misses used labels: {sorted(missing)}")
-        return cls(states, label_tuple, edge_tuples, initial)
+        labels = tuple(dict.fromkeys(map(itemgetter(1), edge_tuples)))
+        return cls(states, labels, edge_tuples, initial)
 
     def label_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.labels)}
@@ -99,45 +86,19 @@ class Lts:
 # --- validation ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Nondeterministic:
-    source: str
-    label: str
-
-    def __str__(self) -> str:
-        return f"nondeterministic: two edges from {self.source} with label {self.label}"
-
-
-@dataclass(frozen=True)
-class Unreachable:
-    state: str
-
-    def __str__(self) -> str:
-        return f"unreachable state: {self.state}"
-
-
-@dataclass(frozen=True)
-class Dangling:
-    detail: str
-
-    def __str__(self) -> str:
-        return f"dangling reference: {self.detail}"
-
-
-Violation = Union[Nondeterministic, Unreachable, Dangling]
-
-
-def validate(lts: Lts) -> list[Violation]:
-    """All structural violations; an empty list means the LTS is well formed."""
-    problems: list[Violation] = []
+def validate(lts: Lts) -> list[str]:
+    """A message for every structural violation; an empty list means the
+    LTS is well formed."""
+    problems: list[str] = []
+    dangling = "dangling reference: "
     state_set = set(lts.states)
     label_set = set(lts.labels)
     if len(state_set) != len(lts.states):
-        problems.append(Dangling("duplicate state declaration"))
+        problems.append(f"{dangling}duplicate state declaration")
     if len(label_set) != len(lts.labels):
-        problems.append(Dangling("duplicate label declaration"))
+        problems.append(f"{dangling}duplicate label declaration")
     if lts.initial not in state_set:
-        problems.append(Dangling(f"initial state {lts.initial} not declared"))
+        problems.append(f"{dangling}initial state {lts.initial} not declared")
     edges = lts.edges
     # whole-list checks first; the per-edge loops only say where they fail
     declared = (
@@ -148,21 +109,23 @@ def validate(lts: Lts) -> list[Violation]:
     if not declared:
         for i, e in enumerate(edges):
             if e.source not in state_set:
-                problems.append(Dangling(f"edge {i} source {e.source} not declared"))
+                problems.append(f"{dangling}edge {i} source {e.source} not declared")
             if e.target not in state_set:
-                problems.append(Dangling(f"edge {i} target {e.target} not declared"))
+                problems.append(f"{dangling}edge {i} target {e.target} not declared")
             if e.label not in label_set:
-                problems.append(Dangling(f"edge {i} label {e.label} not declared"))
+                problems.append(f"{dangling}edge {i} label {e.label} not declared")
     if len(set(map(itemgetter(0, 1), edges))) != len(edges):
         seen_pairs: set[tuple[str, str]] = set()
         for e in edges:
             key = (e.source, e.label)
             if key in seen_pairs:
-                problems.append(Nondeterministic(e.source, e.label))
+                problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
             seen_pairs.add(key)
     if lts.initial in state_set:
         parent = lts._parents
-        problems += [Unreachable(s) for s in lts.states if s != lts.initial and s not in parent]
+        problems += [
+            f"unreachable state: {s}" for s in lts.states if s != lts.initial and s not in parent
+        ]
     return problems
 
 
@@ -203,13 +166,6 @@ class SpanningTree:
             values[state] = tuple(map(add, values[lts.edges[i].source], steps[columns[i]]))
         return values
 
-    @cached_property
-    def parikh(self) -> dict[str, tuple[int, ...]]:
-        """Tree-walk Parikh vector of every state: entry i counts label i on
-        the tree path from the initial state."""
-        n = len(self.lts.labels)
-        return self.walk([tuple(int(i == j) for j in range(n)) for i in range(n)])
-
 
 def spanning_tree(lts: Lts) -> SpanningTree:
     """Deterministic BFS tree: states are discovered in canonical edge order,
@@ -221,23 +177,24 @@ def spanning_tree(lts: Lts) -> SpanningTree:
     return SpanningTree(lts, parent)
 
 
-def _chord(tree: SpanningTree, e: Edge, idx: dict[str, int]) -> list[int]:
-    """Parikh vector of the cycle an edge s -t-> s' closes with the tree:
-    parikh(s) + unit(t) - parikh(s'). Zero exactly on tree edges."""
-    v = [a - b for a, b in zip(tree.parikh[e.source], tree.parikh[e.target])]
-    v[idx[e.label]] += 1
-    return v
-
-
 def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
     """Chord Parikh vectors in one pass, eliminated in integers: the
-    `(rows, pivots)` of `linalg.integer_echelon`. The rows span the cycle
+    `(rows, pivots)` of `linalg.integer_echelon`. The chord of an edge
+    s -t-> s' off the tree is parikh(s) + unit(t) - parikh(s'), where
+    parikh counts the labels on a state's tree path. The rows span the cycle
     space of the underlying graph, whatever tree the chords close."""
     tree = spanning_tree(lts)
+    n = len(lts.labels)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    parikh = tree.walk(units)
     idx = lts.label_index()
     tree_edges = tree.tree_edges()
-    chords = (_chord(tree, e, idx) for i, e in enumerate(lts.edges) if i not in tree_edges)
-    return integer_echelon(chords, len(lts.labels))
+    chords = (
+        list(map(sub, map(add, parikh[e.source], units[idx[e.label]]), parikh[e.target]))
+        for i, e in enumerate(lts.edges)
+        if i not in tree_edges
+    )
+    return integer_echelon(chords, n)
 
 
 # --- text format --------------------------------------------------------
@@ -312,10 +269,17 @@ def _expect_header(lines: Iterator[tuple[int, list[str]]], word: str) -> int:
     return n
 
 
+_INTEGER = re.compile("-?[0-9]+")
+
+
 def _int_token(raw: str, line: int, what: str) -> int:
-    """`raw` as an integer. `int` also refuses a token of more digits than
-    Python converts (4,300 by default), which is reported the same way."""
-    try:
-        return int(raw)
-    except ValueError:
-        raise FormatError(line, f"{what} must be an integer, got {raw!r}") from None
+    """`raw` as an integer: ASCII digits after an optional minus sign (`int`
+    alone also takes other scripts' digits, `_` and `+`). `int` refuses a
+    token of more digits than Python converts (4,300 by default), which is
+    reported the same way."""
+    if _INTEGER.fullmatch(raw):
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise FormatError(line, f"{what} must be an integer, got {raw!r}")

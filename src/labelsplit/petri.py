@@ -61,7 +61,6 @@ class PetriNet:
 class NotEnabled(ValueError):
     def __init__(self, transition: str, place: str) -> None:
         super().__init__(f"transition {transition} not enabled: place {place} short of tokens")
-        self.transition = transition
         self.place = place
 
 
@@ -95,19 +94,12 @@ def marking_name(net: PetriNet, marking: Marking) -> str:
     return ",".join(f"{p}:{m}" for p, m in zip(net.places, marking)) or "-"
 
 
-@dataclass(frozen=True)
-class BoundExceeded:
-    """Reachability graph construction hit the state cap."""
-
-    max_states: int
-
-
-def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | BoundExceeded:
+def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
     """BFS over the token game from the initial marking.
 
     Returns the full reachability graph as an Lts (labels are ALL transitions,
-    enabled anywhere or not) when it has at most `max_states` states, else a
-    BoundExceeded marker.
+    enabled anywhere or not) when it has at most `max_states` states, else
+    None.
     """
     if max_states < 1:
         raise ValueError(f"state bound must be at least 1, got {max_states}")
@@ -125,7 +117,7 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | BoundExc
             target = names.get(succ)
             if target is None:
                 if len(names) == max_states:
-                    return BoundExceeded(max_states)
+                    return None
                 target = names[succ] = marking_name(net, succ)
                 order.append(succ)
             edges.append(Edge(source, t, target))

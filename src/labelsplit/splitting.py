@@ -37,7 +37,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import integer_echelon, nullspace_basis
-from .lts import FormatError, Lts, SpanningTree, _content_lines, _int_token, spanning_tree
+from .lts import Edge, FormatError, Lts, SpanningTree, _content_lines, _int_token, spanning_tree
 from .regions import is_embeddable
 
 
@@ -88,13 +88,17 @@ def from_partitions(
 
 
 def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
-    """Relabel the edges; states, initial state and graph shape are kept."""
+    """Relabel the edges; states, initial state and graph shape are kept,
+    and the labels are the splitting's alphabet."""
     if len(splitting.edge_labels) != len(lts.edges):
         raise ValueError("splitting does not match the LTS edge count")
+    missing = set(splitting.edge_labels).difference(splitting.alphabet)
+    if missing:
+        raise ValueError(f"splitting alphabet misses used labels: {sorted(missing)}")
     edges = tuple(
-        (e.source, splitting.edge_labels[i], e.target) for i, e in enumerate(lts.edges)
+        Edge(e.source, t, e.target) for e, t in zip(lts.edges, splitting.edge_labels)
     )
-    return Lts.from_edges(lts.initial, edges, labels=splitting.alphabet)
+    return Lts(lts.states, splitting.alphabet, edges, lts.initial)
 
 
 # --- witness text form --------------------------------------------------

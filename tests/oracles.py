@@ -20,18 +20,8 @@ from operator import add, ge, sub
 from typing import Iterator, Sequence
 
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
-from labelsplit.lts import (
-    Dangling,
-    Edge,
-    Lts,
-    Nondeterministic,
-    SpanningTree,
-    Unreachable,
-    Violation,
-    spanning_tree,
-)
+from labelsplit.lts import Edge, Lts, SpanningTree, spanning_tree
 from labelsplit.petri import (
-    BoundExceeded,
     Marking,
     NotEnabled,
     PetriNet,
@@ -367,10 +357,10 @@ def fire_oracle(net: PetriNet, marking: Marking, transition: str) -> Marking:
     return tuple(map(add, map(sub, marking, pre), net.post[transition]))
 
 
-def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | BoundExceeded:
+def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | None:
     """Breadth-first search over `fire_oracle` with a separate queue, every
     transition tried at every marking and a disabled one caught as
-    NotEnabled."""
+    NotEnabled; None past `max_states` states."""
     start = net.initial_marking
     names: dict[Marking, str] = {start: marking_name(net, start)}
     order: list[Marking] = [start]
@@ -385,7 +375,7 @@ def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | B
                 continue
             if succ not in names:
                 if len(names) == max_states:
-                    return BoundExceeded(max_states)
+                    return None
                 names[succ] = marking_name(net, succ)
                 order.append(succ)
                 frontier.append(succ)
@@ -429,31 +419,31 @@ def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
     return Verification(True, mapping, None)
 
 
-def validate_oracle(lts: Lts) -> list[Violation]:
+def validate_oracle(lts: Lts) -> list[str]:
     """`validate` with one pass over the edges for undeclared ends and
     labels, one for repeated (source, label) pairs, and a reachability
     search of its own over the declared states."""
-    problems: list[Violation] = []
+    problems: list[str] = []
     state_set = set(lts.states)
     label_set = set(lts.labels)
     if len(state_set) != len(lts.states):
-        problems.append(Dangling("duplicate state declaration"))
+        problems.append("dangling reference: duplicate state declaration")
     if len(label_set) != len(lts.labels):
-        problems.append(Dangling("duplicate label declaration"))
+        problems.append("dangling reference: duplicate label declaration")
     if lts.initial not in state_set:
-        problems.append(Dangling(f"initial state {lts.initial} not declared"))
+        problems.append(f"dangling reference: initial state {lts.initial} not declared")
     for i, e in enumerate(lts.edges):
         if e.source not in state_set:
-            problems.append(Dangling(f"edge {i} source {e.source} not declared"))
+            problems.append(f"dangling reference: edge {i} source {e.source} not declared")
         if e.target not in state_set:
-            problems.append(Dangling(f"edge {i} target {e.target} not declared"))
+            problems.append(f"dangling reference: edge {i} target {e.target} not declared")
         if e.label not in label_set:
-            problems.append(Dangling(f"edge {i} label {e.label} not declared"))
+            problems.append(f"dangling reference: edge {i} label {e.label} not declared")
     seen_pairs: set[tuple[str, str]] = set()
     for e in lts.edges:
         key = (e.source, e.label)
         if key in seen_pairs:
-            problems.append(Nondeterministic(e.source, e.label))
+            problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
         seen_pairs.add(key)
     if lts.initial in state_set:
         reached = {lts.initial}
@@ -464,5 +454,5 @@ def validate_oracle(lts: Lts) -> list[Violation]:
                 if e.source in reached and e.target in state_set and e.target not in reached:
                     reached.add(e.target)
                     grew = True
-        problems += [Unreachable(s) for s in lts.states if s not in reached]
+        problems += [f"unreachable state: {s}" for s in lts.states if s not in reached]
     return problems

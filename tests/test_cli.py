@@ -80,6 +80,19 @@ def test_check_contract_violation(tmp_path, capsys):
     assert "nondeterministic" in capsys.readouterr().err
 
 
+def test_check_contract_violations_exact(tmp_path, capsys):
+    # every violation is reported, one line each, in `validate`'s order
+    bad = tmp_path / "bad.lts"
+    bad.write_text("lts\ninitial s0\nedge s0 a s1\nedge s0 a s2\nedge s3 b s0\n")
+    assert main(["check", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{bad}: nondeterministic: two edges from s0 with label a\n"
+        f"{bad}: unreachable state: s3\n"
+    )
+
+
 def test_synth_writes_parseable_net(tmp_path, capsys):
     out = tmp_path / "out.net"
     assert main(["synth", FIG2_MIDDLE, "-o", str(out)]) == 0

@@ -5,11 +5,9 @@ import pytest
 
 from helpers import load_lts, random_lts, ring_net
 from labelsplit.lts import (
-    Dangling,
+    Edge,
     FormatError,
     Lts,
-    Nondeterministic,
-    Unreachable,
     cycle_base,
     format_lts,
     parse_lts,
@@ -131,38 +129,61 @@ def test_validate_single_state():
     assert validate(Lts(("s0",), (), (), "s0")) == []
 
 
+# (LTS, messages) for every message of `validate`, one LTS each
+VALIDATE_MESSAGES = [
+    (Lts(("s0", "s0"), (), (), "s0"), ["dangling reference: duplicate state declaration"]),
+    (Lts(("s0",), ("a", "a"), (), "s0"), ["dangling reference: duplicate label declaration"]),
+    (Lts(("s0",), (), (), "x"), ["dangling reference: initial state x not declared"]),
+    (
+        Lts(("s0",), ("a",), (Edge("ghost", "a", "s0"),), "s0"),
+        ["dangling reference: edge 0 source ghost not declared"],
+    ),
+    (
+        Lts(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0"),
+        ["dangling reference: edge 0 target ghost not declared"],
+    ),
+    (
+        Lts(("s0", "s1"), ("a",), (Edge("s0", "b", "s1"),), "s0"),
+        ["dangling reference: edge 0 label b not declared"],
+    ),
+    (
+        Lts.from_edges("s0", [("s0", "a", "s1"), ("s0", "a", "s2")]),
+        ["nondeterministic: two edges from s0 with label a"],
+    ),
+    (Lts(("s0", "s1"), ("a",), (), "s0"), ["unreachable state: s1"]),
+]
+
+
+@pytest.mark.parametrize("lts,messages", VALIDATE_MESSAGES)
+def test_validate_messages(lts, messages):
+    assert validate(lts) == messages
+
+
 def test_validate_nondeterminism():
     lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s0", "a", "s2")])
-    problems = validate(lts)
-    assert any(isinstance(p, Nondeterministic) and p.source == "s0" for p in problems)
+    assert validate(lts) == ["nondeterministic: two edges from s0 with label a"]
 
 
 def test_validate_unreachable():
     lts = Lts(("s0", "s1"), ("a",), (), "s0")
-    problems = validate(lts)
-    assert problems == [Unreachable("s1")]
+    assert validate(lts) == ["unreachable state: s1"]
 
 
 def test_validate_dangling():
-    from labelsplit.lts import Edge
-
     lts = Lts(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
-    problems = validate(lts)
-    assert any(isinstance(p, Dangling) for p in problems)
+    assert validate(lts) == ["dangling reference: edge 0 target ghost not declared"]
 
 
 def test_validate_mixed_violations_exact():
     # edge 1 repeats (s0, a); edges 2 and 3 run through an undeclared state,
     # which the reachability search skips, so s3 is unreachable
-    from labelsplit.lts import Edge
-
     edges = [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "ghost"), ("ghost", "a", "s3")]
     lts = Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
     assert validate(lts) == [
-        Dangling("edge 2 target ghost not declared"),
-        Dangling("edge 3 source ghost not declared"),
-        Nondeterministic("s0", "a"),
-        Unreachable("s3"),
+        "dangling reference: edge 2 target ghost not declared",
+        "dangling reference: edge 3 source ghost not declared",
+        "nondeterministic: two edges from s0 with label a",
+        "unreachable state: s3",
     ]
 
 
@@ -203,7 +224,7 @@ def test_undeclared_initial_state_is_a_value_error():
     for analyse in (spanning_tree, cycle_base, effect_space, is_embeddable):
         with pytest.raises(ValueError, match="^initial state x not declared$"):
             analyse(lts)
-    assert validate(lts) == [Dangling("initial state x not declared")]
+    assert validate(lts) == ["dangling reference: initial state x not declared"]
 
 
 def test_one_breadth_first_search_per_lts():
@@ -314,7 +335,9 @@ def test_random_walk_parikh_consistency():
         lts = random_lts(rng)
         tree = spanning_tree(lts)
         idx = lts.label_index()
-        assert tree.parikh == {s: state_parikh(tree, s) for s in lts.states}
+        n = len(lts.labels)
+        units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        assert tree.walk(units) == {s: state_parikh(tree, s) for s in lts.states}
         for i, e in enumerate(lts.edges):
             v = list(state_parikh(tree, e.source))
             v[idx[e.label]] += 1
@@ -365,8 +388,3 @@ def test_random_walk_difference_in_cycle_span():
                 )
             )
             assert in_span(rows, diff)
-
-
-def test_from_edges_explicit_labels_must_cover():
-    with pytest.raises(ValueError):
-        Lts.from_edges("s0", [("s0", "a", "s1")], labels=("b",))

@@ -6,7 +6,6 @@ import pytest
 from helpers import INT_LIMITED, LONG_TOKEN, load_lts, load_net, random_lts, ring_net
 from labelsplit.lts import FormatError, Lts, validate
 from labelsplit.petri import (
-    BoundExceeded,
     NotEnabled,
     PetriNet,
     enabled,
@@ -79,6 +78,11 @@ NET_DIAGNOSTICS = [
     ("net\nplace p one\n", 2, "token count must be an integer, got 'one'"),
     ("net\nplace p 1.5\n", 2, "token count must be an integer, got '1.5'"),
     ("net\nplace p -1\n", 2, "token count must be nonnegative, got -1"),
+    # ASCII digits after an optional minus sign, nothing else `int` takes
+    ("net\nplace p \u0663\n", 2, "token count must be an integer, got '\u0663'"),
+    ("net\nplace q 1_000\n", 2, "token count must be an integer, got '1_000'"),
+    ("net\nplace r +2\n", 2, "token count must be an integer, got '+2'"),
+    (PT + "arc p t \uff12\n", 4, "arc weight must be an integer, got '\uff12'"),
     (PT + "arc p t x\n", 4, "arc weight must be an integer, got 'x'"),
     (PT + "arc t p -2\n", 4, "arc weight must be nonnegative, got -2"),
     (PT + "arc p t 0\n", 4, "arc weight must be positive"),
@@ -253,11 +257,8 @@ def test_reachability_graph_no_places():
 def test_reachability_graph_bound():
     # t keeps producing: unbounded, any cap is exceeded
     net = PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (1,)}, (0,))
-    result = reachability_graph(net, max_states=3)
-    assert result == BoundExceeded(3)
-    capped = reachability_graph(net, max_states=50)
-    assert result.max_states == 3
-    assert isinstance(capped, BoundExceeded)
+    assert reachability_graph(net, max_states=3) is None
+    assert reachability_graph(net, max_states=50) is None
 
 
 def test_reachability_graph_bound_is_inclusive():
@@ -392,7 +393,7 @@ def test_random_rg_edges_replay_through_fire():
             continue
         net = synthesize(lts)
         rg = reachability_graph(net, max_states=200)
-        if isinstance(rg, BoundExceeded):
+        if rg is None:
             done += 1
             continue
         assert validate(rg) == []

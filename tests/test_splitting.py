@@ -11,9 +11,10 @@ from helpers import (
     random_lts,
     tiny_random_lts,
 )
-from labelsplit.lts import FormatError, Lts, validate
+from labelsplit.lts import Edge, FormatError, Lts, validate
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import (
+    LabelSplitting,
     apply_splitting,
     conflict_pairs,
     decide,
@@ -75,6 +76,23 @@ def test_apply_splitting_preserves_shape():
     assert [e[::2] for e in new.edges] == [(e.source, e.target) for e in lts.edges]
     assert validate(new) == []
     assert is_embeddable(new).embeddable
+
+
+def test_apply_splitting_keeps_declared_states():
+    # the declared order, not the order of first use, and a declared state
+    # that no edge touches
+    edges = (Edge("s0", "a", "s1"), Edge("s1", "a", "s2"))
+    lts = Lts(("s0", "s2", "s1", "s3"), ("a",), edges, "s0")
+    new = apply_splitting(lts, from_partitions(lts, {"a": [[0], [1]]}))
+    assert new.states == ("s0", "s2", "s1", "s3")
+    assert new.labels == ("a", "a#1")
+    assert new.edges == (("s0", "a", "s1"), ("s1", "a#1", "s2"))
+
+
+def test_apply_splitting_alphabet_must_cover():
+    lts = Lts.from_edges("s0", [("s0", "a", "s1")])
+    with pytest.raises(ValueError):
+        apply_splitting(lts, LabelSplitting(("b",), ("a",)))
 
 
 def test_alternative_single_edge_split_makes_fig1_right_embeddable():
@@ -142,6 +160,11 @@ SPLITTING_DIAGNOSTICS = [
     ("labels 3\nsplit 0 x y\n", 2, SPLIT_ARITY),
     ("labels 3\nsplat 0 x\n", 2, SPLIT_ARITY),
     ("labels 3\nsplit zero x\n", 2, "edge index must be an integer, got 'zero'"),
+    # ASCII digits after an optional minus sign, nothing else `int` takes
+    ("labels \uff13\n", 1, "label count must be an integer, got '\uff13'"),
+    ("labels +3\n", 1, "label count must be an integer, got '+3'"),
+    ("labels 3\nsplit 0_0 x\n", 2, "edge index must be an integer, got '0_0'"),
+    ("labels 3\nsplit \u0660 x\n", 2, "edge index must be an integer, got '\u0660'"),
     ("labels 3\nsplit 6 x\n", 2, "edge index out of range: 6"),
     ("labels 3\nsplit -1 x\n", 2, "edge index out of range: -1"),
     ("labels 3\nsplit 0 x\n\nsplit 0 y\n", 4, "edge 0 relabelled twice"),
