@@ -12,7 +12,7 @@ import sys
 from functools import cache
 from typing import Callable, TypeVar
 
-from .lts import FormatError, Lts, format_lts, parse_lts, validate
+from .lts import FormatError, Lts, _int_token, format_lts, parse_lts, validate
 from .petri import format_net, parse_net, reachability_graph, synthesize, verify_embedding
 from .reduction import BRUTE_MAX_N, SubsetSumInstance, build_lts, params, subset_sum_brute
 from .regions import NotEmbeddable, is_embeddable
@@ -68,10 +68,9 @@ def _load_lts(path: str) -> Lts:
 
 def _values_list(raw: str) -> tuple[int, ...]:
     try:
-        values = tuple(int(v) for v in raw.split(","))
+        return tuple(_int_token(v, 0, "value") for v in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}")
-    return values
 
 
 def _at_least(flag: str, value: int | None, low: int) -> None:
@@ -229,6 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=_values_list, required=True, metavar="C1,C2,...")
     p.set_defaults(func=_cmd_oracle)
 
+    for p in sub.choices.values():
+        # `type=int` reads the file formats' integers; diagnostics still say "invalid int value"
+        p.register("type", int, lambda raw: _int_token(raw, 0, "argument"))
     return parser
 
 

@@ -332,7 +332,8 @@ class _Search:
         # times -scale / a_k, plus scale on its fresh block, projected on Y
         steps = [(0,) * len(ys)] * len(self.lts.labels)
         for k, row in label_rows.items():
-            steps[k] = tuple(-(scale // row[~k]) * sum(map(mul, sums(row), y)) for y in ys)
+            block_sums = sums(row)
+            steps[k] = tuple(-(scale // row[~k]) * sum(map(mul, block_sums, y)) for y in ys)
         columns = list(self.label_columns)
         for b, block in enumerate(fresh):
             for i in block:

@@ -7,7 +7,10 @@ import random
 import sys
 from pathlib import Path
 
-from labelsplit import Lts, apply_splitting, from_partitions, is_embeddable, parse_lts, parse_net
+from labelsplit.lts import Lts, parse_lts
+from labelsplit.petri import parse_net
+from labelsplit.regions import is_embeddable
+from labelsplit.splitting import apply_splitting, from_partitions
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -259,6 +259,33 @@ def test_oracle_too_many_values_is_input_error(capsys):
     assert captured.err == "--c: the oracle takes at most 30 values, got 31\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rg", FIG2_NET, "--bound", "1_0"], "argument --bound: invalid int value: '1_0'"),
+        (
+            ["split", FIG1_RIGHT, "--max-labels", "+3"],
+            "argument --max-labels: invalid int value: '+3'",
+        ),
+        (
+            ["split", FIG1_RIGHT, "--optimize", "--node-budget", "٣"],
+            "argument --node-budget: invalid int value: '٣'",
+        ),
+        (["oracle", "--b", "٣", "--c", "1,2"], "argument --b: invalid int value: '٣'"),
+        (
+            ["oracle", "--b", "3", "--c", "1_0,2"],
+            "argument --c: expected comma-separated integers, got '1_0,2'",
+        ),
+    ],
+)
+def test_integer_arguments_follow_the_file_format_rule(argv, message, capsys):
+    # int() also takes `_`, `+` and other scripts' digits; the file formats do not
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f": error: {message}\n")
+
+
 def test_unknown_verb(capsys):
     assert main(["frobnicate"]) == 2
 
