@@ -26,10 +26,17 @@ refines the alphabet. A leaf sums the remaining rows over its fresh blocks,
 takes the effect basis of those few columns and compares each collision
 class under it. A leaf that passes becomes a `LabelSplitting`, confirmed
 with `is_embeddable` on the split LTS before it is returned.
+
+`optimize` tries one label count after another, each only once every
+smaller count has failed, so a round visits only the splittings with exactly
+its count. Later rounds also cut a node below which two states of a
+collision class can no longer be separated (`_Separation`): region theory's
+state separation problem, restricted to the pairs that collide unsplit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd, lcm
@@ -244,14 +251,37 @@ class _Search:
             for t in sorted(lts.labels, key=lambda t: -len(self.per_label[t]))
             if self.per_label[t]
         ]
-        # suffix[d]: labels from order[d] on that need a second block
+        # suffix[d]: labels from order[d] on that need a second block;
+        # capacity[d]: the extra labels they add with every edge in a block
         self.suffix = [0] * (len(self.order) + 1)
+        self.capacity = [0] * (len(self.order) + 1)
         for d in range(len(self.order) - 1, -1, -1):
             self.suffix[d] = self.suffix[d + 1] + (1 if self.conflicts[self.order[d]] else 0)
+            self.capacity[d] = self.capacity[d + 1] + len(self.per_label[self.order[d]]) - 1
 
     @cached_property
     def tree(self) -> SpanningTree:
         return spanning_tree(self.lts)
+
+    @cached_property
+    def depth(self) -> dict[str, int]:
+        edges, depth = self.lts.edges, {self.lts.initial: 0}
+        for state, i in self.tree.parent_edge.items():  # parents are discovered first
+            depth[state] = depth[edges[i].source] + 1
+        return depth
+
+    def path(self, s: str, t: str) -> dict[int, int]:
+        """The tree edges below the common ancestor of s and t: +1 to s, -1 to t."""
+        lts, parent, depth = self.lts, self.tree.parent_edge, self.depth
+        path = {}
+        while s != t:
+            if depth[s] >= depth[t]:
+                path[parent[s]] = 1
+                s = lts.edges[parent[s]].source
+            else:
+                path[parent[t]] = -1
+                t = lts.edges[parent[t]].source
+        return path
 
     @cached_property
     def factored(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int, list[list[str]]]:
@@ -261,11 +291,8 @@ class _Search:
         scale = lcm(a_k); and the classes, two or more states with equal
         unsplit signatures. u_s = scale * (splittable edges on the path to s)
         - sum over k of parikh(s)[p_k] * scale / a_k * row_k."""
-        lts, label, parent = self.lts, self.label_columns, self.tree.parent_edge
+        lts, label = self.lts, self.label_columns
         splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
-        depth = {lts.initial: 0}
-        for state, i in parent.items():  # parents are discovered first
-            depth[state] = depth[lts.edges[i].source] + 1
         tree_edges = self.tree.tree_edges()
         label_rows: dict[int, dict[int, int]] = {}
         remainder = []
@@ -274,15 +301,7 @@ class _Search:
                 continue
             # the fundamental cycle: the chord s -> t and the tree path from
             # s up to the common ancestor count +1, the path from t -1
-            s, t = e.source, e.target
-            cycle = {i: 1}
-            while s != t:
-                if depth[s] >= depth[t]:
-                    cycle[parent[s]] = 1
-                    s = lts.edges[parent[s]].source
-                else:
-                    cycle[parent[t]] = -1
-                    t = lts.edges[parent[t]].source
+            cycle = {i: 1, **self.path(e.source, e.target)}
             row = {j: sign for j, sign in cycle.items() if j in splittable}
             for j, sign in cycle.items():
                 row[~label[j]] = row.get(~label[j], 0) + sign
@@ -352,6 +371,66 @@ def _combine(v: dict[int, int], row: dict[int, int], key: int) -> dict[int, int]
     return {k: x // g for k, x in w.items()} if g > 1 else w
 
 
+# states of a collision class the separation prune follows; any subset keeps
+# it sound, and each costs two tree paths to build and a block sum per node
+_TRACKED = 8
+
+
+class _Separation:
+    """The collision-class prune of `optimize`. States s, s' of a class collide
+    at a leaf whose fresh blocks all sum d = u_s - u_s' to zero (`factored`),
+    and a fresh block never holds its label's lowest edge. So once s and s'
+    agree on the sums over the fresh blocks so far and on d at every other
+    edge of the unassigned labels, no leaf below separates them. A tracked
+    state keeps d_s = u_s - u_rep (rep: its class's first state) sparse over
+    those edges, and per node an id, equal where the sums so far are."""
+
+    def __init__(self, search: _Search) -> None:
+        _, label_rows, scale, classes = search.factored
+        label, order, per_label = search.label_columns, search.order, search.per_label
+        holdable = {i for t in order for i in per_label[t][1:]}
+        tracked: list[dict[int, int]] = []
+        keys: list[tuple] = []  # per tracked state, its class, then d over later labels
+        for c, group in enumerate(classes):
+            for s in group[:_TRACKED]:
+                path = search.path(s, group[0])
+                d = {i: scale * sign for i, sign in path.items() if i in holdable}
+                pivots: Counter[int] = Counter()  # parikh(s) - parikh(rep)
+                for i, sign in path.items():
+                    pivots[label[i]] += sign
+                for k, row in label_rows.items():
+                    factor = pivots[k] * (scale // row[~k])
+                    for j in holdable.intersection(row) if factor else ():
+                        d[j] = d.get(j, 0) - factor * row[j]
+                tracked.append({i: x for i, x in d.items() if x})
+                keys.append((c,))
+        # columns[depth][i]: d_s at edge i of order[depth], per tracked state
+        self.columns = [{i: tuple(d.get(i, 0) for d in tracked) for i in per_label[t][1:]} for t in order]
+        # groups[depth]: the tracked states of a class that agree on d over
+        # every label from order[depth] on, where two or more do
+        self.groups: list[list[list[int]]] = []
+        for columns in [{}, *reversed(self.columns)]:
+            keys = [(*key, *(c[j] for c in columns.values())) for j, key in enumerate(keys)]
+            by_key: dict[tuple, list[int]] = {}
+            for j, key in enumerate(keys):
+                by_key.setdefault(key, []).append(j)
+            self.groups.insert(0, [g for g in by_key.values() if len(g) > 1])
+        self.start = [0] * len(tracked)
+
+    def refine(self, ids: list[int], depth: int, blocks: list[list[int]]) -> list[int] | None:
+        """The ids once order[depth] takes `blocks`, or None when two tracked
+        states of a class can no longer be separated."""
+        if len(blocks) > 1:
+            # per fresh block, its sum of d_s for every tracked state
+            sums = [map(sum, zip(*(self.columns[depth][i] for i in block))) for block in blocks[1:]]
+            keys: dict[tuple, int] = {}
+            ids = [keys.setdefault(key, len(keys)) for key in zip(ids, *sums)]
+        for group in self.groups[depth + 1]:
+            if len({ids[j] for j in group}) < len(group):
+                return None
+        return ids
+
+
 def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOutcome:
     """Is there a splitting with at most `max_labels` labels whose result is
     embeddable? Complete search over canonical splittings; the first witness
@@ -367,24 +446,33 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
     return _decide(_Search(lts), max_labels, node_budget)
 
 
-def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitOutcome:
+def _decide(
+    search: _Search, max_labels: int, node_budget: int | None, exact: bool = False, separation: _Separation | None = None
+) -> SplitOutcome:
+    """`decide` on a shared `_Search`, over exactly `max_labels` labels if `exact`."""
     if node_budget is not None and node_budget < 0:
         raise ValueError(f"node budget must be at least 0, got {node_budget}")
-    lts, order, suffix = search.lts, search.order, search.suffix
+    lts, order, suffix, capacity = search.lts, search.order, search.suffix, search.capacity
     extra_budget = max_labels - len(lts.labels)
     if extra_budget < 0 or suffix[0] > extra_budget:
         return SplitOutcome(None, False, 0, 0)
+    least = extra_budget if exact else 0
     nodes = leaves = 0
     chosen: dict[str, list[list[int]]] = {}
     # one frame per label with a chosen partition: (extra labels used by the
     # labels before it, the rest of its partitions)
     stack: list[tuple[int, Iterator[list[list[int]]]]] = []
     extra_used = 0
+    # ids[depth]: the separation ids once order[:depth] have their partitions
+    ids = [separation.start] * (len(order) + 1) if separation else []
     while True:
         depth = len(stack)
         if depth < len(order):
             allowed = extra_budget - extra_used - suffix[depth + 1]
             parts = set_partitions(len(search.per_label[order[depth]]), max_blocks=1 + allowed)
+            need = least - extra_used - capacity[depth + 1]  # extra blocks it must add
+            if need > 0:
+                parts = filter(lambda blocks, need=need: len(blocks) > need, parts)
             stack.append((extra_used, parts))
         else:
             nodes += 1
@@ -415,6 +503,12 @@ def _decide(search: _Search, max_labels: int, node_budget: int | None) -> SplitO
             if any(block_of[a] == block_of[b] for a, b in search.conflicts[t]):
                 continue
             chosen[t] = [[idxs[k] for k in blk] for blk in blocks]
+            if separation:
+                depth = len(stack) - 1
+                refined = separation.refine(ids[depth], depth, chosen[t])
+                if refined is None:
+                    continue
+                ids[depth + 1] = refined
             extra_used = base_used + len(blocks) - 1
             break
         else:
@@ -427,14 +521,20 @@ def optimize(lts: Lts, node_budget: int | None = None) -> SplitOutcome:
     Tries budgets |labels|, |labels|+1, ... upward; the fully split LTS (all
     edge labels distinct) is always embeddable, so the loop ends by
     |labels| + |edges|. The analysis of the graph is shared by every round.
+    Round q visits only splittings with exactly q labels, as every smaller
+    budget has failed; once a round above |labels| fails after more than one
+    leaf, the later rounds also run the `_Separation` prune.
     `node_budget` caps each round on its own; a round that runs out ends the
     search `exhausted`. `nodes` and `leaves` sum over the rounds run."""
     search = _Search(lts)
+    separation = None
     nodes = leaves = 0
     for q in range(len(lts.labels), len(lts.labels) + len(lts.edges) + 1):
-        outcome = _decide(search, q, node_budget)
+        outcome = _decide(search, q, node_budget, exact=True, separation=separation)
         nodes += outcome.nodes
         leaves += outcome.leaves
         if outcome.found or outcome.exhausted:
             return replace(outcome, nodes=nodes, leaves=leaves)
+        if separation is None and q > len(lts.labels) and outcome.leaves > 1:
+            separation = _Separation(search)
     raise AssertionError("fully split LTS must be embeddable")

@@ -4,8 +4,9 @@ Everything here is written the slow, obvious way: `Fraction` row reduction
 through `linalg.rref`, Parikh vectors found by climbing the spanning tree,
 dot products per state or per pair, a splitting search that builds and
 checks every leaf's split LTS, a leaf check that eliminates every leaf's
-block columns anew, region validity checked edge by edge,
-markings from Parikh vectors times transition effects, a token game that
+block columns anew, a search prune that re-tests every pair of states of
+every collision class from full vectors, region validity checked edge by
+edge, markings from Parikh vectors times transition effects, a token game that
 compares every place against the dense `pre`/`post` rows, a `validate`
 that walks the edges once per kind of violation, and the splitting contract
 checked clause by clause. None of it runs in the package.
@@ -13,6 +14,7 @@ checked clause by clause. None of it runs in the package.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -33,6 +35,7 @@ from labelsplit.regions import Region, effect_space, is_embeddable
 from labelsplit.splitting import (
     LabelSplitting,
     SplitOutcome,
+    _Search,
     apply_splitting,
     conflict_pairs,
     from_partitions,
@@ -234,6 +237,52 @@ def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
     basis = nullspace_basis(*integer_echelon(chords, cols), cols)
     signatures = {tuple(dot(b, parikh[s]) for b in basis) for s in lts.states}
     return len(signatures) == len(lts.states)
+
+
+def separation_cut_oracle(
+    lts: Lts, order: Sequence[str], partitions: dict[str, list[list[int]]]
+) -> list[bool]:
+    """The collision-class prune decided from scratch at each node of one
+    search path: the labels of `order` take their `partitions` one by one,
+    and entry d says whether the node with order[: d + 1] assigned is cut:
+    whether some pair of states of one unsplit collision class is separated
+    by no fresh block assigned so far (every block sums d = u_s - u_s' to
+    zero) and can be separated by no label still unassigned (d is zero on
+    every edge of it but its lowest). Every pair of
+    every class is tested at every node, from full u vectors:
+    u_s = scale * (edges on the tree path to s) - sum over the pivot labels
+    k of parikh(s)[k] * scale / a_k * row_k, over every edge."""
+    search = _Search(lts)
+    _, label_rows, scale, classes = search.factored
+    tree = spanning_tree(lts)
+
+    def u(state: str) -> list[int]:
+        parikh, vector = state_parikh(tree, state), [0] * len(lts.edges)
+        while state != lts.initial:
+            vector[tree.parent_edge[state]] = scale
+            state = lts.edges[tree.parent_edge[state]].source
+        for k, row in label_rows.items():
+            for i, x in row.items():
+                if i >= 0:
+                    vector[i] -= parikh[k] * (scale // row[~k]) * x
+        return vector
+
+    us = {s: u(s) for group in classes for s in group}
+    differences = [
+        [a - b for a, b in zip(us[s], us[t])] for group in classes for s, t in itertools.combinations(group, 2)
+    ]
+    cuts = []
+    for depth in range(len(order)):
+        fresh = [block for x in order[: depth + 1] for block in partitions[x][1:]]
+        unassigned = order[depth + 1 :]
+        cuts.append(
+            any(
+                not any(sum(d[i] for i in block) for block in fresh)
+                and not any(d[i] for x in unassigned for i in search.per_label[x][1:])
+                for d in differences
+            )
+        )
+    return cuts
 
 
 def separates(region: Region, s: str, t: str) -> bool:

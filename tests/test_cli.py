@@ -202,6 +202,15 @@ def test_split_optimize_exhausted(capsys):
     assert capsys.readouterr().out == "budget-exhausted\n"
 
 
+def test_split_optimize_smallest_node_budget(capsys):
+    # round 3 visits only splittings with exactly 3 labels, so a per-round
+    # budget of 5 nodes answers (rounds over at most q labels needed 7)
+    assert main(["split", FIG1_RIGHT, "--optimize", "--node-budget", "5"]) == 0
+    assert capsys.readouterr().out == "labels 3\nsplit 3 b#1\n"
+    assert main(["split", FIG1_RIGHT, "--optimize", "--node-budget", "4"]) == 3
+    assert capsys.readouterr().out == "budget-exhausted\n"
+
+
 def test_split_optimize_long_chain(tmp_path, capsys):
     # 1,200 labels, one per edge: embeddable as it stands, no recursion limit
     path = tmp_path / "chain.lts"

@@ -1,11 +1,15 @@
 """The search against `oracles.decide_oracle`, which checks every leaf on the
 split LTS itself: same outcomes, node and leaf counts, witnesses and
-budget behaviour, for `decide` at one budget and for `optimize` against
-the oracle run round by round. And the leaf check against `is_embeddable`
-on the split LTS and against the old block-column leaf, for arbitrary
-partitions, with the invariants of the factored cycle base it shares."""
+budget behaviour for `decide` at one budget; for `optimize` against the
+oracle run round by round, the same witnesses with no more nodes, and
+`exhausted` only where the oracle is. The separation prune against
+`oracles.separation_cut_oracle` and brute force. And the leaf check
+against `is_embeddable` on the split LTS and against the old block-column
+leaf, for arbitrary partitions, with the invariants of the factored cycle
+base it shares."""
 
 import itertools
+import math
 import random
 from typing import Iterator
 
@@ -18,15 +22,17 @@ from labelsplit.lts import Lts, cycle_base, parse_lts, spanning_tree
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges, build_lts, params
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import (
+    _TRACKED,
     SplitOutcome,
     _Search,
+    _Separation,
     apply_splitting,
     decide,
     from_partitions,
     optimize,
     set_partitions,
 )
-from oracles import block_leaf_oracle, decide_oracle, ssp_solvable
+from oracles import block_leaf_oracle, decide_oracle, separation_cut_oracle, ssp_solvable
 
 # the subset-sum gadgets of the benchmark: three unsolvable all-even
 # instances, one solvable instance and one unsolvable odd target
@@ -74,13 +80,22 @@ def optimize_oracle(lts: Lts, node_budget: int | None) -> tuple[SplitOutcome, in
             return SplitOutcome(last.splitting, last.exhausted, nodes, leaves), rounds
 
 
-def assert_optimize_same(lts: Lts) -> set[tuple[bool, bool]]:
-    """`optimize` equals the oracle's rounds at every node budget; returns
-    the (exhausted, more than one round) kinds seen."""
+def assert_optimize_contract(lts: Lts) -> set[tuple[bool, bool]]:
+    """`optimize` against the oracle's rounds at every node budget: the same
+    witness or not-found, no more nodes, and `exhausted` only where the
+    oracle is exhausted too. Its rounds visit only exact label counts and
+    prune, so where the oracle runs out it may answer, as the unbounded
+    oracle does. Returns the oracle's (exhausted, more than one round) kinds
+    seen."""
     kinds = set()
+    unbounded, _ = optimize_oracle(lts, None)
     for node_budget in NODE_BUDGETS:
         want, rounds = optimize_oracle(lts, node_budget)
-        assert optimize(lts, node_budget) == want, (lts, node_budget)
+        got = optimize(lts, node_budget)
+        assert got.nodes <= want.nodes, (lts, node_budget)
+        assert want.exhausted or not got.exhausted, (lts, node_budget)
+        if not got.exhausted:
+            assert (got.found, got.splitting) == (unbounded.found, unbounded.splitting), (lts, node_budget)
         kinds.add((want.exhausted, rounds > 1))
     return kinds
 
@@ -106,16 +121,32 @@ def test_random_draws():
 
 def test_optimize_fixtures():
     for path in sorted(FIXTURES.glob("*.lts")):
-        assert_optimize_same(parse_lts(path.read_text()))
+        assert_optimize_contract(parse_lts(path.read_text()))
 
 
 def test_optimize_random_draws():
     rng = random.Random(53)
     kinds = set()
     for _ in range(200):
-        kinds |= assert_optimize_same(random_lts(rng))
+        kinds |= assert_optimize_contract(random_lts(rng))
     # found and exhausted outcomes, each after one round and after several
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_optimize_counts_on_dense_draws():
+    # the first 20 non-embeddable dense-shape draws with at most 12 edges:
+    # among the first 20 without that limit, four searches take seconds each
+    # and their oracle far longer. Counts do not depend on the machine.
+    # Rounds over at most q labels without the separation prune took 1,555
+    # nodes and 587 leaves.
+    rng, sample = random.Random(7), []
+    while len(sample) < 20:
+        lts = random_lts(rng, max_states=10, max_labels=3, extra_edges=8)
+        if len(lts.edges) <= 12 and not is_embeddable(lts).embeddable:
+            sample.append(lts)
+    outcomes = [optimize(lts) for lts in sample]
+    assert [o.splitting for o in outcomes] == [optimize_oracle(lts, None)[0].splitting for lts in sample]
+    assert (sum(o.nodes for o in outcomes), sum(o.leaves for o in outcomes)) == (739, 221)
 
 
 def test_leaves_counted_on_unsolvable_gadgets():
@@ -205,6 +236,36 @@ def test_leaf_check_matches_is_embeddable(case):
     split = apply_splitting(lts, from_partitions(lts, chosen))
     got = _Search(lts).embeddable(chosen)
     assert got == is_embeddable(split).embeddable == block_leaf_oracle(lts, chosen)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(partitioned_lts())
+def test_separation_prune_matches_its_oracle(case):
+    # the drawn partitions taken label by label in search order: the prune
+    # cuts where the oracle does (where it follows whole classes), and on
+    # small systems no leaf below a cut embeds
+    lts, drawn = case
+    search = _Search(lts)
+    separation = _Separation(search)
+    whole = all(len(group) <= _TRACKED for group in search.factored[3])
+    order, per_label = search.order, search.per_label
+    partitions = {x: drawn.get(x, [per_label[x]]) for x in order}
+    ids: list[int] | None = separation.start
+    for depth, cut in enumerate(separation_cut_oracle(lts, order, partitions)):
+        ids = separation.refine(ids, depth, partitions[order[depth]])
+        assert (ids is None) == cut if whole else ids is not None or cut
+        if ids is None:
+            break
+    if ids is None:
+        assigned = {x: partitions[x] for x in order[: depth + 1]}
+        rest = [
+            [(x, [[per_label[x][k] for k in block] for block in partition]) for partition in set_partitions(len(per_label[x]))]
+            for x in order[depth + 1 :]
+        ]
+        if math.prod(map(len, rest)) <= 200:
+            for completion in itertools.product(*rest):
+                split = apply_splitting(lts, from_partitions(lts, {**assigned, **dict(completion)}))
+                assert not is_embeddable(split).embeddable
 
 
 # --- the factorisation every leaf shares ---------------------------------
