@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import chain
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -30,6 +30,10 @@ class Edge(NamedTuple):
     source: str
     label: str
     target: str
+
+
+# `Edge(*triple)` without the namedtuple's Python-level `__new__` or its arity check
+_edge = partial(tuple.__new__, Edge)
 
 
 @dataclass(frozen=True)
@@ -46,7 +50,9 @@ class Lts:
         """Build with first-use ordering: initial state first, then states and
         labels in order of first appearance along the edge list. `Edge`
         values are kept as they are; other triples are wrapped."""
-        edge_tuples = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edges)
+        edge_tuples = tuple(edges)
+        if not set(map(type, edge_tuples)) <= {Edge}:
+            edge_tuples = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edge_tuples)
         ends = chain.from_iterable(map(itemgetter(0, 2), edge_tuples))
         states = tuple(dict.fromkeys(chain((initial,), ends)))
         labels = tuple(dict.fromkeys(map(itemgetter(1), edge_tuples)))
@@ -233,7 +239,7 @@ def parse_lts(text: str) -> Lts:
     for n, parts in lines:
         if parts[0] != "edge" or len(parts) != 4:
             raise FormatError(n, "expected 'edge <source> <label> <target>'")
-        edges.append(Edge(parts[1], parts[2], parts[3]))
+        edges.append(_edge(parts[1:]))
     return Lts.from_edges(initial, edges)
 
 
@@ -252,8 +258,11 @@ def _content_lines(text: str, comment: str | None) -> Iterator[tuple[int, list[s
     every text format. Lines end at line feeds alone, as `grep -n` counts them
     (not `str.splitlines`); `comment`, the format's comment character if it
     has one, hides the rest of its line."""
-    for i, raw in enumerate(text.split("\n"), start=1):
-        parts = (raw.partition(comment)[0] if comment else raw).split()
+    lines: Iterable[str] = text.split("\n")
+    if comment and comment in text:
+        lines = (raw.partition(comment)[0] for raw in lines)
+    for i, raw in enumerate(lines, start=1):
+        parts = raw.split()
         if parts:
             yield i, parts
 

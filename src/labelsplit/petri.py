@@ -3,8 +3,10 @@
 Weighted arcs, integer markings. Markings are tuples aligned with the
 declared place order, and so are a transition's arc weights: `pre[t]` is what
 t takes from each place, `post[t]` what it puts back, and firing t turns
-marking M into M - pre[t] + post[t]. The token game reads `PetriNet.moves`,
-each transition's input arcs and effect post[t] - pre[t], made once per net.
+marking M into M - pre[t] + post[t]. `PetriNet.moves` holds each transition's
+input arcs and effect post[t] - pre[t], made once per net. `reachability_graph`
+tests enabling on them inline, so a disabled transition raises nothing;
+`verify_embedding` replays each LTS edge through `fire`, its independent check.
 Synthesis makes one place per region, so `pre[t]` and `post[t]` hold label
 t's consume and produce weight in every region. The reachability graph is
 itself an `Lts` whose states are canonical marking names, which lets the
@@ -15,9 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import add, sub
 
-from .lts import Edge, FormatError, Lts, _content_lines, _expect_header, _int_token, spanning_tree
+from .lts import FormatError, Lts, _content_lines, _edge, _expect_header, _int_token, spanning_tree
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
@@ -44,6 +47,11 @@ class PetriNet:
                 len(w) != len(self.places) for w in arcs.values()
             ):
                 raise ValueError("pre and post need one weight per place for each transition")
+
+    @cached_property
+    def _name_template(self) -> str:
+        """`marking_name`'s format: "p1:{},p2:{},...", braces in ids doubled."""
+        return ",".join(p.replace("{", "{{").replace("}", "}}") + ":{}" for p in self.places)
 
     @cached_property
     def moves(self) -> dict[str, Move]:
@@ -91,7 +99,7 @@ def marking_name(net: PetriNet, marking: Marking) -> str:
     """Canonical state name for a marking: "p1:5,p2:1,..." in declared place
     order. A net with no places gets the single name "-" (the empty join is
     not a usable token in the LTS text format)."""
-    return ",".join(f"{p}:{m}" for p, m in zip(net.places, marking)) or "-"
+    return net._name_template.format(*marking) or "-"
 
 
 def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
@@ -103,29 +111,29 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
     """
     if max_states < 1:
         raise ValueError(f"state bound must be at least 1, got {max_states}")
-    start = net.initial_marking
-    names: dict[Marking, str] = {start: marking_name(net, start)}
-    order: list[Marking] = [start]  # the BFS queue: read on while it grows
-    edges: list[Edge] = []
-    for m in order:
-        source = names[m]
-        for t in net.transitions:
-            try:
-                succ = fire(net, m, t)
-            except NotEnabled:
-                continue
-            target = names.get(succ)
-            if target is None:
-                if len(names) == max_states:
-                    return None
-                target = names[succ] = marking_name(net, succ)
-                order.append(succ)
-            edges.append(Edge(source, t, target))
+    order: list[Marking] = [net.initial_marking]  # the BFS queue: read on while it grows
+    ids: dict[Marking, int] = {order[0]: 0}
+    arcs: list[tuple[int, str, int]] = []
+    for source, m in enumerate(order):
+        for t, (inputs, effect) in net.moves.items():
+            for i, w in inputs:
+                if m[i] < w:
+                    break
+            else:
+                succ = tuple(map(add, m, effect))
+                target = ids.get(succ)
+                if target is None:
+                    if len(order) == max_states:
+                        return None
+                    target = ids[succ] = len(order)
+                    order.append(succ)
+                arcs.append((source, t, target))
+    names = [marking_name(net, m) for m in order]
     return Lts(
-        states=tuple(names.values()),
+        states=tuple(names),
         labels=net.transitions,
-        edges=tuple(edges),
-        initial=names[start],
+        edges=tuple(_edge((names[s], t, names[d])) for s, t, d in arcs),
+        initial=names[0],
     )
 
 
@@ -168,15 +176,15 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
     effects = [net.moves[t][1] for t in lts.labels]
     mapping = spanning_tree(lts).walk(effects, start=net.initial_marking)
-    for s in lts.states:
-        if any(v < 0 for v in mapping[s]):
-            return Verification(False, mapping, f"negative-marking {s}")
-    seen: dict[Marking, str] = {}
-    for s in lts.states:
-        m = mapping[s]
-        if m in seen:
-            return Verification(False, mapping, f"not-injective {seen[m]} {s}")
-        seen[m] = s
+    # all markings at once; the ordered loops only name the first violation
+    if min(chain.from_iterable(mapping.values()), default=0) < 0:
+        s = next(s for s in lts.states if min(mapping[s]) < 0)
+        return Verification(False, mapping, f"negative-marking {s}")
+    if len(set(mapping.values())) != len(mapping):
+        seen: dict[Marking, str] = {}
+        for s in lts.states:
+            if seen.setdefault(mapping[s], s) != s:
+                return Verification(False, mapping, f"not-injective {seen[mapping[s]]} {s}")
     for e in lts.edges:
         try:
             fired = fire(net, mapping[e.source], e.label)

@@ -165,27 +165,32 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
 # --- search -------------------------------------------------------------
 
 
-def set_partitions(count: int, max_blocks: int | None = None) -> Iterator[list[list[int]]]:
-    """All set partitions of range(count), at most `max_blocks` blocks.
+def set_partitions(
+    count: int, max_blocks: int | None = None, min_blocks: int = 0
+) -> Iterator[list[list[int]]]:
+    """All set partitions of range(count), `min_blocks` to `max_blocks` blocks.
 
     Restricted-growth-string order, so the single-block partition comes
     first. Blocks are listed by their smallest element, elements ascending.
     Iterative, so a label with thousands of edges needs no deep recursion.
     """
     cap = count if max_blocks is None else min(max_blocks, count)
-    if count == 0:
+    if count == 0 and min_blocks <= 0:
         yield []
-        return
-    if cap < 1:
+    if cap < 1 or cap < min_blocks:
         return
     assign = [0] * count
     used = [1] * count  # used[i]: blocks among assign[: i + 1]
+    i = 0
     while True:
+        if min_blocks > used[i]:  # the tail after i ends in the blocks still needed
+            for j in range(count - min_blocks + used[i], count):
+                assign[j], used[j] = used[j - 1], used[j - 1] + 1
         blocks: list[list[int]] = [[] for _ in range(used[-1])]
         for j, b in enumerate(assign):
             blocks[b].append(j)
         yield blocks
-        # advance the last position that can still grow, reset the rest
+        # advance the last position that can still grow (closing no block), reset the rest
         i = count - 1
         while i > 0 and assign[i] + 1 >= min(used[i - 1] + 1, cap):
             i -= 1
@@ -469,10 +474,8 @@ def _decide(
         depth = len(stack)
         if depth < len(order):
             allowed = extra_budget - extra_used - suffix[depth + 1]
-            parts = set_partitions(len(search.per_label[order[depth]]), max_blocks=1 + allowed)
             need = least - extra_used - capacity[depth + 1]  # extra blocks it must add
-            if need > 0:
-                parts = filter(lambda blocks, need=need: len(blocks) > need, parts)
+            parts = set_partitions(len(search.per_label[order[depth]]), 1 + allowed, 1 + need)
             stack.append((extra_used, parts))
         else:
             nodes += 1

@@ -136,6 +136,18 @@ def test_rg_output_file(tmp_path, capsys):
     assert parse_lts(out.read_text()).initial == "p1:5,p2:1,p3:0,p4:0"
 
 
+@pytest.mark.parametrize("name", ["fig2", "ring3"])
+def test_rg_output_matches_golden_bytes(name, tmp_path, capsys):
+    # other tools read the graph text, so its bytes are pinned, in the file
+    # and on stdout
+    golden = (FIXTURES / "rg" / f"{name}.rg.lts").read_bytes()
+    out = tmp_path / "rg.lts"
+    assert main(["rg", str(FIXTURES / f"{name}.net"), "-o", str(out)]) == 0
+    assert out.read_bytes() == golden
+    assert main(["rg", str(FIXTURES / f"{name}.net")]) == 0
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_verify_embeds(capsys):
     assert main(["verify", FIG2_LEFT, FIG2_NET]) == 0
     assert capsys.readouterr().out == "embeds\n"

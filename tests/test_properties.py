@@ -150,15 +150,29 @@ SIDE_CONDITION = PetriNet(
 RG_CAP = 40
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(game_nets())
+@st.composite
+def few_token_nets(draw):
+    """Up to three places holding 0 to 3 tokens each, weighted arcs, and
+    transitions that may take from no place at all: small graphs, so the
+    bounds below reach one past the whole state count."""
+    places = tuple(f"p{i}" for i in range(draw(st.integers(0, 3))))
+    transitions = tuple(f"t{i}" for i in range(draw(st.integers(1, 3))))
+    weights = st.lists(st.integers(0, 2), min_size=len(places), max_size=len(places))
+    pre = {t: tuple(draw(weights)) for t in transitions}
+    post = {t: tuple(draw(weights)) for t in transitions}
+    marking = tuple(draw(st.integers(0, 3)) for _ in places)
+    return PetriNet(places, transitions, pre, post, marking)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.one_of(game_nets(), few_token_nets()))
 @example(NO_PLACES)
 @example(IDLE_T1)
 @example(SIDE_CONDITION)
 @example(PetriNet(("p",), ("t",), {"t": (3,)}, {"t": (3,)}, (5,)))
 def test_reachability_graph_equals_oracle(net):
-    # the same text, or None from both, at every bound up to one
-    # past the state count (up to RG_CAP when the graph is larger)
+    # the same fields in the same order, or None from both, at every bound
+    # up to one past the state count (up to RG_CAP when the graph is larger)
     full = reachability_graph_oracle(net, RG_CAP)
     top = RG_CAP if full is None else len(full.states) + 1
     for bound in range(1, top + 1):
@@ -168,23 +182,33 @@ def test_reachability_graph_equals_oracle(net):
             assert got is None
         else:
             assert isinstance(got, Lts)
+            assert got.states == want.states
+            assert got.labels == want.labels
+            assert got.edges == want.edges
+            assert got.initial == want.initial
+            assert all(type(e) is Edge for e in got.edges)
             assert format_lts(got) == format_lts(want)
-            assert got == want
 
 
 @st.composite
 def embeddings(draw):
     """A random embeddable LTS with its synthesized net, or with a copy of
-    that net in which one arc is dropped, one weight is changed, or some
-    places become side conditions of one transition: the same weight added
-    to its input and its output arc there."""
+    that net in which one arc is dropped, one to three weights are changed,
+    tokens are moved in or out of the initial marking, or some places
+    become side conditions of one transition: the same weight added to its
+    input and its output arc there. Several violations can then hold at
+    once, and the reason must name the first."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     lts = random_lts(rng, max_states=6)
     while not is_embeddable(lts).embeddable:
         lts = random_lts(rng, max_states=6)
     net = synthesize(lts)
-    kind = draw(st.sampled_from(["none", "drop", "reweigh", "side-condition"]))
+    kind = draw(st.sampled_from(["none", "drop", "reweigh", "side-condition", "initial"]))
     places = range(len(net.places))
+    if kind == "initial":
+        shift = [draw(st.integers(-2, 2)) for _ in places]
+        marking = tuple(max(m + d, 0) for m, d in zip(net.initial_marking, shift))
+        return lts, replace(net, initial_marking=marking)
     arcs = [(rows, t, i) for rows in ("pre", "post") for t in net.transitions for i in places]
     if kind == "drop":
         arcs = [(rows, t, i) for rows, t, i in arcs if getattr(net, rows)[t][i]]
@@ -198,11 +222,12 @@ def embeddings(draw):
         pre[t] = tuple(w + extra.get(i, 0) for i, w in enumerate(pre[t]))
         post[t] = tuple(w + extra.get(i, 0) for i, w in enumerate(post[t]))
     else:
-        rows, t, i = draw(st.sampled_from(arcs))
-        weights = pre if rows == "pre" else post
-        row = list(weights[t])
-        row[i] = 0 if kind == "drop" else draw(st.integers(0, 4).filter(lambda w: w != row[i]))
-        weights[t] = tuple(row)
+        count = 1 if kind == "drop" else draw(st.integers(1, 3))
+        for rows, t, i in draw(st.lists(st.sampled_from(arcs), min_size=count, max_size=count)):
+            weights = pre if rows == "pre" else post
+            row = list(weights[t])
+            row[i] = 0 if kind == "drop" else draw(st.integers(0, 4).filter(lambda w: w != row[i]))
+            weights[t] = tuple(row)
     return lts, replace(net, pre=pre, post=post)
 
 
@@ -211,11 +236,29 @@ TWO_SHORT = (
     Lts.from_edges("s0", [("s0", "a", "s1")]),
     PetriNet(("p1", "p2"), ("a",), {"a": (1, 1)}, {"a": (2, 2)}, (0, 0)),
 )
+# s2 is reached before s1 but declared after it; both go negative, and
+# the reason names the first declared
+NEGATIVE_TWICE = (
+    Lts(
+        ("s0", "s1", "s2"),
+        ("a", "b"),
+        (Edge("s0", "b", "s2"), Edge("s2", "a", "s1"), Edge("s0", "a", "s1")),
+        "s0",
+    ),
+    PetriNet(("p",), ("a", "b"), {"a": (1,), "b": (1,)}, {"a": (0,), "b": (0,)}, (0,)),
+)
+# no places: every state has the empty marking, and the first collision is named
+ALL_EQUAL = (
+    Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s2")]),
+    PetriNet((), ("a",), {"a": ()}, {"a": ()}, ()),
+)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(embeddings())
 @example(TWO_SHORT)
+@example(NEGATIVE_TWICE)
+@example(ALL_EQUAL)
 def test_verify_embedding_equals_oracle(drawn):
     lts, net = drawn
     assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net)

@@ -230,6 +230,16 @@ def test_set_partitions_restricted_growth_order():
             assert list(set_partitions(count, cap)) == expected
 
 
+def test_set_partitions_min_blocks_equals_filtered_enumeration():
+    # the lower bound prunes prefixes; what is left keeps its order
+    for count in range(8):
+        for high in [None, *range(-1, count + 2)]:
+            full = list(set_partitions(count, high))
+            for low in range(-1, count + 3):
+                want = [blocks for blocks in full if len(blocks) >= low]
+                assert list(set_partitions(count, high, low)) == want
+
+
 def test_decide_long_single_label_chain():
     # a 1,500-edge chain under one label embeds as it stands; enumerating its
     # partitions must not recurse once per edge
