@@ -243,4 +243,7 @@ def subset_sum_brute(instance: SubsetSumInstance) -> tuple[int, ...] | None:
             acc.pop()
         return rec(i + 1, remaining, acc)
 
-    return rec(1, instance.target, [])
+    try:
+        return rec(1, instance.target, [])
+    finally:
+        del rec  # `rec` refers to itself through its cell: break the cycle

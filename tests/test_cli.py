@@ -1,3 +1,4 @@
+import gc
 import subprocess
 import sys
 
@@ -378,3 +379,99 @@ def test_cached_parser_answers_like_a_fresh_one(tmp_path, capsys):
         fresh.append(run(argv))
     assert cached == fresh
     assert [code for code, _, _ in cached] == [1, 0, 0, 0, 2, 0, 2, 3, 0, 2, 0, 2, 0, 0, 0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_main_restores_the_collector(enabled, monkeypatch, capsys):
+    # each verb runs with the collector paused; `main` hands it back as it
+    # found it, whatever the exit or exception
+    seen = []
+
+    def unexpected(lts):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    calls = [
+        (["check", FIG2_MIDDLE], 0),
+        (["check", FIG1_RIGHT], 1),
+        (["check", "/no/such/file.lts"], 2),
+        (["rg", FIG2_NET, "--bound", "0"], 2),
+        (["frobnicate"], 2),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in calls:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled
+        monkeypatch.setattr(cli, "is_embeddable", unexpected)
+        with pytest.raises(RuntimeError, match="unexpected"):
+            main(["check", FIG2_MIDDLE])
+        assert gc.isenabled() is enabled
+        assert seen == [False]
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_verbs_leave_no_cyclic_garbage(tmp_path, capsys):
+    # pausing the collector costs no memory only while the verbs build no
+    # reference cycles: each call must leave nothing for `gc.collect` to free
+    bad = tmp_path / "bad.lts"
+    bad.write_text("lts\ninitial s0\nedge oops\n")
+    not_utf8 = tmp_path / "bad.txt"
+    not_utf8.write_bytes(NOT_UTF8)
+    nondet = tmp_path / "nondet.lts"
+    nondet.write_text("lts\ninitial s0\nedge s0 a s1\nedge s0 a s2\nedge s3 b s0\n")
+    grower = tmp_path / "grower.net"
+    grower.write_text("net\nplace p 0\ntrans t\narc t p 1\n")
+    two = tmp_path / "two.lts"
+    two.write_text("lts\ninitial s0\nedge s0 a s1\nedge s1 a s0\n")
+    loop = tmp_path / "loop.net"
+    loop.write_text("net\ntrans a\n")
+    unknown_label = tmp_path / "zz.lts"
+    unknown_label.write_text("lts\ninitial s0\nedge s0 zz s1\n")
+    gadget = str(tmp_path / "g.lts")
+    calls = [
+        (["check", FIG2_MIDDLE], 0),
+        (["check", FIG1_RIGHT], 1),
+        (["check", "/no/such/file.lts"], 2),
+        (["check", str(bad)], 2),
+        (["check", str(not_utf8)], 2),
+        (["check", str(nondet)], 2),
+        (["synth", FIG2_MIDDLE, "-o", str(tmp_path / "m.net")], 0),
+        (["synth", FIG1_RIGHT, "-o", str(tmp_path / "r.net")], 1),
+        (["synth", FIG2_MIDDLE, "-o", str(tmp_path / "no" / "dir.net")], 2),
+        (["rg", FIG2_NET], 0),
+        (["rg", FIG2_NET, "-o", str(tmp_path / "rg.lts")], 0),
+        (["rg", str(grower), "--bound", "5"], 1),
+        (["rg", FIG2_NET, "--bound", "0"], 2),
+        (["verify", FIG2_LEFT, FIG2_NET], 0),
+        (["verify", str(two), str(loop)], 1),
+        (["verify", str(unknown_label), FIG2_NET], 2),
+        (["verify", FIG2_MIDDLE, str(not_utf8)], 2),
+        (["split", FIG1_RIGHT, "--max-labels", "3"], 0),
+        (["split", FIG1_RIGHT, "--max-labels", "2"], 1),
+        (["split", FIG1_RIGHT, "--max-labels", "3", "--node-budget", "1"], 3),
+        (["split", FIG1_RIGHT, "--max-labels", "0"], 2),
+        (["split", FIG1_RIGHT, "--optimize"], 0),
+        (["split", FIG1_RIGHT, "--optimize", "--node-budget", "1"], 3),
+        (["reduce", "--b", "3", "--c", "1,2", "-o", gadget], 0),
+        (["reduce", "--b", "0", "--c", "2", "-o", gadget], 2),
+        (["split", gadget, "--optimize"], 0),
+        (["oracle", "--b", "3", "--c", "1,2,4"], 0),
+        (["oracle", "--b", "8", "--c", "1,2,4"], 1),
+        (["oracle", "--b", "1", "--c", ",".join(["1"] * 31)], 2),
+    ]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        main(calls[0][0])  # builds the cached parser, which leaves garbage once
+        left = []
+        for argv, _ in calls:
+            gc.collect()
+            code = main(argv)
+            left.append((argv, code, gc.collect()))
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert left == [(argv, code, 0) for argv, code in calls]
