@@ -262,7 +262,3 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if was_enabled:
             gc.enable()
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -221,29 +221,20 @@ BRUTE_MAX_N = 30
 def subset_sum_brute(instance: SubsetSumInstance) -> tuple[int, ...] | None:
     """Direct exponential solver used as an oracle; returns the
     lexicographically smallest solving index set (1-based, ascending) or
-    None. Guarded to n <= BRUTE_MAX_N."""
+    None. Guarded to n <= BRUTE_MAX_N. Depth first over an explicit stack,
+    taking each value before leaving it out, so the first hit is smallest."""
     if instance.n > BRUTE_MAX_N:
         raise ValueError(f"brute-force solver capped at n={BRUTE_MAX_N}, got n={instance.n}")
     values = instance.values
-    n = instance.n
-    suffix = [0] * (n + 2)
-    for i in range(n, 0, -1):
-        suffix[i] = suffix[i + 1] + values[i - 1]
-
-    def rec(i: int, remaining: int, acc: list[int]) -> tuple[int, ...] | None:
+    suffix = [sum(values[i:]) for i in range(len(values) + 1)]  # what values[i:] can add
+    stack = [(0, instance.target, ())]
+    while stack:
+        i, remaining, taken = stack.pop()
         if remaining == 0:
-            return tuple(acc)
-        if i > n or suffix[i] < remaining:
-            return None
-        if values[i - 1] <= remaining:
-            acc.append(i)
-            hit = rec(i + 1, remaining - values[i - 1], acc)
-            if hit is not None:
-                return hit
-            acc.pop()
-        return rec(i + 1, remaining, acc)
-
-    try:
-        return rec(1, instance.target, [])
-    finally:
-        del rec  # `rec` refers to itself through its cell: break the cycle
+            return taken
+        if suffix[i] < remaining:
+            continue
+        stack.append((i + 1, remaining, taken))
+        if values[i] <= remaining:
+            stack.append((i + 1, remaining - values[i], (*taken, i + 1)))
+    return None

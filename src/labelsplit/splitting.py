@@ -12,11 +12,13 @@ equivalent to exactly one canonical splitting, so searches enumerate only
 those.
 
 `decide` is a complete branch-and-bound over canonical splittings within a
-label budget. Labels with a two-edge cycle (s -t-> s' and s' -t-> s) can
-never keep both edges in one block: any region would need the block label's
-effect x to satisfy 2x = 0, forcing equal values on s and s', so such pairs
-are inseparable. That rule gives a sound per-label lower bound of two blocks
-and a partition filter; both prunings preserve completeness.
+label budget, on an explicit stack of one frame per label plus one for the
+leaf. A node is a partition candidate or a leaf, counted in one place. Labels
+with a two-edge cycle (s -t-> s' and s' -t-> s) can never keep both edges in
+one block: any region would need the block label's effect x to satisfy 2x = 0,
+forcing equal values on s and s', so such pairs are inseparable. That rule
+gives a sound per-label lower bound of two blocks and a partition filter; both
+prunings preserve completeness.
 
 A leaf of the search never builds its split LTS. With one column per label,
 the sum of its blocks, and one per fresh block, every leaf's cycle base has
@@ -441,10 +443,10 @@ def decide(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOu
     embeddable? Complete search over canonical splittings; the first witness
     found (identity first, then increasingly split) is returned verified.
 
-    `node_budget` caps the number of search nodes (partition candidates and
-    leaves); hitting it yields an `exhausted` outcome, which is weaker than a
-    definitive not-found. The search keeps an explicit stack of per-label
-    partition iterators, so any number of labels needs no deep recursion.
+    `node_budget` caps the search nodes, partition candidates and leaves,
+    each counted in one place; hitting it yields an `exhausted` outcome,
+    weaker than a definitive not-found. An explicit stack keeps one frame per
+    label plus one for the leaf, so no number of labels needs deep recursion.
     """
     if max_labels < 1:
         raise ValueError(f"label budget must be at least 1, got {max_labels}")
@@ -464,55 +466,51 @@ def _decide(
     least = extra_budget if exact else 0
     nodes = leaves = 0
     chosen: dict[str, list[list[int]]] = {}
-    # one frame per label with a chosen partition: (extra labels used by the
-    # labels before it, the rest of its partitions)
-    stack: list[tuple[int, Iterator[list[list[int]]]]] = []
+    # one frame per label and one for the leaf: (extra labels used by the
+    # labels before it, their separation ids, the rest of its candidates)
+    stack: list[tuple[int, list[int] | None, Iterator[list[list[int]]]]] = []
     extra_used = 0
-    # ids[depth]: the separation ids once order[:depth] have their partitions
-    ids = [separation.start] * (len(order) + 1) if separation else []
+    ids = separation.start if separation else None
     while True:
         depth = len(stack)
-        if depth < len(order):
+        if depth == len(order):
+            parts: Iterator[list[list[int]]] = iter(([],))  # the leaf: one candidate
+        else:
             allowed = extra_budget - extra_used - suffix[depth + 1]
             need = least - extra_used - capacity[depth + 1]  # extra blocks it must add
             parts = set_partitions(len(search.per_label[order[depth]]), 1 + allowed, 1 + need)
-            stack.append((extra_used, parts))
-        else:
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                return SplitOutcome(None, True, nodes, leaves)
-            leaves += 1
-            if search.embeddable(chosen):
-                # built once, and confirmed on the split LTS itself
-                candidate = from_partitions(lts, chosen)
-                if not is_embeddable(apply_splitting(lts, candidate)).embeddable:
-                    raise AssertionError("leaf check accepted a splitting that does not embed")
-                return SplitOutcome(candidate, False, nodes, leaves)
-        # move the deepest frame to its next admissible partition, popping
-        # the frames that have none left (a popped label's entry in `chosen`
-        # is overwritten before the next leaf)
+        stack.append((extra_used, ids, parts))
+        # a popped label's entry in `chosen` is overwritten before the next leaf
         while stack:
-            base_used, parts = stack[-1]
+            extra_used, ids, parts = stack[-1]
             blocks = next(parts, None)
             if blocks is None:
                 stack.pop()
                 continue
-            t = order[len(stack) - 1]
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 return SplitOutcome(None, True, nodes, leaves)
+            depth = len(stack) - 1
+            if depth == len(order):
+                leaves += 1
+                if search.embeddable(chosen):
+                    # built once, and confirmed on the split LTS itself
+                    candidate = from_partitions(lts, chosen)
+                    if not is_embeddable(apply_splitting(lts, candidate)).embeddable:
+                        raise AssertionError("leaf check accepted a splitting that does not embed")
+                    return SplitOutcome(candidate, False, nodes, leaves)
+                continue
+            t = order[depth]
             idxs = search.per_label[t]
             block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
             if any(block_of[a] == block_of[b] for a, b in search.conflicts[t]):
                 continue
             chosen[t] = [[idxs[k] for k in blk] for blk in blocks]
             if separation:
-                depth = len(stack) - 1
-                refined = separation.refine(ids[depth], depth, chosen[t])
-                if refined is None:
+                ids = separation.refine(ids, depth, chosen[t])
+                if ids is None:
                     continue
-                ids[depth + 1] = refined
-            extra_used = base_used + len(blocks) - 1
+            extra_used += len(blocks) - 1
             break
         else:
             return SplitOutcome(None, False, nodes, leaves)

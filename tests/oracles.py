@@ -6,10 +6,11 @@ dot products per state or per pair, a splitting search that builds and
 checks every leaf's split LTS, a leaf check that eliminates every leaf's
 block columns anew, a search prune that re-tests every pair of states of
 every collision class from full vectors, region validity checked edge by
-edge, markings from Parikh vectors times transition effects, a token game that
-compares every place against the dense `pre`/`post` rows, a `validate`
-that walks the edges once per kind of violation, and the splitting contract
-checked clause by clause. None of it runs in the package.
+edge, markings from Parikh vectors times transition effects, a token game
+that compares every place against the dense `pre`/`post` rows, a `validate`
+that walks the edges once per kind of violation, subset sums by listing
+every index set, and the splitting contract checked clause by clause. None
+of it runs in the package.
 """
 
 from __future__ import annotations
@@ -372,6 +373,19 @@ def index_set_splitting(
         else:
             partitions[f"g{i}"] = [[fwd], [rev, slot]]
     return from_partitions(lts, partitions)
+
+
+def subset_sum_oracle(instance: SubsetSumInstance) -> tuple[int, ...] | None:
+    """`reduction.subset_sum_brute` by `itertools.combinations`: of every
+    ascending index set (1-based) whose values sum to the target, the
+    lexicographically smallest, or None."""
+    hits = [
+        chosen
+        for r in range(1, instance.n + 1)
+        for chosen in itertools.combinations(range(1, instance.n + 1), r)
+        if sum(instance.values[i - 1] for i in chosen) == instance.target
+    ]
+    return min(hits, default=None)
 
 
 def marking_map(lts: Lts, net: PetriNet) -> dict[str, Marking]:

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     region_violations,
     separates,
     ssp_solvable,
+    subset_sum_oracle,
     validate_splitting,
 )
 
@@ -193,6 +195,13 @@ def test_subset_sum_brute_examples():
     assert subset_sum_brute(SubsetSumInstance(3, (1, 2, 4))) == (1, 2)
     assert subset_sum_brute(SubsetSumInstance(6, (1, 2, 4))) == (2, 3)
     assert subset_sum_brute(SubsetSumInstance(8, (1, 2, 4))) is None
+    # and against every index set listed, small values so that many instances
+    # have several solutions and many have none
+    rng = random.Random(18)
+    for _ in range(400):
+        values = tuple(rng.randint(1, 9) for _ in range(rng.randint(1, 10)))
+        instance = SubsetSumInstance(rng.randint(1, sum(values) + 2), values)
+        assert subset_sum_brute(instance) == subset_sum_oracle(instance), instance
 
 
 def test_subset_sum_brute_prefers_lexicographic():

@@ -116,6 +116,19 @@ def test_fixtures():
         sweep(load_lts(name))
 
 
+def test_every_node_budget_below_the_count():
+    # the budget runs out at each node in turn, leaves and partition
+    # candidates alike: fig1-right at q = 3, the n = 4 gadget at q
+    instance = SubsetSumInstance(*GADGETS[0])
+    for lts, q, count in [
+        (load_lts("fig1-right.lts"), 3, 7),
+        (build_lts(instance), params(instance).label_budget, 242),
+    ]:
+        assert decide(lts, q).nodes == count
+        for node_budget in range(count):
+            assert_same(lts, q, node_budget)
+
+
 def test_random_draws():
     rng = random.Random(53)
     for _ in range(200):

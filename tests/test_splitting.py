@@ -93,6 +93,10 @@ def test_apply_splitting_alphabet_must_cover():
     lts = Lts.from_edges("s0", [("s0", "a", "s1")])
     with pytest.raises(ValueError):
         apply_splitting(lts, LabelSplitting(("b",), ("a",)))
+    # and one new label for every edge, no more and no fewer
+    for edge_labels in ((), ("a", "a")):
+        with pytest.raises(ValueError, match="edge count"):
+            apply_splitting(lts, LabelSplitting(("a",), edge_labels))
 
 
 def test_alternative_single_edge_split_makes_fig1_right_embeddable():
