@@ -117,7 +117,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_rg(args: argparse.Namespace) -> int:
     _at_least("--bound", args.bound, 1)
     net = _parse_file(args.net_file, parse_net)
-    result = reachability_graph(net, max_states=args.bound)
+    try:
+        result = reachability_graph(net, max_states=args.bound)
+    except ValueError as exc:  # a marking too long to write as a state name
+        print(f"{args.net_file}: {exc}", file=sys.stderr)
+        return 2
     if result is None:
         print("bound-exceeded")
         return 1

@@ -7,7 +7,8 @@ keep a canonical order (order of first appearance), and everything downstream
 order, so two structurally equal systems behave identically.
 
 The breadth-first search from the initial state runs once per `Lts` (the
-memoised `Lts._parents`) and feeds both `validate` and `spanning_tree`;
+memoised `Lts._parents`): `validate` reads it, `spanning_tree` returns it
+as the tree, each state's incoming tree edge, and `walk` sums steps down it.
 `cycle_base` returns the integer echelon `(rows, pivots)` of the chords.
 The reading rules of all three text formats (lines, headers, integer
 tokens) live here, next to `FormatError`, and the other parsers use them.
@@ -66,8 +67,8 @@ class Lts:
         """Breadth-first search from the initial state, which must be declared,
         taking each state's edges in canonical order and skipping edges with
         an undeclared end: the index of the edge that first reached each
-        state, in discovery order. Run once per LTS and read by `validate`
-        and `spanning_tree`; equality and hashing see only the fields above."""
+        state, in discovery order. Run once per LTS: `validate` reads it and
+        `spanning_tree` returns it; equality and hashing see only the fields above."""
         edges = self.edges
         out: dict[str, list[int]] = {s: [] for s in self.states}
         for i, e in enumerate(edges):
@@ -138,49 +139,39 @@ def validate(lts: Lts) -> list[str]:
 # --- spanning tree and Parikh vectors -----------------------------------
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """BFS spanning tree of an LTS: the index of the tree edge into every
-    state but the initial one, in the order BFS discovered the states. Every
-    tree of one LTS shares its memoised map, so it must not be mutated."""
-
-    lts: Lts
-    parent_edge: dict[str, int]
-
-    def tree_edges(self) -> frozenset[int]:
-        return frozenset(self.parent_edge.values())
-
-    def walk(
-        self,
-        steps: Sequence[tuple[int, ...]],
-        columns: Sequence[int] | None = None,
-        start: tuple[int, ...] | None = None,
-    ) -> dict[str, tuple[int, ...]]:
-        """Sum one step per tree edge along every state's tree path in one
-        pass down the tree: value(child) = value(parent) + steps[columns[i]]
-        for the tree edge i into the child, and `start` (zeros by default) at
-        the initial state. `columns` maps each edge index to a step; by
-        default an edge takes the step of its label."""
-        lts = self.lts
-        if columns is None:
-            idx = lts.label_index()
-            columns = [idx[e.label] for e in lts.edges]
-        if start is None:
-            start = (0,) * (len(steps[0]) if steps else 0)
-        values = {lts.initial: start}
-        for state, i in self.parent_edge.items():  # parents are discovered first
-            values[state] = tuple(map(add, values[lts.edges[i].source], steps[columns[i]]))
-        return values
-
-
-def spanning_tree(lts: Lts) -> SpanningTree:
-    """Deterministic BFS tree: states are discovered in canonical edge order,
-    so repeated calls give the same tree, over the same memoised parent map."""
+def spanning_tree(lts: Lts) -> dict[str, int]:
+    """Deterministic BFS tree: the index of the tree edge into every state
+    but the initial one, in the order BFS discovered the states. States are
+    discovered in canonical edge order, so every call returns the same
+    memoised map, `Lts._parents`, which must not be mutated."""
     parent = lts._parents
     if len(parent) + 1 != len(lts.states):
         missing = [s for s in lts.states if s != lts.initial and s not in parent]
         raise ValueError(f"state not reachable from {lts.initial}: {missing[0]}")
-    return SpanningTree(lts, parent)
+    return parent
+
+
+def walk(
+    lts: Lts,
+    steps: Sequence[tuple[int, ...]],
+    columns: Sequence[int] | None = None,
+    start: tuple[int, ...] | None = None,
+) -> dict[str, tuple[int, ...]]:
+    """Sum one step per tree edge along every state's tree path in one
+    pass down the tree: value(child) = value(parent) + steps[columns[i]]
+    for the tree edge i into the child, and `start` (zeros by default) at
+    the initial state. `columns` maps each edge index to a step; by
+    default an edge takes the step of its label."""
+    parent = spanning_tree(lts)
+    if columns is None:
+        idx = lts.label_index()
+        columns = [idx[e.label] for e in lts.edges]
+    if start is None:
+        start = (0,) * (len(steps[0]) if steps else 0)
+    values = {lts.initial: start}
+    for state, i in parent.items():  # parents are discovered first
+        values[state] = tuple(map(add, values[lts.edges[i].source], steps[columns[i]]))
+    return values
 
 
 def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
@@ -189,12 +180,11 @@ def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
     s -t-> s' off the tree is parikh(s) + unit(t) - parikh(s'), where
     parikh counts the labels on a state's tree path. The rows span the cycle
     space of the underlying graph, whatever tree the chords close."""
-    tree = spanning_tree(lts)
     n = len(lts.labels)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    parikh = tree.walk(units)
+    parikh = walk(lts, units)
     idx = lts.label_index()
-    tree_edges = tree.tree_edges()
+    tree_edges = set(spanning_tree(lts).values())
     chords = (
         list(map(sub, map(add, parikh[e.source], units[idx[e.label]]), parikh[e.target]))
         for i, e in enumerate(lts.edges)

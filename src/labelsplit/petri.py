@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import chain
 from operator import add, sub
 
-from .lts import FormatError, Lts, _content_lines, _edge, _expect_header, _int_token, spanning_tree
+from .lts import FormatError, Lts, _content_lines, _edge, _expect_header, _int_token, walk
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
@@ -175,7 +175,7 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
     effects = [net.moves[t][1] for t in lts.labels]
-    mapping = spanning_tree(lts).walk(effects, start=net.initial_marking)
+    mapping = walk(lts, effects, start=net.initial_marking)
     # all markings at once; the ordered loops only name the first violation
     if min(chain.from_iterable(mapping.values()), default=0) < 0:
         s = next(s for s in lts.states if min(mapping[s]) < 0)

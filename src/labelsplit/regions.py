@@ -12,11 +12,11 @@ feasible label effects), and ask whether effect vectors can tell every pair
 of states apart. All of it runs in integers: the cycle base is an integer
 echelon form, the effect basis is read off it with denominators already
 cleared, and a state's signature (its value under every basis vector) comes
-from one pass down the spanning tree. Every function takes only the LTS;
-its spanning tree and cycle base `(rows, pivots)` rest on the one
-breadth-first search each `Lts` runs. The tests check this decision
-against two independent ones: span membership of Parikh differences, and a
-separating effect per pair.
+from one `walk` down the spanning tree. Every function takes only the LTS;
+its spanning tree (the LTS's own parent map) and cycle base `(rows,
+pivots)` rest on the one breadth-first search each `Lts` runs. The tests
+check this decision against two independent ones: span membership of
+Parikh differences, and a separating effect per pair.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import nullspace_basis
-from .lts import Lts, SpanningTree, cycle_base, spanning_tree
+from .lts import Lts, cycle_base, walk
 
 EffectVector = tuple[int, ...]
 
@@ -75,13 +75,13 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
     pairwise distinct. The witness on failure is the first colliding pair in
     canonical state order.
     """
-    return _report(lts, spanning_tree(lts), effect_space(lts))
+    return _report(lts, effect_space(lts))
 
 
-def _report(lts: Lts, tree: SpanningTree, basis: list[EffectVector]) -> EmbeddabilityReport:
+def _report(lts: Lts, basis: list[EffectVector]) -> EmbeddabilityReport:
     """Signatures under `basis` and the first collision in state order."""
-    walk = tree.walk(list(zip(*basis))) if basis else dict.fromkeys(lts.states, ())
-    signatures = {s: walk[s] for s in lts.states}
+    sums = walk(lts, list(zip(*basis))) if basis else dict.fromkeys(lts.states, ())
+    signatures = {s: sums[s] for s in lts.states}
     first_owner: dict[tuple[int, ...], str] = {}
     for s, sig in signatures.items():
         if sig in first_owner:
@@ -105,13 +105,13 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
     for row in rows:
         if sum(map(mul, row, effect)):
             raise ValueError("effect vector has nonzero work around a cycle of the LTS")
-    walk = spanning_tree(lts).walk([(x,) for x in effect])
-    return _region(lts, effect, {s: w for s, (w,) in walk.items()})
+    sums = walk(lts, [(x,) for x in effect])
+    return _region(lts, effect, {s: w for s, (w,) in sums.items()})
 
 
-def _region(lts: Lts, effect: EffectVector, walk: dict[str, int]) -> Region:
-    offset = max(0, max(-w for w in walk.values()))
-    values = {s: offset + walk[s] for s in lts.states}
+def _region(lts: Lts, effect: EffectVector, sums: dict[str, int]) -> Region:
+    offset = max(0, max(-w for w in sums.values()))
+    values = {s: offset + sums[s] for s in lts.states}
     consume = {t: max(0, -effect[i]) for i, t in enumerate(lts.labels)}
     produce = {t: effect[i] + consume[t] for i, t in enumerate(lts.labels)}
     return Region(values, consume, produce)
@@ -123,7 +123,7 @@ def separating_regions(lts: Lts) -> list[Region]:
     region set can. One analysis is shared by the check and every region:
     region k's state values are column k of the signatures."""
     basis = effect_space(lts)
-    report = _report(lts, spanning_tree(lts), basis)
+    report = _report(lts, basis)
     if not report.embeddable:
         assert report.witness is not None
         raise NotEmbeddable(report.witness)

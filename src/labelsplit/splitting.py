@@ -46,7 +46,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import integer_echelon, nullspace_basis
-from .lts import Edge, FormatError, Lts, SpanningTree, _content_lines, _int_token, spanning_tree
+from .lts import Edge, FormatError, Lts, _content_lines, _int_token, spanning_tree, walk
 from .regions import is_embeddable
 
 
@@ -267,19 +267,15 @@ class _Search:
             self.capacity[d] = self.capacity[d + 1] + len(self.per_label[self.order[d]]) - 1
 
     @cached_property
-    def tree(self) -> SpanningTree:
-        return spanning_tree(self.lts)
-
-    @cached_property
     def depth(self) -> dict[str, int]:
         edges, depth = self.lts.edges, {self.lts.initial: 0}
-        for state, i in self.tree.parent_edge.items():  # parents are discovered first
+        for state, i in spanning_tree(self.lts).items():  # parents are discovered first
             depth[state] = depth[edges[i].source] + 1
         return depth
 
     def path(self, s: str, t: str) -> dict[int, int]:
         """The tree edges below the common ancestor of s and t: +1 to s, -1 to t."""
-        lts, parent, depth = self.lts, self.tree.parent_edge, self.depth
+        lts, parent, depth = self.lts, spanning_tree(self.lts), self.depth
         path = {}
         while s != t:
             if depth[s] >= depth[t]:
@@ -300,7 +296,7 @@ class _Search:
         - sum over k of parikh(s)[p_k] * scale / a_k * row_k."""
         lts, label = self.lts, self.label_columns
         splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
-        tree_edges = self.tree.tree_edges()
+        tree_edges = set(spanning_tree(lts).values())
         label_rows: dict[int, dict[int, int]] = {}
         remainder = []
         for i, e in enumerate(lts.edges):
@@ -332,10 +328,10 @@ class _Search:
         steps = [tuple(scale * (j == k) for j in free) for k in range(len(lts.labels))]
         for k, row in label_rows.items():
             steps[k] = tuple(-(scale // row[~k]) * row.get(~j, 0) for j in free)
-        walk = self.tree.walk(steps, label)
+        sums = walk(lts, steps)
         groups: dict[tuple[int, ...], list[str]] = {}
         for s in lts.states:
-            groups.setdefault(walk[s], []).append(s)
+            groups.setdefault(sums[s], []).append(s)
         classes = [g for g in groups.values() if len(g) > 1]
         return remainder, label_rows, scale, classes
 
@@ -365,8 +361,8 @@ class _Search:
             for i in block:
                 steps.append(tuple(x + scale * y[b] for x, y in zip(steps[columns[i]], ys)))
                 columns[i] = len(steps) - 1
-        walk = self.tree.walk(steps, columns)
-        return all(len({walk[s] for s in group}) == len(group) for group in classes)
+        sums = walk(self.lts, steps, columns)
+        return all(len({sums[s] for s in group}) == len(group) for group in classes)
 
 
 def _combine(v: dict[int, int], row: dict[int, int], key: int) -> dict[int, int]:

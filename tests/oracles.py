@@ -23,7 +23,7 @@ from operator import add, ge, sub
 from typing import Iterator, Sequence
 
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
-from labelsplit.lts import Edge, Lts, SpanningTree, spanning_tree
+from labelsplit.lts import Edge, Lts, spanning_tree, walk
 from labelsplit.petri import (
     Marking,
     NotEnabled,
@@ -90,29 +90,28 @@ def in_span(rows: Sequence[Sequence], vector: Sequence) -> bool:
     return len(rref(rows)[1]) == len(rref([*rows, vector])[1])
 
 
-def state_parikh(tree: SpanningTree, state: str) -> tuple[int, ...]:
+def state_parikh(lts: Lts, state: str) -> tuple[int, ...]:
     """Label counts along the tree path from the initial state to `state`,
     found by climbing parent edges."""
-    lts = tree.lts
     if state not in lts.states:
         raise ValueError(f"unknown state: {state}")
+    parent = spanning_tree(lts)
     idx = lts.label_index()
     counts = [0] * len(lts.labels)
     while state != lts.initial:
-        e = lts.edges[tree.parent_edge[state]]
+        e = lts.edges[parent[state]]
         counts[idx[e.label]] += 1
         state = e.source
     return tuple(counts)
 
 
-def edge_parikh(tree: SpanningTree, edge_index: int) -> tuple[int, ...]:
+def edge_parikh(lts: Lts, edge_index: int) -> tuple[int, ...]:
     """Parikh vector of an edge s -t-> s' relative to the tree:
     parikh(s) + unit(t) - parikh(s'). Zero exactly on tree edges."""
-    lts = tree.lts
     if not 0 <= edge_index < len(lts.edges):
         raise ValueError(f"unknown edge index: {edge_index}")
     e = lts.edges[edge_index]
-    v = [a - b for a, b in zip(state_parikh(tree, e.source), state_parikh(tree, e.target))]
+    v = [a - b for a, b in zip(state_parikh(lts, e.source), state_parikh(lts, e.target))]
     v[lts.labels.index(e.label)] += 1
     return tuple(v)
 
@@ -126,7 +125,7 @@ def state_signature(lts: Lts, basis: Sequence[Sequence], state: str) -> tuple:
     for b in basis:
         if len(b) != len(lts.labels):
             raise ValueError("basis vector length does not match label count")
-    p = state_parikh(spanning_tree(lts), state)
+    p = state_parikh(lts, state)
     return tuple(dot(b, p) for b in basis)
 
 
@@ -139,8 +138,7 @@ def ssp_solvable(lts: Lts, s: str, t: str) -> tuple[int, ...] | None:
     """
     if s == t:
         raise ValueError(f"state separation needs two distinct states, got {s} twice")
-    tree = spanning_tree(lts)
-    diff = tuple(a - b for a, b in zip(state_parikh(tree, s), state_parikh(tree, t)))
+    diff = tuple(a - b for a, b in zip(state_parikh(lts, s), state_parikh(lts, t)))
     for e in effect_space(lts):
         if dot(e, diff) != 0:
             return e
@@ -217,7 +215,6 @@ def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
     first block keeps the label's column, each further block gets its own),
     block-column Parikh vectors of the chords eliminated in integers, their
     effect basis, and pairwise distinct signatures along the tree."""
-    tree = spanning_tree(lts)
     idx = lts.label_index()
     columns = [idx[e.label] for e in lts.edges]
     cols = len(lts.labels)
@@ -227,8 +224,8 @@ def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
                 columns[i] = cols
             cols += 1
     units = [tuple(int(c == j) for j in range(cols)) for c in range(cols)]
-    parikh = tree.walk(units, columns)
-    tree_edges = tree.tree_edges()
+    parikh = walk(lts, units, columns)
+    tree_edges = set(spanning_tree(lts).values())
     chords = []
     for i, e in enumerate(lts.edges):
         if i not in tree_edges:
@@ -255,13 +252,13 @@ def separation_cut_oracle(
     k of parikh(s)[k] * scale / a_k * row_k, over every edge."""
     search = _Search(lts)
     _, label_rows, scale, classes = search.factored
-    tree = spanning_tree(lts)
+    parent = spanning_tree(lts)
 
     def u(state: str) -> list[int]:
-        parikh, vector = state_parikh(tree, state), [0] * len(lts.edges)
+        parikh, vector = state_parikh(lts, state), [0] * len(lts.edges)
         while state != lts.initial:
-            vector[tree.parent_edge[state]] = scale
-            state = lts.edges[tree.parent_edge[state]].source
+            vector[parent[state]] = scale
+            state = lts.edges[parent[state]].source
         for k, row in label_rows.items():
             for i, x in row.items():
                 if i >= 0:
@@ -392,11 +389,10 @@ def marking_map(lts: Lts, net: PetriNet) -> dict[str, Marking]:
     """Every state's marking: the initial marking plus, for each label, the
     state's tree Parikh count times the transition's effect post - pre,
     place by place."""
-    tree = spanning_tree(lts)
     mapping = {}
     for s in lts.states:
         m = list(net.initial_marking)
-        for count, t in zip(state_parikh(tree, s), lts.labels):
+        for count, t in zip(state_parikh(lts, s), lts.labels):
             for j in range(len(m)):
                 m[j] += count * (net.post[t][j] - net.pre[t][j])
         mapping[s] = tuple(m)

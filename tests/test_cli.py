@@ -122,6 +122,25 @@ def test_rg_bound_exceeded(tmp_path, capsys):
     assert capsys.readouterr().out == "bound-exceeded\n"
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python writes integers of any length",
+)
+def test_rg_marking_too_long_to_name_is_input_error(tmp_path, capsys):
+    # a bounded net whose token count fits the reading rule, but whose
+    # second marking has one digit more than Python writes as a string
+    net = tmp_path / "long.net"
+    nines = "9" * sys.get_int_max_str_digits()
+    net.write_text(f"net\nplace q 1\nplace p {nines}\ntrans t\narc q t 1\narc t p 1\n")
+    out = tmp_path / "rg.lts"
+    assert main(["rg", str(net), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{net}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_rg_bound_below_one_is_input_error(bound, capsys):
     # a bounded net: a bound that is silently ignored gives exit 0, not a hang

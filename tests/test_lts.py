@@ -13,6 +13,7 @@ from labelsplit.lts import (
     parse_lts,
     spanning_tree,
     validate,
+    walk,
 )
 from labelsplit.petri import parse_net, reachability_graph
 from labelsplit.regions import effect_space, is_embeddable
@@ -189,20 +190,19 @@ def test_validate_mixed_violations_exact():
 
 def test_spanning_tree_tree_lts_uses_all_edges():
     lts = load_lts("fig1-left.lts")
-    tree = spanning_tree(lts)
-    assert tree.tree_edges() == frozenset(range(6))
+    assert set(spanning_tree(lts).values()) == set(range(6))
 
 
 def test_spanning_tree_fig2_middle_picks_first_use_edges():
     lts = load_lts("fig2-middle.lts")
-    tree = spanning_tree(lts)
+    parent = spanning_tree(lts)
     # chords are the three c-edges and the duplicate route to s3
-    assert tree.tree_edges() == frozenset({0, 1, 2, 3, 4, 5, 9})
+    assert set(parent.values()) == {0, 1, 2, 3, 4, 5, 9}
     # in the order the search discovers the states
-    assert list(tree.parent_edge.items()) == [
+    assert list(parent.items()) == [
         ("s1", 0), ("s2", 1), ("s3", 5), ("s4", 2), ("s6", 3), ("s5", 9), ("s7", 4)
     ]
-    assert spanning_tree(lts).tree_edges() == tree.tree_edges()  # deterministic
+    assert spanning_tree(load_lts("fig2-middle.lts")) == parent  # deterministic
 
 
 def test_spanning_tree_rejects_unreachable():
@@ -213,30 +213,34 @@ def test_spanning_tree_rejects_unreachable():
 
 def test_spanning_tree_names_first_unreachable_state():
     lts = Lts.from_edges("s0", [("s1", "a", "s2")])
-    with pytest.raises(ValueError, match="^state not reachable from s0: s1$"):
-        spanning_tree(lts)
+    for analyse in (spanning_tree, lambda lts: walk(lts, [(1,)])):
+        with pytest.raises(ValueError, match="^state not reachable from s0: s1$"):
+            analyse(lts)
 
 
 def test_undeclared_initial_state_is_a_value_error():
     # the analyses say what `validate` says, where the search used to fail
     # with a bare KeyError
     lts = Lts(("s0",), (), (), "x")
-    for analyse in (spanning_tree, cycle_base, effect_space, is_embeddable):
+    for analyse in (
+        spanning_tree, lambda lts: walk(lts, []), cycle_base, effect_space, is_embeddable
+    ):
         with pytest.raises(ValueError, match="^initial state x not declared$"):
             analyse(lts)
     assert validate(lts) == ["dangling reference: initial state x not declared"]
 
 
 def test_one_breadth_first_search_per_lts():
-    # validate and every spanning tree read the same memoised parent map
+    # validate reads, and every spanning tree is, the same memoised parent map
     lts = load_lts("fig2-middle.lts")
     assert validate(lts) == []
-    parent = spanning_tree(lts).parent_edge
-    assert spanning_tree(lts).parent_edge is parent
+    parent = spanning_tree(lts)
+    assert parent is lts._parents
+    assert spanning_tree(lts) is parent
     assert validate(lts) == []
-    assert spanning_tree(lts).parent_edge is parent
+    assert spanning_tree(lts) is parent
     cycle_base(lts)
-    assert spanning_tree(lts).parent_edge is parent
+    assert spanning_tree(lts) is parent
 
 
 def test_analysed_lts_equals_and_hashes_like_fresh_copy():
@@ -252,34 +256,32 @@ def test_analysed_lts_equals_and_hashes_like_fresh_copy():
 
 def test_state_parikh_fig2_middle():
     lts = load_lts("fig2-middle.lts")
-    tree = spanning_tree(lts)
     assert lts.labels == ("a", "b", "c")
-    assert state_parikh(tree, "s0") == (0, 0, 0)
-    assert state_parikh(tree, "s3") == (1, 1, 0)
-    assert state_parikh(tree, "s7") == (1, 3, 0)
-    assert state_parikh(tree, "s5") == (1, 2, 0)
+    assert state_parikh(lts, "s0") == (0, 0, 0)
+    assert state_parikh(lts, "s3") == (1, 1, 0)
+    assert state_parikh(lts, "s7") == (1, 3, 0)
+    assert state_parikh(lts, "s5") == (1, 2, 0)
     with pytest.raises(ValueError):
-        state_parikh(tree, "nope")
+        state_parikh(lts, "nope")
 
 
 def test_edge_parikh_zero_on_tree_edges():
     lts = load_lts("fig2-middle.lts")
-    tree = spanning_tree(lts)
-    for i in sorted(tree.tree_edges()):
-        assert edge_parikh(tree, i) == (0, 0, 0)
+    for i in sorted(spanning_tree(lts).values()):
+        assert edge_parikh(lts, i) == (0, 0, 0)
 
 
 def test_edge_parikh_chords_fig2_middle():
     lts = load_lts("fig2-middle.lts")
-    tree = spanning_tree(lts)
-    chords = {i: edge_parikh(tree, i) for i in range(len(lts.edges)) if i not in tree.tree_edges()}
+    tree_edges = set(spanning_tree(lts).values())
+    chords = {i: edge_parikh(lts, i) for i in range(len(lts.edges)) if i not in tree_edges}
     # the parallel route s2 -a-> s3 closes no labels; each c-edge closes a+b+c
     assert chords[8] == (0, 0, 0)
     assert chords[6] == (1, 1, 1)
     assert chords[7] == (1, 1, 1)
     assert chords[10] == (1, 1, 1)
     with pytest.raises(ValueError):
-        edge_parikh(tree, 99)
+        edge_parikh(lts, 99)
 
 
 def test_cycle_base_fig2_middle():
@@ -306,8 +308,8 @@ def test_cycle_base_fig2_left():
 def chord_rref_oracle(lts):
     """The cycle base as first written: `rref` over `Fraction`s of every raw
     chord vector, nonzero rows kept, each scaled to primitive integers."""
-    tree = spanning_tree(lts)
-    chords = [edge_parikh(tree, i) for i in range(len(lts.edges)) if i not in tree.tree_edges()]
+    tree_edges = set(spanning_tree(lts).values())
+    chords = [edge_parikh(lts, i) for i in range(len(lts.edges)) if i not in tree_edges]
     rows, pivots = rref_rows(chords)
     return tuple(rows), pivots
 
@@ -333,17 +335,17 @@ def test_random_walk_parikh_consistency():
     rng = random.Random(5)
     for _ in range(50):
         lts = random_lts(rng)
-        tree = spanning_tree(lts)
+        tree_edges = set(spanning_tree(lts).values())
         idx = lts.label_index()
         n = len(lts.labels)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        assert tree.walk(units) == {s: state_parikh(tree, s) for s in lts.states}
+        assert walk(lts, units) == {s: state_parikh(lts, s) for s in lts.states}
         for i, e in enumerate(lts.edges):
-            v = list(state_parikh(tree, e.source))
+            v = list(state_parikh(lts, e.source))
             v[idx[e.label]] += 1
-            diff = tuple(a - b for a, b in zip(v, state_parikh(tree, e.target)))
-            assert diff == edge_parikh(tree, i)
-            if i in tree.tree_edges():
+            diff = tuple(a - b for a, b in zip(v, state_parikh(lts, e.target)))
+            assert diff == edge_parikh(lts, i)
+            if i in tree_edges:
                 assert diff == tuple(0 for _ in lts.labels)
 
 
@@ -351,12 +353,12 @@ def test_random_chords_in_cycle_base_span():
     rng = random.Random(6)
     for _ in range(50):
         lts = random_lts(rng)
-        tree = spanning_tree(lts)
+        tree_edges = set(spanning_tree(lts).values())
         rows, _ = cycle_base(lts)
         for i in range(len(lts.edges)):
-            if i in tree.tree_edges():
+            if i in tree_edges:
                 continue
-            assert in_span(rows, edge_parikh(tree, i))
+            assert in_span(rows, edge_parikh(lts, i))
 
 
 def test_random_walk_difference_in_cycle_span():
@@ -365,7 +367,6 @@ def test_random_walk_difference_in_cycle_span():
     rng = random.Random(9)
     for _ in range(40):
         lts = random_lts(rng)
-        tree = spanning_tree(lts)
         rows, _ = cycle_base(lts)
         idx = lts.label_index()
         out = {}
@@ -384,7 +385,7 @@ def test_random_walk_difference_in_cycle_span():
             diff = tuple(
                 a + w - b
                 for a, w, b in zip(
-                    state_parikh(tree, start), counts, state_parikh(tree, here)
+                    state_parikh(lts, start), counts, state_parikh(lts, here)
                 )
             )
             assert in_span(rows, diff)

@@ -303,7 +303,7 @@ def chord_rows(lts: Lts) -> list[list[int]]:
     """Each chord's fundamental cycle over the labels, then every edge of a
     label with two or more edges (zero at the others), found by climbing
     the tree from both ends of the chord."""
-    tree = spanning_tree(lts)
+    parent = spanning_tree(lts)
     idx, per_label = lts.label_index(), _Search(lts).per_label
     n = len(lts.labels)
 
@@ -311,14 +311,14 @@ def chord_rows(lts: Lts) -> list[list[int]]:
         v = [0] * (n + len(lts.edges))
         for state, sign in ends:
             while state != lts.initial:
-                i = tree.parent_edge[state]
+                i = parent[state]
                 v[idx[lts.edges[i].label]] += sign
                 v[n + i] += sign
                 state = lts.edges[i].source
         return v
 
     rows = []
-    for i in sorted(set(range(len(lts.edges))) - tree.tree_edges()):
+    for i in sorted(set(range(len(lts.edges))) - set(parent.values())):
         e = lts.edges[i]
         v = row((e.source, 1), (e.target, -1))
         v[idx[e.label]] += 1
