@@ -10,6 +10,8 @@ The breadth-first search from the initial state runs once per `Lts` (the
 memoised `Lts._parents`): `validate` reads it, `spanning_tree` returns it
 as the tree, each state's incoming tree edge, and `walk` sums steps down it.
 `cycle_base` returns the integer echelon `(rows, pivots)` of the chords.
+`Lts.from_edges`, which `parse_lts` feeds line by line, builds in one pass
+and keeps one string per name, shared by `states`/`labels` and every edge.
 The reading rules of all three text formats (lines, headers, integer
 tokens) live here, next to `FormatError`, and the other parsers use them.
 """
@@ -20,7 +22,6 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import chain
 from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -47,17 +48,15 @@ class Lts:
     initial: str
 
     @classmethod
-    def from_edges(cls, initial: str, edges: Iterable[tuple[str, str, str]]) -> "Lts":
-        """Build with first-use ordering: initial state first, then states and
-        labels in order of first appearance along the edge list. `Edge`
-        values are kept as they are; other triples are wrapped."""
-        edge_tuples = tuple(edges)
-        if not set(map(type, edge_tuples)) <= {Edge}:
-            edge_tuples = tuple(e if isinstance(e, Edge) else Edge(*e) for e in edge_tuples)
-        ends = chain.from_iterable(map(itemgetter(0, 2), edge_tuples))
-        states = tuple(dict.fromkeys(chain((initial,), ends)))
-        labels = tuple(dict.fromkeys(map(itemgetter(1), edge_tuples)))
-        return cls(states, labels, edge_tuples, initial)
+    def from_edges(cls, initial: str, edges: Iterable[Sequence[str]]) -> "Lts":
+        """Build in one pass, with first-use ordering: initial state first, then
+        states and labels in order of first appearance along the edges. Each
+        name is kept as one string, which `states`/`labels` and every edge share."""
+        states = {initial: initial}
+        labels: dict[str, str] = {}
+        state, label = states.setdefault, labels.setdefault
+        kept = tuple(_edge((state(s, s), label(t, t), state(d, d))) for s, t, d in edges)
+        return cls(tuple(states), tuple(labels), kept, initial)
 
     def label_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.labels)}
@@ -179,18 +178,23 @@ def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
     `(rows, pivots)` of `linalg.integer_echelon`. The chord of an edge
     s -t-> s' off the tree is parikh(s) + unit(t) - parikh(s'), where
     parikh counts the labels on a state's tree path. The rows span the cycle
-    space of the underlying graph, whatever tree the chords close."""
+    space of the graph, whatever tree the chords close; each distinct chord is read once."""
     n = len(lts.labels)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     parikh = walk(lts, units)
-    idx = lts.label_index()
+    unit = dict(zip(lts.labels, units))
     tree_edges = set(spanning_tree(lts).values())
-    chords = (
-        list(map(sub, map(add, parikh[e.source], units[idx[e.label]]), parikh[e.target]))
-        for i, e in enumerate(lts.edges)
-        if i not in tree_edges
-    )
-    return integer_echelon(chords, n)
+
+    def chords() -> Iterator[tuple[int, ...]]:
+        seen: set[tuple[int, ...]] = set()
+        for i, e in enumerate(lts.edges):
+            if i not in tree_edges:
+                c = tuple(map(sub, map(add, parikh[e.source], unit[e.label]), parikh[e.target]))
+                if c not in seen:
+                    seen.add(c)
+                    yield c
+
+    return integer_echelon(chords(), n)
 
 
 # --- text format --------------------------------------------------------
@@ -215,7 +219,8 @@ def parse_lts(text: str) -> Lts:
 
     `#` starts a comment; blank lines are ignored. Raises FormatError with a
     line number on malformed input. The parsed system is not validated here;
-    run `validate` for the structural contract.
+    run `validate` for the structural contract. Each edge line goes straight
+    to `Lts.from_edges`: one pass, one string per state or label name.
     """
     lines = _content_lines(text, "#")
     n = _expect_header(lines, "lts")
@@ -224,13 +229,14 @@ def parse_lts(text: str) -> Lts:
         raise FormatError(n, "missing 'initial' line")
     if len(parts) != 2 or parts[0] != "initial":
         raise FormatError(n, "expected 'initial <state>'")
-    initial = parts[1]
-    edges: list[Edge] = []
+    return Lts.from_edges(parts[1], _edge_tokens(lines))
+
+
+def _edge_tokens(lines: Iterator[tuple[int, list[str]]]) -> Iterator[list[str]]:
     for n, parts in lines:
         if parts[0] != "edge" or len(parts) != 4:
             raise FormatError(n, "expected 'edge <source> <label> <target>'")
-        edges.append(_edge(parts[1:]))
-    return Lts.from_edges(initial, edges)
+        yield parts[1:]
 
 
 def format_lts(lts: Lts) -> str:

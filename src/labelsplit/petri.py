@@ -15,6 +15,7 @@ region machinery and the token game meet in `verify_embedding`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -128,7 +129,14 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
                     target = ids[succ] = len(order)
                     order.append(succ)
                 arcs.append((source, t, target))
-    names = [marking_name(net, m) for m in order]
+    try:
+        names = [marking_name(net, m) for m in order]
+    except ValueError:  # `str` writes no int of more digits than Python's limit
+        digits = sys.get_int_max_str_digits()
+        too_long = 10**digits
+        place = next(p for m in order for p, k in zip(net.places, m) if k >= too_long)
+        message = f"place {place} reaches a token count of more than {digits} digits"
+        raise ValueError(f"{message}, too long to write in a state name") from None
     return Lts(
         states=tuple(names),
         labels=net.transitions,

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import load_lts, random_lts, ring_net
+import labelsplit.lts as lts_module
+from helpers import FIXTURES, load_lts, random_lts, ring_net
+from labelsplit.linalg import integer_echelon
 from labelsplit.lts import (
     Edge,
     FormatError,
@@ -327,6 +329,76 @@ def test_cycle_base_equals_rref_of_chords_ring(places, tokens):
     rows, pivots = cycle_base(rg)
     assert (rows, pivots) == chord_rref_oracle(rg)
     assert rows == ((1,) * places,)  # every cycle of a ring fires each transition equally
+
+
+RING_4_20 = reachability_graph(ring_net(4, 20))
+LTS_FILES = sorted(FIXTURES.glob("**/*.lts"))
+
+
+def echelon_counting_reads(vectors, cols):
+    """`integer_echelon` on `vectors`, and how many of them it read."""
+    read = 0
+
+    def each():
+        nonlocal read
+        for v in vectors:
+            read += 1
+            yield v
+
+    return integer_echelon(each(), cols), read
+
+
+def count_cycle_base_reads(monkeypatch):
+    """Wrap the `integer_echelon` that `cycle_base` calls: the returned list
+    gets the number of vectors each call reads."""
+    reads = []
+
+    def counting(vectors, cols):
+        result, read = echelon_counting_reads(vectors, cols)
+        reads.append(read)
+        return result
+
+    monkeypatch.setattr(lts_module, "integer_echelon", counting)
+    return reads
+
+
+def test_cycle_base_reads_each_distinct_chord_once(monkeypatch):
+    reads = count_cycle_base_reads(monkeypatch)
+    assert len(RING_4_20.edges) - len(spanning_tree(RING_4_20)) == 4390
+    assert cycle_base(RING_4_20) == (((1, 1, 1, 1),), (0,))
+    assert reads == [2]  # the zero chord and (1, 1, 1, 1)
+
+
+def test_cycle_base_reads_no_more_chords_than_before(monkeypatch):
+    # before, every chord was read, repeats too, until the rank reached |labels|
+    reads = count_cycle_base_reads(monkeypatch)
+    rng = random.Random(43)
+    early = fewer = 0
+    for _ in range(150):
+        lts = random_lts(rng, max_states=8, max_labels=3, extra_edges=10)
+        tree_edges = set(spanning_tree(lts).values())
+        chords = [edge_parikh(lts, i) for i in range(len(lts.edges)) if i not in tree_edges]
+        result, before = echelon_counting_reads(chords, len(lts.labels))
+        assert cycle_base(lts) == result
+        assert reads[-1] <= before
+        early += before < len(chords)
+        fewer += reads[-1] < before
+    assert early and fewer  # full rank early, and repeats skipped, both happen
+
+
+@pytest.mark.parametrize(
+    "text",
+    [path.read_text() for path in LTS_FILES] + [format_lts(RING_4_20)],
+    ids=[path.name for path in LTS_FILES] + ["ring-4-20-rg"],
+)
+def test_parsed_names_are_shared(text):
+    lts = parse_lts(text)
+    state = {s: s for s in lts.states}
+    label = {t: t for t in lts.labels}
+    assert lts.states[0] is lts.initial
+    for e in lts.edges:
+        assert e.source is state[e.source] and e.target is state[e.target]
+        assert e.label is label[e.label]
 
 
 def test_random_walk_parikh_consistency():

@@ -76,6 +76,34 @@ def test_lts_round_trip(seed):
 
 
 @st.composite
+def loose_lts(draw):
+    """An `Lts` over a few names, valid or not: drawn declarations, initial
+    state and edges, repeats and self-loops allowed."""
+    states = st.sampled_from(["s0", "s1", "s2", "s3"])
+    labels = st.sampled_from(["a", "b", "c"])
+    return Lts(
+        tuple(draw(st.lists(states, max_size=4))),
+        tuple(draw(st.lists(labels, max_size=3))),
+        tuple(draw(st.lists(st.builds(Edge, states, labels, states), max_size=8))),
+        draw(states),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(loose_lts())
+@example(Lts((), (), (Edge("s0", "a", "s2"), Edge("s2", "b", "s1")), "s1"))  # initial seen last
+@example(Lts((), (), (Edge("s0", "a", "s0"), Edge("s0", "b", "s1")), "s0"))  # a self-loop
+@example(Lts(("s0",), (), (), "s0"))  # no edges
+def test_parse_lts_builds_like_from_edges(lts):
+    parsed = parse_lts(format_lts(lts))
+    assert parsed == Lts.from_edges(lts.initial, lts.edges)
+    ends = [s for e in lts.edges for s in (e.source, e.target)]
+    assert parsed.states == tuple(dict.fromkeys([lts.initial, *ends]))
+    assert parsed.labels == tuple(dict.fromkeys(e.label for e in lts.edges))
+    assert parsed.edges == lts.edges and all(type(e) is Edge for e in parsed.edges)
+
+
+@st.composite
 def sparse_nets(draw):
     """A net built from drawn arc maps keyed (place, transition), returned
     with the maps: (net, consume, produce)."""
