@@ -6,12 +6,19 @@ keep a canonical order (order of first appearance), and everything downstream
 (spanning trees, Parikh vectors, splitting witnesses) is indexed against that
 order, so two structurally equal systems behave identically.
 
-The breadth-first search from the initial state runs once per `Lts` (the
-memoised `Lts._parents`): `validate` reads it, `spanning_tree` returns it
-as the tree, each state's incoming tree edge, and `walk` sums steps down it.
-`cycle_base` returns the integer echelon `(rows, pivots)` of the chords.
-`Lts.from_edges`, which `parse_lts` feeds line by line, builds in one pass
-and keeps one string per name, shared by `states`/`labels` and every edge.
+Every edge also has an integer source, label and target, the memoised
+`Lts.columns`, which index `states` and `labels`. `Lts.from_edges`, which
+`parse_lts` feeds line by line, fills them in its one pass and builds the
+edges from them, so each name is one string, shared by `states`/`labels` and
+every edge; an `Lts` built directly computes them from its names on first
+use. The analyses index lists through the columns instead of hashing names.
+The breadth-first search from the initial state runs once per `Lts` over
+the columns (the memoised `Lts._parents`): `validate` reads it,
+`spanning_tree` returns it as the tree, each state's incoming tree edge, and
+`walk` sums steps down it into a list in state order. `validate` finds
+undeclared names as None in the columns and repeated (source, label) pairs
+as repeated integer keys. `cycle_base` returns the integer echelon `(rows,
+pivots)` of the chords.
 The reading rules of all three text formats (lines, headers, integer
 tokens) live here, next to `FormatError`, and the other parsers use them.
 """
@@ -19,7 +26,6 @@ tokens) live here, next to `FormatError`, and the other parsers use them.
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import add, itemgetter, sub
@@ -51,41 +57,73 @@ class Lts:
     def from_edges(cls, initial: str, edges: Iterable[Sequence[str]]) -> "Lts":
         """Build in one pass, with first-use ordering: initial state first, then
         states and labels in order of first appearance along the edges. Each
-        name is kept as one string, which `states`/`labels` and every edge share."""
-        states = {initial: initial}
-        labels: dict[str, str] = {}
-        state, label = states.setdefault, labels.setdefault
-        kept = tuple(_edge((state(s, s), label(t, t), state(d, d))) for s, t, d in edges)
-        return cls(tuple(states), tuple(labels), kept, initial)
+        name is kept as one string, which `states`/`labels` and every edge
+        share; the pass also fills `columns`, and the edges are built from them."""
+        state_ids = {initial: 0}
+        label_ids: dict[str, int] = {}
+        state, label = state_ids.setdefault, label_ids.setdefault
+        src: list[int] = []
+        lab: list[int] = []
+        dst: list[int] = []
+        for s, t, d in edges:
+            src.append(state(s, len(state_ids)))
+            lab.append(label(t, len(label_ids)))
+            dst.append(state(d, len(state_ids)))
+        states, labels = tuple(state_ids), tuple(label_ids)
+        names = [states[s] for s in src], [labels[t] for t in lab], [states[d] for d in dst]
+        kept = tuple(map(_edge, zip(*names)))
+        lts = cls(states, labels, kept, initial)
+        lts.__dict__["columns"] = (src, lab, dst)  # where `cached_property` keeps it
+        return lts
 
-    def label_index(self) -> dict[str, int]:
-        return {t: i for i, t in enumerate(self.labels)}
+    @cached_property
+    def columns(self) -> tuple[list[int | None], list[int | None], list[int | None]]:
+        """Per edge, in edge order: the source, label and target as indices
+        into `states` or `labels`, by first occurrence; None for a name that
+        is not declared. `from_edges` fills them in its pass; an `Lts` built
+        directly computes them here, once. They must not be mutated."""
+        state_ids: dict[str, int] = {}
+        label_ids: dict[str, int] = {}
+        for i, s in enumerate(self.states):
+            state_ids.setdefault(s, i)
+        for i, t in enumerate(self.labels):
+            label_ids.setdefault(t, i)
+        state, label = state_ids.get, label_ids.get
+        return (
+            [state(e.source) for e in self.edges],
+            [label(e.label) for e in self.edges],
+            [state(e.target) for e in self.edges],
+        )
 
     @cached_property
     def _parents(self) -> dict[str, int]:
         """Breadth-first search from the initial state, which must be declared,
-        taking each state's edges in canonical order and skipping edges with
-        an undeclared end: the index of the edge that first reached each
-        state, in discovery order. Run once per LTS: `validate` reads it and
-        `spanning_tree` returns it; equality and hashing see only the fields above."""
-        edges = self.edges
-        out: dict[str, list[int]] = {s: [] for s in self.states}
-        for i, e in enumerate(edges):
-            succ = out.get(e.source)
-            if succ is not None:
-                succ.append(i)
-        if self.initial not in out:
-            raise ValueError(f"initial state {self.initial} not declared")
+        over `columns`, taking each state's edges in canonical order and
+        skipping edges with an undeclared end: the index of the edge that
+        first reached each state, in discovery order. Run once per LTS:
+        `validate` reads it and `spanning_tree` returns it; equality and
+        hashing see only the fields above."""
+        try:
+            root = self.states.index(self.initial)
+        except ValueError:
+            raise ValueError(f"initial state {self.initial} not declared") from None
+        src, _, dst = self.columns
+        out: list[list[int]] = [[] for _ in self.states]
+        for i, s, d in zip(range(len(src)), src, dst):
+            if s is not None is not d:
+                out[s].append(i)
+        states = self.states
         parent: dict[str, int] = {}
-        reached = {self.initial}
-        frontier = deque([self.initial])
-        while frontier:
-            for i in out[frontier.popleft()]:
-                target = edges[i].target
-                if target not in reached and target in out:
-                    reached.add(target)
-                    parent[target] = i
-                    frontier.append(target)
+        reached = [False] * len(states)
+        reached[root] = True
+        frontier = [root]  # the queue: read on while it grows
+        for s in frontier:
+            for i in out[s]:
+                d = dst[i]
+                if not reached[d]:
+                    reached[d] = True
+                    parent[states[d]] = i
+                    frontier.append(d)
         return parent
 
 
@@ -98,40 +136,39 @@ def validate(lts: Lts) -> list[str]:
     problems: list[str] = []
     dangling = "dangling reference: "
     state_set = set(lts.states)
-    label_set = set(lts.labels)
     if len(state_set) != len(lts.states):
         problems.append(f"{dangling}duplicate state declaration")
-    if len(label_set) != len(lts.labels):
+    if len(set(lts.labels)) != len(lts.labels):
         problems.append(f"{dangling}duplicate label declaration")
     if lts.initial not in state_set:
         problems.append(f"{dangling}initial state {lts.initial} not declared")
     edges = lts.edges
-    # whole-list checks first; the per-edge loops only say where they fail
-    declared = (
-        state_set.issuperset(map(itemgetter(0), edges))
-        and label_set.issuperset(map(itemgetter(1), edges))
-        and state_set.issuperset(map(itemgetter(2), edges))
-    )
+    src, lab, dst = lts.columns
+    # whole-column checks first; the per-edge loops only say where they fail
+    declared = None not in src and None not in lab and None not in dst
     if not declared:
         for i, e in enumerate(edges):
-            if e.source not in state_set:
+            if src[i] is None:
                 problems.append(f"{dangling}edge {i} source {e.source} not declared")
-            if e.target not in state_set:
+            if dst[i] is None:
                 problems.append(f"{dangling}edge {i} target {e.target} not declared")
-            if e.label not in label_set:
+            if lab[i] is None:
                 problems.append(f"{dangling}edge {i} label {e.label} not declared")
-    if len(set(map(itemgetter(0, 1), edges))) != len(edges):
-        seen_pairs: set[tuple[str, str]] = set()
-        for e in edges:
-            key = (e.source, e.label)
-            if key in seen_pairs:
+    # one key per (source, label) pair: integers, or the names where one is undeclared
+    n = len(lts.labels)
+    keys = [s * n + t for s, t in zip(src, lab)] if declared else list(map(itemgetter(0, 1), edges))
+    if len(set(keys)) != len(keys):
+        seen: set = set()
+        for e, key in zip(edges, keys):
+            if key in seen:
                 problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
-            seen_pairs.add(key)
+            seen.add(key)
     if lts.initial in state_set:
         parent = lts._parents
-        problems += [
-            f"unreachable state: {s}" for s in lts.states if s != lts.initial and s not in parent
-        ]
+        if len(parent) + 1 != len(lts.states):
+            problems += [
+                f"unreachable state: {s}" for s in lts.states if s != lts.initial and s not in parent
+            ]
     return problems
 
 
@@ -155,21 +192,22 @@ def walk(
     steps: Sequence[tuple[int, ...]],
     columns: Sequence[int] | None = None,
     start: tuple[int, ...] | None = None,
-) -> dict[str, tuple[int, ...]]:
+) -> list[tuple[int, ...]]:
     """Sum one step per tree edge along every state's tree path in one
     pass down the tree: value(child) = value(parent) + steps[columns[i]]
     for the tree edge i into the child, and `start` (zeros by default) at
-    the initial state. `columns` maps each edge index to a step; by
-    default an edge takes the step of its label."""
+    the initial state. The values are listed in state order. `columns`
+    maps each edge index to a step; by default an edge takes the step of
+    its label (the label column of `Lts.columns`)."""
     parent = spanning_tree(lts)
+    src, lab, dst = lts.columns
     if columns is None:
-        idx = lts.label_index()
-        columns = [idx[e.label] for e in lts.edges]
+        columns = lab
     if start is None:
         start = (0,) * (len(steps[0]) if steps else 0)
-    values = {lts.initial: start}
-    for state, i in parent.items():  # parents are discovered first
-        values[state] = tuple(map(add, values[lts.edges[i].source], steps[columns[i]]))
+    values = [start] * len(lts.states)  # every state but the initial one is set below
+    for i in parent.values():  # parents are discovered first
+        values[dst[i]] = tuple(map(add, values[src[i]], steps[columns[i]]))
     return values
 
 
@@ -182,14 +220,13 @@ def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
     n = len(lts.labels)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     parikh = walk(lts, units)
-    unit = dict(zip(lts.labels, units))
     tree_edges = set(spanning_tree(lts).values())
 
     def chords() -> Iterator[tuple[int, ...]]:
         seen: set[tuple[int, ...]] = set()
-        for i, e in enumerate(lts.edges):
+        for i, s, t, d in zip(range(len(lts.edges)), *lts.columns):
             if i not in tree_edges:
-                c = tuple(map(sub, map(add, parikh[e.source], unit[e.label]), parikh[e.target]))
+                c = tuple(map(sub, map(add, parikh[s], units[t]), parikh[d]))
                 if c not in seen:
                     seen.add(c)
                     yield c

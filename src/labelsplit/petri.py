@@ -5,8 +5,11 @@ declared place order, and so are a transition's arc weights: `pre[t]` is what
 t takes from each place, `post[t]` what it puts back, and firing t turns
 marking M into M - pre[t] + post[t]. `PetriNet.moves` holds each transition's
 input arcs and effect post[t] - pre[t], made once per net. `reachability_graph`
-tests enabling on them inline, so a disabled transition raises nothing;
-`verify_embedding` replays each LTS edge through `fire`, its independent check.
+tests enabling on them inline, so a disabled transition raises nothing, and
+builds its `Lts` from names, whose `columns` it never reads.
+`verify_embedding` keeps its markings in a list by state id, reads each
+edge's ends from `Lts.columns` and replays the edge through `fire`, its
+independent check.
 Synthesis makes one place per region, so `pre[t]` and `post[t]` hold label
 t's consume and produce weight in every region. The reachability graph is
 itself an `Lts` whose states are canonical marking names, which lets the
@@ -183,24 +186,26 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
     effects = [net.moves[t][1] for t in lts.labels]
-    mapping = walk(lts, effects, start=net.initial_marking)
+    markings = walk(lts, effects, start=net.initial_marking)  # by state id
+    mapping = dict(zip(lts.states, markings))
     # all markings at once; the ordered loops only name the first violation
-    if min(chain.from_iterable(mapping.values()), default=0) < 0:
-        s = next(s for s in lts.states if min(mapping[s]) < 0)
+    if min(chain.from_iterable(markings), default=0) < 0:
+        s = next(s for s, m in zip(lts.states, markings) if min(m) < 0)
         return Verification(False, mapping, f"negative-marking {s}")
-    if len(set(mapping.values())) != len(mapping):
+    if len(set(markings)) != len(markings):
         seen: dict[Marking, str] = {}
-        for s in lts.states:
-            if seen.setdefault(mapping[s], s) != s:
-                return Verification(False, mapping, f"not-injective {seen[mapping[s]]} {s}")
-    for e in lts.edges:
+        for s, m in zip(lts.states, markings):
+            if seen.setdefault(m, s) != s:
+                return Verification(False, mapping, f"not-injective {seen[m]} {s}")
+    src, _, dst = lts.columns
+    for e, s, d in zip(lts.edges, src, dst):
         try:
-            fired = fire(net, mapping[e.source], e.label)
+            fired = fire(net, markings[s], e.label)
         except NotEnabled as short:
             return Verification(
                 False, mapping, f"not-enabled {e.source} {e.label} {short.place}"
             )
-        if fired != mapping[e.target]:
+        if fired != markings[d]:
             return Verification(
                 False, mapping, f"edge-mismatch {e.source} {e.label} {e.target}"
             )

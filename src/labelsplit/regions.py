@@ -80,8 +80,8 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
 
 def _report(lts: Lts, basis: list[EffectVector]) -> EmbeddabilityReport:
     """Signatures under `basis` and the first collision in state order."""
-    sums = walk(lts, list(zip(*basis))) if basis else dict.fromkeys(lts.states, ())
-    signatures = {s: sums[s] for s in lts.states}
+    sums = walk(lts, list(zip(*basis))) if basis else [()] * len(lts.states)
+    signatures = dict(zip(lts.states, sums))
     first_owner: dict[tuple[int, ...], str] = {}
     for s, sig in signatures.items():
         if sig in first_owner:
@@ -106,7 +106,7 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
         if sum(map(mul, row, effect)):
             raise ValueError("effect vector has nonzero work around a cycle of the LTS")
     sums = walk(lts, [(x,) for x in effect])
-    return _region(lts, effect, {s: w for s, (w,) in sums.items()})
+    return _region(lts, effect, {s: w for s, (w,) in zip(lts.states, sums)})
 
 
 def _region(lts: Lts, effect: EffectVector, sums: dict[str, int]) -> Region:

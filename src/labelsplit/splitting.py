@@ -246,11 +246,11 @@ class _Search:
 
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
-        index = lts.label_index()
-        self.label_columns = [index[e.label] for e in lts.edges]
+        self.label_columns = lts.columns[1]
         self.per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
-        for i, e in enumerate(lts.edges):
-            self.per_label[e.label].append(i)
+        edges_of = list(self.per_label.values())
+        for i, k in enumerate(self.label_columns):
+            edges_of[k].append(i)
         self.conflicts = conflict_pairs(lts)
         # most edges first; a label without edges has nothing to split
         self.order = [
@@ -267,44 +267,52 @@ class _Search:
             self.capacity[d] = self.capacity[d + 1] + len(self.per_label[self.order[d]]) - 1
 
     @cached_property
-    def depth(self) -> dict[str, int]:
-        edges, depth = self.lts.edges, {self.lts.initial: 0}
-        for state, i in spanning_tree(self.lts).items():  # parents are discovered first
-            depth[state] = depth[edges[i].source] + 1
-        return depth
+    def tree(self) -> tuple[list[int | None], list[int]]:
+        """Per state id: the tree edge into it (None at the initial state)
+        and its depth in the tree."""
+        src, _, dst = self.lts.columns
+        into: list[int | None] = [None] * len(self.lts.states)
+        depth = [0] * len(self.lts.states)
+        for i in spanning_tree(self.lts).values():  # parents are discovered first
+            into[dst[i]] = i
+            depth[dst[i]] = depth[src[i]] + 1
+        return into, depth
 
-    def path(self, s: str, t: str) -> dict[int, int]:
-        """The tree edges below the common ancestor of s and t: +1 to s, -1 to t."""
-        lts, parent, depth = self.lts, spanning_tree(self.lts), self.depth
+    def path(self, s: int, t: int) -> dict[int, int]:
+        """The tree edges below the common ancestor of states s and t (ids):
+        +1 to s, -1 to t."""
+        src = self.lts.columns[0]
+        into, depth = self.tree
         path = {}
         while s != t:
             if depth[s] >= depth[t]:
-                path[parent[s]] = 1
-                s = lts.edges[parent[s]].source
+                path[into[s]] = 1
+                s = src[into[s]]
             else:
-                path[parent[t]] = -1
-                t = lts.edges[parent[t]].source
+                path[into[t]] = -1
+                t = src[into[t]]
         return path
 
     @cached_property
-    def factored(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int, list[list[str]]]:
+    def factored(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int, list[list[int]]]:
         """Sparse chord rows over labels (key ~label) and splittable edges
         (those of labels with two or more edges), label columns eliminated:
         the remainder rows; the label rows by pivot label p_k, pivot a_k;
-        scale = lcm(a_k); and the classes, two or more states with equal
-        unsplit signatures. u_s = scale * (splittable edges on the path to s)
+        scale = lcm(a_k); and the classes, two or more states (ids) with
+        equal unsplit signatures. u_s = scale * (splittable edges on the path to s)
         - sum over k of parikh(s)[p_k] * scale / a_k * row_k."""
-        lts, label = self.lts, self.label_columns
+        lts = self.lts
+        src, label, dst = lts.columns
         splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
         tree_edges = set(spanning_tree(lts).values())
         label_rows: dict[int, dict[int, int]] = {}
         remainder = []
-        for i, e in enumerate(lts.edges):
+        for i in range(len(lts.edges)):
             if i in tree_edges:
                 continue
             # the fundamental cycle: the chord s -> t and the tree path from
             # s up to the common ancestor count +1, the path from t -1
-            cycle = {i: 1, **self.path(e.source, e.target)}
+            cycle = {i: 1, **self.path(src[i], dst[i])}
             row = {j: sign for j, sign in cycle.items() if j in splittable}
             for j, sign in cycle.items():
                 row[~label[j]] = row.get(~label[j], 0) + sign
@@ -329,9 +337,9 @@ class _Search:
         for k, row in label_rows.items():
             steps[k] = tuple(-(scale // row[~k]) * row.get(~j, 0) for j in free)
         sums = walk(lts, steps)
-        groups: dict[tuple[int, ...], list[str]] = {}
-        for s in lts.states:
-            groups.setdefault(sums[s], []).append(s)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for s, signature in enumerate(sums):
+            groups.setdefault(signature, []).append(s)
         classes = [g for g in groups.values() if len(g) > 1]
         return remainder, label_rows, scale, classes
 

@@ -96,7 +96,7 @@ def state_parikh(lts: Lts, state: str) -> tuple[int, ...]:
     if state not in lts.states:
         raise ValueError(f"unknown state: {state}")
     parent = spanning_tree(lts)
-    idx = lts.label_index()
+    idx = {t: k for k, t in enumerate(lts.labels)}
     counts = [0] * len(lts.labels)
     while state != lts.initial:
         e = lts.edges[parent[state]]
@@ -215,7 +215,7 @@ def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
     first block keeps the label's column, each further block gets its own),
     block-column Parikh vectors of the chords eliminated in integers, their
     effect basis, and pairwise distinct signatures along the tree."""
-    idx = lts.label_index()
+    idx = {t: k for k, t in enumerate(lts.labels)}
     columns = [idx[e.label] for e in lts.edges]
     cols = len(lts.labels)
     for blocks in chosen.values():
@@ -224,7 +224,7 @@ def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
                 columns[i] = cols
             cols += 1
     units = [tuple(int(c == j) for j in range(cols)) for c in range(cols)]
-    parikh = walk(lts, units, columns)
+    parikh = dict(zip(lts.states, walk(lts, units, columns)))
     tree_edges = set(spanning_tree(lts).values())
     chords = []
     for i, e in enumerate(lts.edges):
@@ -265,7 +265,7 @@ def separation_cut_oracle(
                     vector[i] -= parikh[k] * (scale // row[~k]) * x
         return vector
 
-    us = {s: u(s) for group in classes for s in group}
+    us = {s: u(lts.states[s]) for group in classes for s in group}
     differences = [
         [a - b for a, b in zip(us[s], us[t])] for group in classes for s, t in itertools.combinations(group, 2)
     ]

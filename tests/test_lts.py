@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import labelsplit.lts as lts_module
-from helpers import FIXTURES, load_lts, random_lts, ring_net
+from helpers import FIXTURES, load_lts, load_net, random_lts, ring_net
 from labelsplit.linalg import integer_echelon
 from labelsplit.lts import (
     Edge,
@@ -17,7 +17,7 @@ from labelsplit.lts import (
     validate,
     walk,
 )
-from labelsplit.petri import parse_net, reachability_graph
+from labelsplit.petri import parse_net, reachability_graph, verify_embedding
 from labelsplit.regions import effect_space, is_embeddable
 from labelsplit.splitting import parse_splitting
 from oracles import edge_parikh, in_span, rref_rows, state_parikh
@@ -232,17 +232,28 @@ def test_undeclared_initial_state_is_a_value_error():
     assert validate(lts) == ["dangling reference: initial state x not declared"]
 
 
-def test_one_breadth_first_search_per_lts():
-    # validate reads, and every spanning tree is, the same memoised parent map
+def test_one_breadth_first_search_per_lts(monkeypatch):
+    # validate reads, and every spanning tree is, the same memoised parent
+    # map; a parsed LTS has its columns from the parse, and no analysis
+    # computes them again from its names
+    def from_names(lts):
+        raise AssertionError("columns computed from names")
+
+    monkeypatch.setattr(Lts.__dict__["columns"], "func", from_names)
     lts = load_lts("fig2-middle.lts")
+    columns = lts.columns
     assert validate(lts) == []
     parent = spanning_tree(lts)
     assert parent is lts._parents
     assert spanning_tree(lts) is parent
     assert validate(lts) == []
     assert spanning_tree(lts) is parent
+    walk(lts, [(1,)] * len(lts.labels))
     cycle_base(lts)
+    assert is_embeddable(lts).embeddable
+    assert verify_embedding(lts, load_net("fig2.net")).embeds
     assert spanning_tree(lts) is parent
+    assert lts.columns is columns
 
 
 def test_analysed_lts_equals_and_hashes_like_fresh_copy():
@@ -408,10 +419,10 @@ def test_random_walk_parikh_consistency():
     for _ in range(50):
         lts = random_lts(rng)
         tree_edges = set(spanning_tree(lts).values())
-        idx = lts.label_index()
+        idx = {t: k for k, t in enumerate(lts.labels)}
         n = len(lts.labels)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        assert walk(lts, units) == {s: state_parikh(lts, s) for s in lts.states}
+        assert walk(lts, units) == [state_parikh(lts, s) for s in lts.states]
         for i, e in enumerate(lts.edges):
             v = list(state_parikh(lts, e.source))
             v[idx[e.label]] += 1
@@ -440,7 +451,7 @@ def test_random_walk_difference_in_cycle_span():
     for _ in range(40):
         lts = random_lts(rng)
         rows, _ = cycle_base(lts)
-        idx = lts.label_index()
+        idx = {t: k for k, t in enumerate(lts.labels)}
         out = {}
         for e in lts.edges:
             out.setdefault(e.source, []).append(e)

@@ -14,11 +14,12 @@ from labelsplit.petri import (
     marking_name,
     parse_net,
     reachability_graph,
+    Verification,
     synthesize,
     verify_embedding,
 )
 from labelsplit.regions import NotEmbeddable, is_embeddable
-from oracles import marking_map
+from oracles import marking_map, verify_embedding_oracle
 
 
 def test_parse_fig2_net():
@@ -332,6 +333,16 @@ def test_verify_embedding_not_enabled_names_first_short_place():
     assert verify_embedding(lts, net).reason == "not-enabled s0 t q"
     net = PetriNet(("p", "q"), ("t",), {"t": (1, 1)}, {"t": (2, 2)}, (0, 0))
     assert verify_embedding(lts, net).reason == "not-enabled s0 t p"
+
+
+def test_verify_embedding_edge_mismatch():
+    # s0 and s1 get markings 0 and 1, and a is enabled at both, but firing
+    # a at s1 gives 2, not s0's marking
+    lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s0")])
+    net = parse_net("net\nplace p 0\ntrans a\narc a p 1\n")
+    outcome = verify_embedding(lts, net)
+    assert outcome == Verification(False, {"s0": (0,), "s1": (1,)}, "edge-mismatch s1 a s0")
+    assert outcome == verify_embedding_oracle(lts, net)
 
 
 def test_verify_embedding_no_labels_maps_to_initial_marking():

@@ -103,6 +103,26 @@ def test_parse_lts_builds_like_from_edges(lts):
     assert parsed.edges == lts.edges and all(type(e) is Edge for e in parsed.edges)
 
 
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(loose_lts())
+@example(Lts(("s0", "s1", "s0"), ("a", "a"), (Edge("s1", "a", "s0"), Edge("s2", "b", "s1")), "s0"))
+def test_from_edges_fills_the_columns_its_names_give(lts):
+    # an Lts built directly computes its columns from its names: each name
+    # by its first occurrence, None where it is not declared
+    def ids(names, k):
+        return [names.index(e[k]) if e[k] in names else None for e in lts.edges]
+
+    assert lts.columns == (ids(lts.states, 0), ids(lts.labels, 1), ids(lts.states, 2))
+    # from_edges fills them in its pass, the same as its names give, and
+    # every edge holds the very strings its columns index
+    built = Lts.from_edges(lts.initial, lts.edges)
+    assert "columns" in vars(built)
+    src, lab, dst = built.columns
+    assert Lts(built.states, built.labels, built.edges, built.initial).columns == (src, lab, dst)
+    for e, s, t, d in zip(built.edges, src, lab, dst):
+        assert built.states[s] is e.source and built.labels[t] is e.label and built.states[d] is e.target
+
+
 @st.composite
 def sparse_nets(draw):
     """A net built from drawn arc maps keyed (place, transition), returned
@@ -280,6 +300,11 @@ ALL_EQUAL = (
     Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s2")]),
     PetriNet((), ("a",), {"a": ()}, {"a": ()}, ()),
 )
+# markings 0 and 1, both edges enabled, but the second fires to 2, not 0
+EDGE_MISMATCH = (
+    Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s0")]),
+    PetriNet(("p",), ("a",), {"a": (0,)}, {"a": (1,)}, (0,)),
+)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -287,6 +312,7 @@ ALL_EQUAL = (
 @example(TWO_SHORT)
 @example(NEGATIVE_TWICE)
 @example(ALL_EQUAL)
+@example(EDGE_MISMATCH)
 def test_verify_embedding_equals_oracle(drawn):
     lts, net = drawn
     assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net)

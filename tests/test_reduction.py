@@ -126,7 +126,7 @@ def test_effect_space_collapse_unsplit():
     lts = build_lts(inst)
     basis = effect_space(lts)
     assert len(basis) == 6
-    idx = lts.label_index()
+    idx = {t: k for k, t in enumerate(lts.labels)}
     free = {"h1", "h2", "h3", "h4", "h5", "h6"}
     for vec in basis:
         for t, i in idx.items():

@@ -304,7 +304,7 @@ def chord_rows(lts: Lts) -> list[list[int]]:
     label with two or more edges (zero at the others), found by climbing
     the tree from both ends of the chord."""
     parent = spanning_tree(lts)
-    idx, per_label = lts.label_index(), _Search(lts).per_label
+    idx, per_label = {t: k for k, t in enumerate(lts.labels)}, _Search(lts).per_label
     n = len(lts.labels)
 
     def row(*ends: tuple[str, int]) -> list[int]:
@@ -337,6 +337,7 @@ def assert_factorisation(lts: Lts) -> _Search:
     for s, sig in is_embeddable(lts).signatures.items():
         groups.setdefault(sig, []).append(s)
     remainder, label_rows, scale, classes = search.factored
+    classes = [[lts.states[s] for s in group] for group in classes]  # ids to names
     assert classes == [g for g in groups.values() if len(g) > 1]
     inseparable = {
         frozenset(pair)
@@ -373,7 +374,7 @@ def test_factorisation_without_cycles():
     # splitting either label separates them
     lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "b", "s3"), ("s0", "b", "s2"), ("s2", "a", "s4")])
     search = assert_factorisation(lts)
-    assert search.factored == ([], {}, 1, [["s3", "s4"]])
+    assert search.factored == ([], {}, 1, [[lts.states.index("s3"), lts.states.index("s4")]])
 
 
 def test_factorisation_without_splittable_labels():
@@ -401,7 +402,7 @@ def test_factorisation_with_every_state_in_one_class():
         "s0", [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s3"), ("s2", "b", "s0"), ("s3", "b", "s0")]
     )
     search = assert_factorisation(lts)
-    assert search.factored[3] == [list(lts.states)]
+    assert search.factored[3] == [list(range(len(lts.states)))]
     assert assert_same(lts, 4)
 
 
