@@ -4,7 +4,8 @@
 ints. Each row it returns is the primitive integer multiple, with a positive
 pivot, of the matching row of the reduced row echelon form, so the rows carry
 the same information without any `Fraction`. `nullspace_basis` reads the
-integer effect basis straight off those rows.
+integer effect basis straight off those rows. `independent` answers the
+rank question alone, by Bareiss's fraction-free forward elimination.
 
 `rref` is the `fractions.Fraction` Gauss-Jordan kept as the oracle the tests
 compare against; the production path never calls it.
@@ -97,6 +98,25 @@ def _eliminate(v: list[int], row: list[int], col: int) -> list[int]:
     w = [a * x - b * y for x, y in zip(v, row)]
     g = gcd(*w)
     return [x // g for x in w] if g > 1 else w
+
+
+def independent(vectors: Sequence[Sequence[int]]) -> bool:
+    """Are `vectors` linearly independent? Bareiss's forward elimination
+    (Math. Comp. 22, 1968): once a row has pivoted, every later entry is a
+    minor of the input, so each division by the previous pivot is exact. No
+    gcd and no back-substitution; a row that reduces to zero is dependent."""
+    rows = [list(v) for v in vectors]
+    previous = 1
+    for k, row in enumerate(rows):
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        pivot = row[col]
+        for j in range(k + 1, len(rows)):
+            x = rows[j][col]
+            rows[j] = [(pivot * a - x * b) // previous for a, b in zip(rows[j], row)]
+        previous = pivot
+    return True
 
 
 def nullspace_basis(rows: IntRows, pivots: Sequence[int], cols: int) -> list[tuple[int, ...]]:

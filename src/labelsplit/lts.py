@@ -183,6 +183,8 @@ def spanning_tree(lts: Lts) -> dict[str, int]:
     parent = lts._parents
     if len(parent) + 1 != len(lts.states):
         missing = [s for s in lts.states if s != lts.initial and s not in parent]
+        if not missing:  # every name reached, so some name is declared twice
+            raise ValueError("duplicate state declaration")
         raise ValueError(f"state not reachable from {lts.initial}: {missing[0]}")
     return parent
 

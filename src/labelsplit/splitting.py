@@ -24,10 +24,13 @@ A leaf of the search never builds its split LTS. With one column per label,
 the sum of its blocks, and one per fresh block, every leaf's cycle base has
 the same label columns, so a search eliminates them from the chord rows once.
 Only states that collide unsplit can collide at a leaf, since splitting
-refines the alphabet. A leaf sums the remaining rows over its fresh blocks,
-takes the effect basis of those few columns and compares each collision
-class under it. A leaf that passes becomes a `LabelSplitting`, confirmed
-with `is_embeddable` on the split LTS before it is returned.
+refines the alphabet. A leaf sums the remaining rows, kept by edge as sparse
+columns, over each fresh block. If those sums have full rank, which one
+fraction-free forward pass certifies, no effect is left to separate a class
+and the leaf fails; otherwise it takes the effect basis of those few columns
+and compares each collision class under it. A leaf that passes becomes a
+`LabelSplitting`, confirmed with `is_embeddable` on the split LTS before it
+is returned.
 
 `optimize` tries one label count after another, each only once every
 smaller count has failed, so a round visits only the splittings with exactly
@@ -45,7 +48,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
-from .linalg import integer_echelon, nullspace_basis
+from .linalg import independent, integer_echelon, nullspace_basis
 from .lts import Edge, FormatError, Lts, _content_lines, _int_token, spanning_tree, walk
 from .regions import is_embeddable
 
@@ -168,17 +171,20 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
 
 
 def set_partitions(
-    count: int, max_blocks: int | None = None, min_blocks: int = 0
-) -> Iterator[list[list[int]]]:
-    """All set partitions of range(count), `min_blocks` to `max_blocks` blocks.
+    items: Sequence[int], max_blocks: int | None = None, min_blocks: int = 0
+) -> Iterator[tuple[list[int], list[list[int]]]]:
+    """All set partitions of `items`, `min_blocks` to `max_blocks` blocks,
+    each with its restricted-growth string: the block of every position.
 
     Restricted-growth-string order, so the single-block partition comes
-    first. Blocks are listed by their smallest element, elements ascending.
-    Iterative, so a label with thousands of edges needs no deep recursion.
+    first. Blocks are listed by their first item, items in their order. Each
+    string is a fresh list. Iterative, so a label with thousands of edges
+    needs no deep recursion.
     """
+    count = len(items)
     cap = count if max_blocks is None else min(max_blocks, count)
     if count == 0 and min_blocks <= 0:
-        yield []
+        yield [], []
     if cap < 1 or cap < min_blocks:
         return
     assign = [0] * count
@@ -189,18 +195,17 @@ def set_partitions(
             for j in range(count - min_blocks + used[i], count):
                 assign[j], used[j] = used[j - 1], used[j - 1] + 1
         blocks: list[list[int]] = [[] for _ in range(used[-1])]
-        for j, b in enumerate(assign):
-            blocks[b].append(j)
-        yield blocks
+        for x, b in zip(items, assign):
+            blocks[b].append(x)
+        yield assign, blocks
         # advance the last position that can still grow (closing no block), reset the rest
         i = count - 1
         while i > 0 and assign[i] + 1 >= min(used[i - 1] + 1, cap):
             i -= 1
         if i == 0:
             return
-        assign[i] += 1
+        assign = [*assign[:i], assign[i] + 1, *[0] * (count - i - 1)]  # the yielded list stays as it was
         used[i] = max(used[i - 1], assign[i] + 1)
-        assign[i + 1 :] = [0] * (count - i - 1)
         used[i + 1 :] = [used[i]] * (count - i - 1)
 
 
@@ -238,11 +243,11 @@ class SplitOutcome:
 
 class _Search:
     """What a search needs that no label budget changes: each label's edge
-    indices, its two-cycle conflicts and the order labels are split in, and
-    for the leaf check the factored cycle base of the unsplit LTS. A
-    splitting changes edge labels, never the graph, so it holds at every
-    leaf. It is built at the first leaf; `optimize` shares one `_Search`
-    across its budget rounds."""
+    indices, its two-cycle conflicts as pairs of positions in them and the
+    order labels are split in, and for the leaf check the factored cycle
+    base of the unsplit LTS. A splitting changes edge labels, never the
+    graph, so it holds at every leaf. It is built at the first leaf;
+    `optimize` shares one `_Search` across its budget rounds."""
 
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
@@ -251,13 +256,11 @@ class _Search:
         edges_of = list(self.per_label.values())
         for i, k in enumerate(self.label_columns):
             edges_of[k].append(i)
-        self.conflicts = conflict_pairs(lts)
+        position = {i: k for edges in edges_of for k, i in enumerate(edges)}
+        pairs = conflict_pairs(lts)
+        self.conflicts = {t: [(position[a], position[b]) for a, b in pairs[t]] for t in lts.labels}
         # most edges first; a label without edges has nothing to split
-        self.order = [
-            t
-            for t in sorted(lts.labels, key=lambda t: -len(self.per_label[t]))
-            if self.per_label[t]
-        ]
+        self.order = sorted((t for t in lts.labels if self.per_label[t]), key=lambda t: -len(self.per_label[t]))
         # suffix[d]: labels from order[d] on that need a second block;
         # capacity[d]: the extra labels they add with every edge in a block
         self.suffix = [0] * (len(self.order) + 1)
@@ -343,26 +346,41 @@ class _Search:
         classes = [g for g in groups.values() if len(g) > 1]
         return remainder, label_rows, scale, classes
 
+    @cached_property
+    def edge_columns(self) -> list[list[tuple[int, int]]]:
+        """The remainder rows of `factored` by edge: per edge index, its
+        (row index, entry) pairs, exactly the rows' nonzeros."""
+        columns: list[list[tuple[int, int]]] = [[] for _ in self.lts.edges]
+        for r, row in enumerate(self.factored[0]):
+            for i, x in row.items():
+                columns[i].append((r, x))
+        return columns
+
     def embeddable(self, chosen: dict[str, list[list[int]]]) -> bool:
         """Leaf check: does the LTS split by `chosen` embed? Iff the states of
         each class differ in their fresh-block sums w_s of u_s under Y, the
-        effect basis of the remainder rows summed over each fresh block."""
+        effect basis of the remainder rows summed over each fresh block. A
+        leaf whose block sums have full rank has no Y and fails at once."""
         fresh = [block for blocks in chosen.values() for block in blocks[1:]]
         remainder, label_rows, scale, classes = self.factored
         if not fresh or not classes:
             return not classes
-
-        def sums(row: dict[int, int]) -> list[int]:
-            return [sum(row.get(i, 0) for i in block) for block in fresh]
-
-        ys = nullspace_basis(*integer_echelon(map(sums, remainder), len(fresh)), len(fresh))
-        if not ys:
+        edge_columns, vectors = self.edge_columns, []  # vectors: per fresh block, its column sum
+        for block in fresh:
+            vector = [0] * len(remainder)
+            for i in block:
+                for r, x in edge_columns[i]:
+                    vector[r] += x
+            vectors.append(vector)
+        if len(fresh) <= len(remainder) and independent(vectors):
             return False
+        # rank below len(fresh): Y is not empty
+        ys = nullspace_basis(*integer_echelon(zip(*vectors), len(fresh)), len(fresh))
         # w_s . y, in one walk: an edge steps by its label row's block sums
         # times -scale / a_k, plus scale on its fresh block, projected on Y
         steps = [(0,) * len(ys)] * len(self.lts.labels)
         for k, row in label_rows.items():
-            block_sums = sums(row)
+            block_sums = [sum(row.get(i, 0) for i in block) for block in fresh]
             steps[k] = tuple(-(scale // row[~k]) * sum(map(mul, block_sums, y)) for y in ys)
         columns = list(self.label_columns)
         for b, block in enumerate(fresh):
@@ -472,23 +490,23 @@ def _decide(
     chosen: dict[str, list[list[int]]] = {}
     # one frame per label and one for the leaf: (extra labels used by the
     # labels before it, their separation ids, the rest of its candidates)
-    stack: list[tuple[int, list[int] | None, Iterator[list[list[int]]]]] = []
+    stack: list[tuple[int, list[int] | None, Iterator[tuple[list[int], list[list[int]]]]]] = []
     extra_used = 0
     ids = separation.start if separation else None
     while True:
         depth = len(stack)
         if depth == len(order):
-            parts: Iterator[list[list[int]]] = iter(([],))  # the leaf: one candidate
+            parts: Iterator[tuple[list[int], list[list[int]]]] = iter((([], []),))  # the leaf: one candidate
         else:
             allowed = extra_budget - extra_used - suffix[depth + 1]
             need = least - extra_used - capacity[depth + 1]  # extra blocks it must add
-            parts = set_partitions(len(search.per_label[order[depth]]), 1 + allowed, 1 + need)
+            parts = set_partitions(search.per_label[order[depth]], 1 + allowed, 1 + need)
         stack.append((extra_used, ids, parts))
         # a popped label's entry in `chosen` is overwritten before the next leaf
         while stack:
             extra_used, ids, parts = stack[-1]
-            blocks = next(parts, None)
-            if blocks is None:
+            part = next(parts, None)
+            if part is None:
                 stack.pop()
                 continue
             nodes += 1
@@ -505,13 +523,12 @@ def _decide(
                     return SplitOutcome(candidate, False, nodes, leaves)
                 continue
             t = order[depth]
-            idxs = search.per_label[t]
-            block_of = {idxs[k]: b for b, blk in enumerate(blocks) for k in blk}
-            if any(block_of[a] == block_of[b] for a, b in search.conflicts[t]):
+            assign, blocks = part
+            if any(assign[a] == assign[b] for a, b in search.conflicts[t]):
                 continue
-            chosen[t] = [[idxs[k] for k in blk] for blk in blocks]
+            chosen[t] = blocks
             if separation:
-                ids = separation.refine(ids, depth, chosen[t])
+                ids = separation.refine(ids, depth, blocks)
                 if ids is None:
                     continue
             extra_used += len(blocks) - 1

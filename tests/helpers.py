@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from labelsplit.lts import Lts, parse_lts
-from labelsplit.petri import parse_net
+from labelsplit.petri import parse_net, reachability_graph
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import apply_splitting, from_partitions
 
@@ -36,6 +36,15 @@ def ring_net(places: int, tokens: int):
     for i in range(places):
         lines += [f"arc p{i} t{i} 1", f"arc t{i} p{(i + 1) % places} 1"]
     return parse_net("\n".join(lines) + "\n")
+
+
+def labelled_ring(places: int, tokens: int) -> Lts:
+    """The reachability graph of `ring_net`, with the third label's edges
+    given the first label: a labelled net's graph, which does not embed."""
+    rg = reachability_graph(ring_net(places, tokens))
+    first, third = rg.labels[0], rg.labels[2]
+    edges = [(e.source, first if e.label == third else e.label, e.target) for e in rg.edges]
+    return Lts.from_edges(rg.initial, edges)
 
 
 def random_lts(

@@ -174,7 +174,8 @@ def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> 
         depth = len(stack)
         if depth < len(order):
             allowed = extra_budget - extra_used - suffix[depth + 1]
-            parts = set_partitions(len(per_label[order[depth]]), max_blocks=1 + allowed)
+            positions = range(len(per_label[order[depth]]))
+            parts = (blocks for _, blocks in set_partitions(positions, max_blocks=1 + allowed))
             stack.append((extra_used, parts))
         else:
             nodes += 1

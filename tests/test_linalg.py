@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from labelsplit.linalg import integer_echelon, nullspace_basis, rref
+from labelsplit.linalg import independent, integer_echelon, nullspace_basis, rref
 from oracles import dot, in_span, rref_nullspace, rref_rows, scaled_to_integers
 
 
@@ -197,3 +197,39 @@ def test_integer_echelon_stops_at_full_rank():
 
 def test_integer_echelon_no_vectors():
     assert integer_echelon([], 3) == ((), ())
+
+
+# --- the rank-only test ---------------------------------------------------
+
+
+@st.composite
+def vector_lists(draw):
+    """Integer vectors of one length, up to 8 of them over 0-6 columns, so
+    often more vectors than columns: zero vectors, combinations of earlier
+    ones, and entries drawn evenly up to 10^6, where an inexact division in
+    the elimination would change the answer."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    cols = draw(st.integers(0, 6))
+    vectors: list[list[int]] = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "zero", "combination"]), max_size=8)):
+        if kind == "zero" or (kind == "combination" and not vectors):
+            vectors.append([0] * cols)
+        elif kind == "fresh":
+            vectors.append([rng.randint(-(10**6), 10**6) for _ in range(cols)])
+        else:
+            a, b, x, y = rng.choice(vectors), rng.choice(vectors), rng.randint(-9, 9), rng.randint(-9, 9)
+            vectors.append([x * p + y * q for p, q in zip(a, b)])
+    return vectors, cols
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(vector_lists())
+@example(([], 3))
+@example(([[0, 0]], 2))
+@example(([[]], 0))
+@example(([[1, 2], [3, 4], [5, 6]], 2))
+@example(([[999_983, 1_000_000, 3], [-1_000_000, 999_979, 7], [2, 5, -999_961]], 3))
+def test_independent_equals_sympy_full_rank(case):
+    vectors, cols = case
+    matrix = sympy.Matrix(len(vectors), cols, [x for v in vectors for x in v])
+    assert independent(vectors) == (matrix.rank() == len(vectors))

@@ -232,6 +232,17 @@ def test_undeclared_initial_state_is_a_value_error():
     assert validate(lts) == ["dangling reference: initial state x not declared"]
 
 
+def test_duplicate_state_declaration_is_a_value_error():
+    # every name is reached, but the search reaches fewer states than are
+    # declared; the analyses said so with a bare IndexError
+    for states in (("s0", "s1", "s1"), ("s0", "s0")):
+        lts = Lts(states, ("a",), (Edge("s0", "a", "s1"),) * (len(set(states)) - 1), "s0")
+        for analyse in (spanning_tree, lambda lts: walk(lts, []), cycle_base, is_embeddable):
+            with pytest.raises(ValueError, match="^duplicate state declaration$"):
+                analyse(lts)
+        assert validate(lts)[0] == "dangling reference: duplicate state declaration"
+
+
 def test_one_breadth_first_search_per_lts(monkeypatch):
     # validate reads, and every spanning tree is, the same memoised parent
     # map; a parsed LTS has its columns from the parse, and no analysis

@@ -11,13 +11,15 @@ base it shares."""
 import itertools
 import math
 import random
+import tracemalloc
 from typing import Iterator
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import load_lts, random_lts, tiny_random_lts
-from labelsplit.linalg import rref
+from helpers import labelled_ring, load_lts, random_lts, tiny_random_lts
+from labelsplit import splitting
+from labelsplit.linalg import integer_echelon, rref
 from labelsplit.lts import Lts, cycle_base, parse_lts, spanning_tree
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges, build_lts, params
 from labelsplit.regions import is_embeddable
@@ -174,6 +176,23 @@ def test_leaves_counted_on_unsolvable_gadgets():
         assert (outcome.leaves, outcome.nodes) == (leaves, nodes)
 
 
+def test_full_rank_leaves_need_no_echelon(monkeypatch):
+    # every leaf of the n=6 gadget at its tight budget has its fresh-block
+    # sums at full rank, which the fraction-free test certifies alone
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integer_echelon(*args)
+
+    monkeypatch.setattr(splitting, "integer_echelon", counted)
+    instance = SubsetSumInstance(1, (2, 4, 6, 8, 10, 12))
+    assert params(instance).label_budget == 29
+    outcome = decide(build_lts(instance), 29)
+    assert (outcome.found, outcome.exhausted, outcome.nodes, outcome.leaves) == (False, False, 963, 64)
+    assert calls == []
+
+
 def test_zero_edges():
     for lts in (Lts(("s0",), (), (), "s0"), Lts(("s0",), ("a",), (), "s0")):
         assert assert_same(lts, 1)
@@ -275,7 +294,7 @@ def test_separation_prune_matches_its_oracle(case):
     if ids is None:
         assigned = {x: partitions[x] for x in order[: depth + 1]}
         rest = [
-            [(x, [[per_label[x][k] for k in block] for block in partition]) for partition in set_partitions(len(per_label[x]))]
+            [(x, partition) for _, partition in set_partitions(per_label[x])]
             for x in order[depth + 1 :]
         ]
         if math.prod(map(len, rest)) <= 200:
@@ -291,7 +310,7 @@ def every_leaf(lts: Lts) -> Iterator[dict[str, list[list[int]]]]:
     """Every combination of per-label partitions, for small systems."""
     per_label = _Search(lts).per_label
     options = [
-        [(t, [[edges[k] for k in block] for block in blocks]) for blocks in set_partitions(len(edges))]
+        [(t, blocks) for _, blocks in set_partitions(edges)]
         for t, edges in per_label.items()
         if edges
     ]
@@ -404,6 +423,31 @@ def test_factorisation_with_every_state_in_one_class():
     search = assert_factorisation(lts)
     assert search.factored[3] == [list(range(len(lts.states)))]
     assert assert_same(lts, 4)
+
+
+def test_edge_columns_hold_the_remainder_nonzeros():
+    # the transposed rows: each nonzero once, under its edge, and nothing else
+    search = _Search(labelled_ring(4, 8))
+    assert len(search.lts.states) == 165
+    remainder = search.factored[0]
+    assert sum(map(len, search.edge_columns)) == sum(map(len, remainder))
+    assert {(r, i, x) for i, column in enumerate(search.edge_columns) for r, x in column} == {
+        (r, i, x) for r, row in enumerate(remainder) for i, x in row.items()
+    }
+
+
+def test_labelled_ring_search_memory():
+    # leaves on 4,389 remainder rows over 6,160 edges: the columns stay
+    # sparse, so the search holds a few times the factorisation
+    lts = labelled_ring(4, 20)
+    tracemalloc.start()
+    try:
+        outcome = decide(lts, 4, node_budget=40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.exhausted and outcome.nodes == 41
+    assert peak < 32 * 2**20
 
 
 def test_factorisation_on_fixtures_and_random_draws():

@@ -201,17 +201,17 @@ def test_parse_splitting_alphabet_follows_line_order():
 def test_set_partitions_counts():
     # Bell numbers 1, 1, 2, 5, 15, 52
     for count, bell in [(0, 1), (1, 1), (2, 2), (3, 5), (4, 15), (5, 52)]:
-        assert sum(1 for _ in set_partitions(count)) == bell
+        assert sum(1 for _ in set_partitions(range(count))) == bell
 
 
 def test_set_partitions_single_block_first():
-    parts = list(set_partitions(3))
+    parts = [blocks for _, blocks in set_partitions(range(3))]
     assert parts[0] == [[0, 1, 2]]
     assert parts[-1] == [[0], [1], [2]]
 
 
 def test_set_partitions_max_blocks():
-    parts = list(set_partitions(4, max_blocks=2))
+    parts = [blocks for _, blocks in set_partitions(range(4), max_blocks=2)]
     assert all(len(p) <= 2 for p in parts)
     assert sum(1 for _ in parts) == 1 + 7  # one 1-block + seven 2-block partitions
 
@@ -231,17 +231,28 @@ def test_set_partitions_restricted_growth_order():
                     continue
                 blocks = [[j for j, b in enumerate(rgs) if b == k] for k in range(max(rgs, default=-1) + 1)]
                 expected.append(blocks)
-            assert list(set_partitions(count, cap)) == expected
+            assert [blocks for _, blocks in set_partitions(range(count), cap)] == expected
 
 
 def test_set_partitions_min_blocks_equals_filtered_enumeration():
     # the lower bound prunes prefixes; what is left keeps its order
     for count in range(8):
         for high in [None, *range(-1, count + 2)]:
-            full = list(set_partitions(count, high))
+            full = [blocks for _, blocks in set_partitions(range(count), high)]
             for low in range(-1, count + 3):
                 want = [blocks for blocks in full if len(blocks) >= low]
-                assert list(set_partitions(count, high, low)) == want
+                assert [blocks for _, blocks in set_partitions(range(count), high, low)] == want
+
+
+def test_set_partitions_strings_match_blocks():
+    # each restricted-growth string gives the block of every item, and a
+    # later step leaves a string as it was yielded
+    items = [7, 3, 11, 5, 2]
+    for high, low in [(None, 0), (2, 0), (4, 3)]:
+        for assign, blocks in list(set_partitions(items, high, low)):
+            assert all(b <= max(assign[:j], default=-1) + 1 for j, b in enumerate(assign))
+            assert blocks == [[x for x, b in zip(items, assign) if b == k] for k in range(max(assign) + 1)]
+    assert list(set_partitions([])) == [([], [])]
 
 
 def test_decide_long_single_label_chain():
