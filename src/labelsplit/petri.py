@@ -4,12 +4,13 @@ Weighted arcs, integer markings. Markings are tuples aligned with the
 declared place order, and so are a transition's arc weights: `pre[t]` is what
 t takes from each place, `post[t]` what it puts back, and firing t turns
 marking M into M - pre[t] + post[t]. `PetriNet.moves` holds each transition's
-input arcs and effect post[t] - pre[t], made once per net. `reachability_graph`
-tests enabling on them inline, so a disabled transition raises nothing, and
-builds its `Lts` from names, whose `columns` it never reads.
-`verify_embedding` keeps its markings in a list by state id, reads each
-edge's ends from `Lts.columns` and replays the edge through `fire`, its
-independent check.
+input arcs and effect post[t] - pre[t], made once per net, for `enabled`
+and `fire`. `reachability_graph` shares no enabling code with them: it packs
+each marking into one int, a field per place whose top bit is a guard that
+no count reached within the state bound sets, so one subtraction tests
+enabling and one addition fires. `verify_embedding` keeps tuple markings in
+a list by state id, reads each edge's ends from `Lts.columns` and replays
+the edge through `fire`, its independent check.
 Synthesis makes one place per region, so `pre[t]` and `post[t]` hold label
 t's consume and produce weight in every region. The reachability graph is
 itself an `Lts` whose states are canonical marking names, which lets the
@@ -115,35 +116,60 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
     """
     if max_states < 1:
         raise ValueError(f"state bound must be at least 1, got {max_states}")
-    order: list[Marking] = [net.initial_marking]  # the BFS queue: read on while it grows
-    ids: dict[Marking, int] = {order[0]: 0}
-    arcs: list[tuple[int, str, int]] = []
+    # Place i's count sits in bits [i*width, (i+1)*width) of one int. A state
+    # within the bound lies at most max_states - 1 firings deep and its
+    # successors one deeper, so no marking the search makes holds more than
+    # M0 + max_states * P tokens on a place (M0 the largest initial count, P
+    # the largest output weight). With every input weight no larger either,
+    # one bit more keeps each field's top bit, its guard, clear in every
+    # marking and every `take`.
+    most_put = max(chain.from_iterable(net.post.values()), default=0)
+    most_taken = max(chain.from_iterable(net.pre.values()), default=0)
+    most = max(max(net.initial_marking, default=0) + max_states * most_put, most_taken)
+    width = most.bit_length() + 1
+    shifts = range(0, width * len(net.places), width)
+
+    def pack(counts: Marking) -> int:
+        return sum(c << k for c, k in zip(counts, shifts))
+
+    guard = pack((1 << width - 1,) * len(net.places))
+    rules = [(t, pack(net.pre[t]), pack(net.post[t]) - pack(net.pre[t])) for t in net.transitions]
+    order = [pack(net.initial_marking)]  # the BFS queue: read on while it grows
+    ids = {order[0]: 0}
+    sources: list[int] = []
+    labels: list[str] = []
+    targets: list[int] = []
     for source, m in enumerate(order):
-        for t, (inputs, effect) in net.moves.items():
-            for i, w in inputs:
-                if m[i] < w:
-                    break
-            else:
-                succ = tuple(map(add, m, effect))
+        guarded = m | guard
+        for t, take, effect in rules:
+            # no field borrows from the next: a guard stays set iff its place holds enough
+            if (guarded - take) & guard == guard:
+                succ = m + effect
                 target = ids.get(succ)
                 if target is None:
                     if len(order) == max_states:
                         return None
                     target = ids[succ] = len(order)
                     order.append(succ)
-                arcs.append((source, t, target))
-    try:
-        names = [marking_name(net, m) for m in order]
+                sources.append(source)
+                labels.append(t)
+                targets.append(target)
+    mask = (1 << width) - 1
+    columns = [[m >> k & mask for m in order] for k in shifts]  # one per place
+    name_of = net._name_template.format
+    try:  # a net with no places has one marking
+        names = list(map(name_of, *columns)) if columns else [marking_name(net, ())]
     except ValueError:  # `str` writes no int of more digits than Python's limit
         digits = sys.get_int_max_str_digits()
         too_long = 10**digits
-        place = next(p for m in order for p, k in zip(net.places, m) if k >= too_long)
+        place = next(p for m in zip(*columns) for p, k in zip(net.places, m) if k >= too_long)
         message = f"place {place} reaches a token count of more than {digits} digits"
         raise ValueError(f"{message}, too long to write in a state name") from None
+    name = names.__getitem__
     return Lts(
         states=tuple(names),
         labels=net.transitions,
-        edges=tuple(_edge((names[s], t, names[d])) for s, t, d in arcs),
+        edges=tuple(map(_edge, zip(map(name, sources), labels, map(name, targets)))),
         initial=names[0],
     )
 

@@ -24,8 +24,8 @@ A leaf of the search never builds its split LTS. With one column per label,
 the sum of its blocks, and one per fresh block, every leaf's cycle base has
 the same label columns, so a search eliminates them from the chord rows once.
 Only states that collide unsplit can collide at a leaf, since splitting
-refines the alphabet. A leaf sums the remaining rows, kept by edge as sparse
-columns, over each fresh block. If those sums have full rank, which one
+refines the alphabet. A leaf sums the remaining rows, kept only by edge as
+sparse columns, over each fresh block. If those sums have full rank, which one
 fraction-free forward pass certifies, no effect is left to separate a class
 and the leaf fails; otherwise it takes the effect basis of those few columns
 and compares each collision class under it. A leaf that passes becomes a
@@ -297,19 +297,24 @@ class _Search:
         return path
 
     @cached_property
-    def factored(self) -> tuple[list[dict[int, int]], dict[int, dict[int, int]], int, list[list[int]]]:
+    def factored(
+        self,
+    ) -> tuple[list[list[tuple[int, int]]], int, dict[int, dict[int, int]], int, list[list[int]]]:
         """Sparse chord rows over labels (key ~label) and splittable edges
         (those of labels with two or more edges), label columns eliminated:
-        the remainder rows; the label rows by pivot label p_k, pivot a_k;
-        scale = lcm(a_k); and the classes, two or more states (ids) with
-        equal unsplit signatures. u_s = scale * (splittable edges on the path to s)
+        the remainder rows, held only by edge (per edge index, its (row
+        index, entry) pairs, exactly the rows' nonzeros), and their count;
+        the label rows by pivot label p_k, pivot a_k; scale = lcm(a_k); and
+        the classes, two or more states (ids) with equal unsplit signatures.
+        u_s = scale * (splittable edges on the path to s)
         - sum over k of parikh(s)[p_k] * scale / a_k * row_k."""
         lts = self.lts
         src, label, dst = lts.columns
         splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
         tree_edges = set(spanning_tree(lts).values())
         label_rows: dict[int, dict[int, int]] = {}
-        remainder = []
+        remainder: list[list[tuple[int, int]]] = [[] for _ in lts.edges]
+        rows = 0
         for i in range(len(lts.edges)):
             if i in tree_edges:
                 continue
@@ -326,7 +331,9 @@ class _Search:
             lead = next((k for k in row if k < 0), None)
             if lead is None:
                 if row:
-                    remainder.append(row)
+                    for j, x in row.items():
+                        remainder[j].append((rows, x))
+                    rows += 1
                 continue
             for key, pivot_row in label_rows.items():
                 if lead in pivot_row:
@@ -344,17 +351,7 @@ class _Search:
         for s, signature in enumerate(sums):
             groups.setdefault(signature, []).append(s)
         classes = [g for g in groups.values() if len(g) > 1]
-        return remainder, label_rows, scale, classes
-
-    @cached_property
-    def edge_columns(self) -> list[list[tuple[int, int]]]:
-        """The remainder rows of `factored` by edge: per edge index, its
-        (row index, entry) pairs, exactly the rows' nonzeros."""
-        columns: list[list[tuple[int, int]]] = [[] for _ in self.lts.edges]
-        for r, row in enumerate(self.factored[0]):
-            for i, x in row.items():
-                columns[i].append((r, x))
-        return columns
+        return remainder, rows, label_rows, scale, classes
 
     def embeddable(self, chosen: dict[str, list[list[int]]]) -> bool:
         """Leaf check: does the LTS split by `chosen` embed? Iff the states of
@@ -362,17 +359,17 @@ class _Search:
         effect basis of the remainder rows summed over each fresh block. A
         leaf whose block sums have full rank has no Y and fails at once."""
         fresh = [block for blocks in chosen.values() for block in blocks[1:]]
-        remainder, label_rows, scale, classes = self.factored
+        remainder, rows, label_rows, scale, classes = self.factored
         if not fresh or not classes:
             return not classes
-        edge_columns, vectors = self.edge_columns, []  # vectors: per fresh block, its column sum
+        vectors = []  # per fresh block, its column sum
         for block in fresh:
-            vector = [0] * len(remainder)
+            vector = [0] * rows
             for i in block:
-                for r, x in edge_columns[i]:
+                for r, x in remainder[i]:
                     vector[r] += x
             vectors.append(vector)
-        if len(fresh) <= len(remainder) and independent(vectors):
+        if len(fresh) <= rows and independent(vectors):
             return False
         # rank below len(fresh): Y is not empty
         ys = nullspace_basis(*integer_echelon(zip(*vectors), len(fresh)), len(fresh))
@@ -415,7 +412,7 @@ class _Separation:
     those edges, and per node an id, equal where the sums so far are."""
 
     def __init__(self, search: _Search) -> None:
-        _, label_rows, scale, classes = search.factored
+        _, _, label_rows, scale, classes = search.factored
         label, order, per_label = search.label_columns, search.order, search.per_label
         holdable = {i for t in order for i in per_label[t][1:]}
         tracked: list[dict[int, int]] = []

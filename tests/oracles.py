@@ -252,7 +252,7 @@ def separation_cut_oracle(
     u_s = scale * (edges on the tree path to s) - sum over the pivot labels
     k of parikh(s)[k] * scale / a_k * row_k, over every edge."""
     search = _Search(lts)
-    _, label_rows, scale, classes = search.factored
+    _, _, label_rows, scale, classes = search.factored
     parent = spanning_tree(lts)
 
     def u(state: str) -> list[int]:

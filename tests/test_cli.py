@@ -122,10 +122,14 @@ def test_rg_bound_exceeded(tmp_path, capsys):
     assert capsys.readouterr().out == "bound-exceeded\n"
 
 
-@pytest.mark.skipif(
+# for tests of Python's limit on the digits `str` writes of an int
+INT_STR_LIMITED = pytest.mark.skipif(
     not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
     reason="this Python writes integers of any length",
 )
+
+
+@INT_STR_LIMITED
 def test_rg_marking_too_long_to_name_is_input_error(tmp_path, capsys):
     # a bounded net whose token count fits the reading rule, but whose
     # second marking has one digit more than Python writes as a string
@@ -143,6 +147,26 @@ def test_rg_marking_too_long_to_name_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@INT_STR_LIMITED
+def test_rg_marking_too_long_names_the_first_marking_first_place(tmp_path, capsys):
+    # q passes the limit in the second marking, p (declared before q) only in
+    # the fourth: the message names a place of the first marking that passes
+    # it, the first such place in declared order
+    net = tmp_path / "long.net"
+    nines = "9" * sys.get_int_max_str_digits()
+    net.write_text(
+        f"net\nplace p 0\nplace q {nines}\nplace r 1\nplace s 0\ntrans t1\ntrans t2\n"
+        f"arc r t1 1\narc q t1 1\narc t1 q 2\narc t1 s 2\narc s t2 1\narc t2 p {nines}\n"
+    )
+    assert main(["rg", str(net)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{net}: place q reaches a token count of more than {len(nines)} digits,"
+        " too long to write in a state name\n"
+    )
+
+
 @pytest.mark.parametrize("bound", ["0", "-3"])
 def test_rg_bound_below_one_is_input_error(bound, capsys):
     # a bounded net: a bound that is silently ignored gives exit 0, not a hang
@@ -158,7 +182,7 @@ def test_rg_output_file(tmp_path, capsys):
     assert parse_lts(out.read_text()).initial == "p1:5,p2:1,p3:0,p4:0"
 
 
-@pytest.mark.parametrize("name", ["fig2", "ring3"])
+@pytest.mark.parametrize("name", ["fig2", "ring3", "weighted"])
 def test_rg_output_matches_golden_bytes(name, tmp_path, capsys):
     # other tools read the graph text, so its bytes are pinned, in the file
     # and on stdout

@@ -212,6 +212,20 @@ def few_token_nets(draw):
     return PetriNet(places, transitions, pre, post, marking)
 
 
+def assert_same_graph(got, want):
+    # the same fields in the same order, or None from both
+    if want is None:
+        assert got is None
+    else:
+        assert isinstance(got, Lts)
+        assert got.states == want.states
+        assert got.labels == want.labels
+        assert got.edges == want.edges
+        assert got.initial == want.initial
+        assert all(type(e) is Edge for e in got.edges)
+        assert format_lts(got) == format_lts(want)
+
+
 @settings(derandomize=True, max_examples=250, deadline=None)
 @given(st.one_of(game_nets(), few_token_nets()))
 @example(NO_PLACES)
@@ -219,23 +233,62 @@ def few_token_nets(draw):
 @example(SIDE_CONDITION)
 @example(PetriNet(("p",), ("t",), {"t": (3,)}, {"t": (3,)}, (5,)))
 def test_reachability_graph_equals_oracle(net):
-    # the same fields in the same order, or None from both, at every bound
-    # up to one past the state count (up to RG_CAP when the graph is larger)
+    # at every bound up to one past the state count (up to RG_CAP when the
+    # graph is larger)
     full = reachability_graph_oracle(net, RG_CAP)
     top = RG_CAP if full is None else len(full.states) + 1
     for bound in range(1, top + 1):
-        want = reachability_graph_oracle(net, bound)
-        got = reachability_graph(net, bound)
-        if want is None:
-            assert got is None
-        else:
-            assert isinstance(got, Lts)
-            assert got.states == want.states
-            assert got.labels == want.labels
-            assert got.edges == want.edges
-            assert got.initial == want.initial
-            assert all(type(e) is Edge for e in got.edges)
-            assert format_lts(got) == format_lts(want)
+        assert_same_graph(reachability_graph(net, bound), reachability_graph_oracle(net, bound))
+
+
+# 2^k - 1, 2^k and 2^k + 1 where the fields of a small bound end (k = 14 to
+# 17) and where machine words do (31 to 33, 63 to 65)
+NEAR_POWERS = [2**k + d for k in (14, 15, 16, 17, 31, 32, 33, 63, 64, 65) for d in (-1, 0, 1)]
+
+
+@st.composite
+def wide_nets(draw):
+    """Up to three places and transitions whose counts and arc weights are
+    0, 1 or one of up to three values next to a power of two, shared by the
+    whole net so that weights often meet counts exactly: few states, each
+    count near the top of its field."""
+    pool = draw(st.lists(st.sampled_from(NEAR_POWERS), min_size=1, max_size=3))
+    places = tuple(f"p{i}" for i in range(draw(st.integers(0, 3))))
+    transitions = tuple(f"t{i}" for i in range(draw(st.integers(1, 3))))
+    values = st.lists(st.sampled_from([0, 1, *pool]), min_size=len(places), max_size=len(places))
+    pre = {t: tuple(draw(values)) for t in transitions}
+    post = {t: tuple(draw(values)) for t in transitions}
+    return PetriNet(places, transitions, pre, post, tuple(draw(values)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_nets())
+# t takes the largest count there is
+@example(PetriNet(("p",), ("t",), {"t": (2**16,)}, {"t": (0,)}, (2**16,)))
+# t takes more than any count, and is never enabled
+@example(PetriNet(("p",), ("t",), {"t": (2**33,)}, {"t": (0,)}, (5,)))
+@example(NO_PLACES)
+# t needs 2^40 tokens on p and leaves them there; u moves half of them on
+@example(
+    PetriNet(
+        ("p", "q"),
+        ("t", "u"),
+        {"t": (2**40, 0), "u": (2**39, 0)},
+        {"t": (2**40, 0), "u": (0, 2**39)},
+        (2**40, 0),
+    )
+)
+def test_reachability_graph_with_wide_counts_equals_oracle(net):
+    # at every bound up to one past the state count, and at bounds that
+    # widen every field far past the counts; up to RG_CAP when the graph is
+    # larger
+    full = reachability_graph_oracle(net, RG_CAP)
+    if full is None:
+        bounds = range(1, RG_CAP + 1)
+    else:
+        bounds = [*range(1, len(full.states) + 2), 10**6, 10**30]
+    for bound in bounds:
+        assert_same_graph(reachability_graph(net, bound), reachability_graph_oracle(net, bound))
 
 
 @st.composite

@@ -282,7 +282,7 @@ def test_separation_prune_matches_its_oracle(case):
     lts, drawn = case
     search = _Search(lts)
     separation = _Separation(search)
-    whole = all(len(group) <= _TRACKED for group in search.factored[3])
+    whole = all(len(group) <= _TRACKED for group in search.factored[4])
     order, per_label = search.order, search.per_label
     partitions = {x: drawn.get(x, [per_label[x]]) for x in order}
     ids: list[int] | None = separation.start
@@ -346,6 +346,18 @@ def chord_rows(lts: Lts) -> list[list[int]]:
     return rows
 
 
+def remainder_rows(search: _Search) -> list[dict[int, int]]:
+    """The remainder rows of `_Search.factored`, rebuilt from the per-edge
+    columns it holds them in; each (row, edge) entry must come once."""
+    remainder, count = search.factored[:2]
+    rows: list[dict[int, int]] = [{} for _ in range(count)]
+    for i, column in enumerate(remainder):
+        for r, x in column:
+            assert i not in rows[r]
+            rows[r][i] = x
+    return rows
+
+
 def assert_factorisation(lts: Lts) -> _Search:
     """The invariants of `_Search.factored`, and the
     leaf check at every leaf against `is_embeddable` and the old leaf."""
@@ -355,7 +367,8 @@ def assert_factorisation(lts: Lts) -> _Search:
     groups: dict[tuple[int, ...], list[str]] = {}
     for s, sig in is_embeddable(lts).signatures.items():
         groups.setdefault(sig, []).append(s)
-    remainder, label_rows, scale, classes = search.factored
+    _, _, label_rows, scale, classes = search.factored
+    remainder = remainder_rows(search)
     classes = [[lts.states[s] for s in group] for group in classes]  # ids to names
     assert classes == [g for g in groups.values() if len(g) > 1]
     inseparable = {
@@ -393,16 +406,17 @@ def test_factorisation_without_cycles():
     # splitting either label separates them
     lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "b", "s3"), ("s0", "b", "s2"), ("s2", "a", "s4")])
     search = assert_factorisation(lts)
-    assert search.factored == ([], {}, 1, [[lts.states.index("s3"), lts.states.index("s4")]])
+    assert search.factored == ([[]] * 4, 0, {}, 1, [[lts.states.index("s3"), lts.states.index("s4")]])
 
 
 def test_factorisation_without_splittable_labels():
     # every label has one edge: nothing to split, and nothing collides
     lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "b", "s2"), ("s2", "c", "s0")])
     search = assert_factorisation(lts)
-    remainder, label_rows, _, classes = search.factored
+    remainder, rows, label_rows, _, classes = search.factored
     assert classes == []
-    assert remainder == [] and all(key < 0 for row in label_rows.values() for key in row)
+    assert rows == 0 and remainder == [[]] * 3
+    assert all(key < 0 for row in label_rows.values() for key in row)
 
 
 def test_factorisation_with_self_loops():
@@ -421,19 +435,22 @@ def test_factorisation_with_every_state_in_one_class():
         "s0", [("s0", "a", "s1"), ("s1", "a", "s2"), ("s2", "a", "s3"), ("s2", "b", "s0"), ("s3", "b", "s0")]
     )
     search = assert_factorisation(lts)
-    assert search.factored[3] == [list(range(len(lts.states)))]
+    assert search.factored[4] == [list(range(len(lts.states)))]
     assert assert_same(lts, 4)
 
 
 def test_edge_columns_hold_the_remainder_nonzeros():
-    # the transposed rows: each nonzero once, under its edge, and nothing else
+    # the remainder rows held by edge: each nonzero once, under its edge, in
+    # the order the rows were kept, on splittable edges only, and no row empty
     search = _Search(labelled_ring(4, 8))
     assert len(search.lts.states) == 165
     remainder = search.factored[0]
-    assert sum(map(len, search.edge_columns)) == sum(map(len, remainder))
-    assert {(r, i, x) for i, column in enumerate(search.edge_columns) for r, x in column} == {
-        (r, i, x) for r, row in enumerate(remainder) for i, x in row.items()
-    }
+    rows = remainder_rows(search)
+    assert rows and all(rows)
+    assert all(x for row in rows for x in row.values())
+    assert all([r for r, _ in column] == sorted({r for r, _ in column}) for column in remainder)
+    splittable = {i for edges in search.per_label.values() if len(edges) > 1 for i in edges}
+    assert {i for row in rows for i in row} <= splittable
 
 
 def test_labelled_ring_search_memory():
