@@ -7,11 +7,12 @@ keep a canonical order (order of first appearance), and everything downstream
 order, so two structurally equal systems behave identically.
 
 Every edge also has an integer source, label and target, the memoised
-`Lts.columns`, which index `states` and `labels`. `Lts.from_edges`, which
-`parse_lts` feeds line by line, fills them in its one pass and builds the
-edges from them, so each name is one string, shared by `states`/`labels` and
-every edge; an `Lts` built directly computes them from its names on first
-use. The analyses index lists through the columns instead of hashing names.
+`Lts.columns`, which index `states` and `labels`. `Lts.from_edges`,
+`parse_lts` and `petri.reachability_graph` build an `Lts` from its names and
+columns alone, one string per name, and make its `edges` on first read, which
+`format_lts` and `validate` do not need. An `Lts` built directly computes its
+columns from its names on first use. The analyses index lists through the
+columns instead of hashing names.
 The breadth-first search from the initial state runs once per `Lts` over
 the columns (the memoised `Lts._parents`): `validate` reads it,
 `spanning_tree` returns it as the tree, each state's incoming tree edge, and
@@ -28,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, partial
-from operator import add, itemgetter, sub
+from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import IntRows, integer_echelon
@@ -57,23 +58,23 @@ class Lts:
     def from_edges(cls, initial: str, edges: Iterable[Sequence[str]]) -> "Lts":
         """Build in one pass, with first-use ordering: initial state first, then
         states and labels in order of first appearance along the edges. Each
-        name is kept as one string, which `states`/`labels` and every edge
-        share; the pass also fills `columns`, and the edges are built from them."""
+        name is kept as one string; the pass fills `columns`, and the edges
+        are made from them on first read."""
         state_ids = {initial: 0}
         label_ids: dict[str, int] = {}
         state, label = state_ids.setdefault, label_ids.setdefault
-        src: list[int] = []
-        lab: list[int] = []
-        dst: list[int] = []
+        src, lab, dst = columns = ([], [], [])
         for s, t, d in edges:
             src.append(state(s, len(state_ids)))
             lab.append(label(t, len(label_ids)))
             dst.append(state(d, len(state_ids)))
-        states, labels = tuple(state_ids), tuple(label_ids)
-        names = [states[s] for s in src], [labels[t] for t in lab], [states[d] for d in dst]
-        kept = tuple(map(_edge, zip(*names)))
-        lts = cls(states, labels, kept, initial)
-        lts.__dict__["columns"] = (src, lab, dst)  # where `cached_property` keeps it
+        return cls._from_columns(tuple(state_ids), tuple(label_ids), columns, initial)
+
+    @classmethod
+    def _from_columns(cls, states: tuple, labels: tuple, columns: tuple, initial: str) -> Lts:
+        """An `Lts` of distinct, declared names from its names and id columns alone."""
+        lts = object.__new__(cls)
+        lts.__dict__.update(states=states, labels=labels, initial=initial, columns=columns)
         return lts
 
     @cached_property
@@ -127,6 +128,18 @@ class Lts:
         return parent
 
 
+def _edges_from_columns(lts: Lts) -> tuple[Edge, ...]:
+    states, labels = lts.states, lts.labels
+    return tuple([_edge((states[s], labels[t], states[d])) for s, t, d in zip(*lts.columns)])
+
+
+# `edges` of an `Lts` built from its columns, made on first read, then kept: a
+# non-data descriptor, so the field of an `Lts` built directly, in its instance
+# dict, is found first (`__getattr__` would slow every attribute read of an `Lts`)
+Lts.edges = cached_property(_edges_from_columns)  # type: ignore[assignment]
+Lts.edges.__set_name__(Lts, "edges")
+
+
 # --- validation ---------------------------------------------------------
 
 
@@ -142,12 +155,11 @@ def validate(lts: Lts) -> list[str]:
         problems.append(f"{dangling}duplicate label declaration")
     if lts.initial not in state_set:
         problems.append(f"{dangling}initial state {lts.initial} not declared")
-    edges = lts.edges
     src, lab, dst = lts.columns
-    # whole-column checks first; the per-edge loops only say where they fail
+    # whole-column checks first; only the loops that say where they fail read `edges`
     declared = None not in src and None not in lab and None not in dst
     if not declared:
-        for i, e in enumerate(edges):
+        for i, e in enumerate(lts.edges):
             if src[i] is None:
                 problems.append(f"{dangling}edge {i} source {e.source} not declared")
             if dst[i] is None:
@@ -156,10 +168,10 @@ def validate(lts: Lts) -> list[str]:
                 problems.append(f"{dangling}edge {i} label {e.label} not declared")
     # one key per (source, label) pair: integers, or the names where one is undeclared
     n = len(lts.labels)
-    keys = [s * n + t for s, t in zip(src, lab)] if declared else list(map(itemgetter(0, 1), edges))
+    keys = [s * n + t for s, t in zip(src, lab)] if declared else [e[:2] for e in lts.edges]
     if len(set(keys)) != len(keys):
         seen: set = set()
-        for e, key in zip(edges, keys):
+        for e, key in zip(lts.edges, keys):
             if key in seen:
                 problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
             seen.add(key)
@@ -226,7 +238,7 @@ def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
 
     def chords() -> Iterator[tuple[int, ...]]:
         seen: set[tuple[int, ...]] = set()
-        for i, s, t, d in zip(range(len(lts.edges)), *lts.columns):
+        for i, (s, t, d) in enumerate(zip(*lts.columns)):
             if i not in tree_edges:
                 c = tuple(map(sub, map(add, parikh[s], units[t]), parikh[d]))
                 if c not in seen:
@@ -258,8 +270,8 @@ def parse_lts(text: str) -> Lts:
 
     `#` starts a comment; blank lines are ignored. Raises FormatError with a
     line number on malformed input. The parsed system is not validated here;
-    run `validate` for the structural contract. Each edge line goes straight
-    to `Lts.from_edges`: one pass, one string per state or label name.
+    run `validate` for the structural contract. One loop assigns ids as
+    `Lts.from_edges` does, and no edge is built.
     """
     lines = _content_lines(text, "#")
     n = _expect_header(lines, "lts")
@@ -268,14 +280,18 @@ def parse_lts(text: str) -> Lts:
         raise FormatError(n, "missing 'initial' line")
     if len(parts) != 2 or parts[0] != "initial":
         raise FormatError(n, "expected 'initial <state>'")
-    return Lts.from_edges(parts[1], _edge_tokens(lines))
-
-
-def _edge_tokens(lines: Iterator[tuple[int, list[str]]]) -> Iterator[list[str]]:
+    initial = parts[1]
+    state_ids = {initial: 0}
+    label_ids: dict[str, int] = {}
+    state, label = state_ids.setdefault, label_ids.setdefault
+    src, lab, dst = columns = ([], [], [])
     for n, parts in lines:
         if parts[0] != "edge" or len(parts) != 4:
             raise FormatError(n, "expected 'edge <source> <label> <target>'")
-        yield parts[1:]
+        src.append(state(parts[1], len(state_ids)))
+        lab.append(label(parts[2], len(label_ids)))
+        dst.append(state(parts[3], len(state_ids)))
+    return Lts._from_columns(tuple(state_ids), tuple(label_ids), columns, initial)
 
 
 def format_lts(lts: Lts) -> str:
@@ -283,8 +299,11 @@ def format_lts(lts: Lts) -> str:
     are dropped on a round trip, and tokens containing `#` (e.g. labels of a
     split LTS) collide with the comment syntax and cannot round-trip."""
     out = ["lts", f"initial {lts.initial}"]
-    for e in lts.edges:
-        out.append(f"edge {e.source} {e.label} {e.target}")
+    if "edges" in vars(lts):
+        out += [f"edge {s} {t} {d}" for s, t, d in lts.edges]
+    else:  # built from its columns: make no edges to write it
+        states, labels = lts.states, lts.labels
+        out += [f"edge {states[s]} {labels[t]} {states[d]}" for s, t, d in zip(*lts.columns)]
     return "\n".join(out) + "\n"
 
 

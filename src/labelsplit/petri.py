@@ -4,17 +4,19 @@ Weighted arcs, integer markings. Markings are tuples aligned with the
 declared place order, and so are a transition's arc weights: `pre[t]` is what
 t takes from each place, `post[t]` what it puts back, and firing t turns
 marking M into M - pre[t] + post[t]. `PetriNet.moves` holds each transition's
-input arcs and effect post[t] - pre[t], made once per net, for `enabled`
-and `fire`. `reachability_graph` shares no enabling code with them: it packs
-each marking into one int, a field per place whose top bit is a guard that
-no count reached within the state bound sets, so one subtraction tests
-enabling and one addition fires. `verify_embedding` keeps tuple markings in
-a list by state id, reads each edge's ends from `Lts.columns` and replays
-the edge through `fire`, its independent check.
-Synthesis makes one place per region, so `pre[t]` and `post[t]` hold label
-t's consume and produce weight in every region. The reachability graph is
-itself an `Lts` whose states are canonical marking names, which lets the
-region machinery and the token game meet in `verify_embedding`.
+input arcs and effect post[t] - pre[t], made once per net, for `enabled`,
+`fire` and `verify_embedding`. `reachability_graph` shares no enabling code
+with them: it packs each marking into one int, a field per place whose top
+bit is a guard that no count reached within the state bound sets, so one
+subtraction tests enabling and one addition fires. `verify_embedding` keeps
+tuple markings in a list by state id and replays each edge of `Lts.columns`
+by label id with `fire`'s tuple test, its independent check; it names a
+failing edge through the columns and reads no `Lts.edges`. Synthesis makes
+one place per region, so `pre[t]` and `post[t]` hold label t's consume and
+produce weight in every region. The reachability graph is itself an `Lts`,
+built from its id columns (its `edges` are made on first read), whose states
+are canonical marking names, which lets the region machinery and the token
+game meet in `verify_embedding`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import cached_property
 from itertools import chain
 from operator import add, sub
 
-from .lts import FormatError, Lts, _content_lines, _edge, _expect_header, _int_token, walk
+from .lts import FormatError, Lts, _content_lines, _expect_header, _int_token, walk
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
@@ -133,11 +135,12 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
         return sum(c << k for c, k in zip(counts, shifts))
 
     guard = pack((1 << width - 1,) * len(net.places))
-    rules = [(t, pack(net.pre[t]), pack(net.post[t]) - pack(net.pre[t])) for t in net.transitions]
+    takes = [pack(net.pre[t]) for t in net.transitions]
+    rules = [(i, k, pack(net.post[t]) - k) for i, (t, k) in enumerate(zip(net.transitions, takes))]
     order = [pack(net.initial_marking)]  # the BFS queue: read on while it grows
     ids = {order[0]: 0}
     sources: list[int] = []
-    labels: list[str] = []
+    labels: list[int] = []
     targets: list[int] = []
     for source, m in enumerate(order):
         guarded = m | guard
@@ -165,13 +168,7 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
         place = next(p for m in zip(*columns) for p, k in zip(net.places, m) if k >= too_long)
         message = f"place {place} reaches a token count of more than {digits} digits"
         raise ValueError(f"{message}, too long to write in a state name") from None
-    name = names.__getitem__
-    return Lts(
-        states=tuple(names),
-        labels=net.transitions,
-        edges=tuple(map(_edge, zip(map(name, sources), labels, map(name, targets)))),
-        initial=names[0],
-    )
+    return Lts._from_columns(tuple(names), net.transitions, (sources, labels, targets), names[0])
 
 
 # --- synthesis and verification -----------------------------------------
@@ -205,14 +202,14 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     The map sends a state to the initial marking plus the effects
     post[t] - pre[t] of the labels on the state's tree path. Checked in
     order: all markings nonnegative, the map is injective, and every LTS edge
-    fires at its source marking (the token game's own enabling check) to its
-    target marking. Every LTS label must be a transition of the net
-    (ValueError otherwise)."""
+    fires at its source marking (`fire`'s enabling test, naming the first
+    short place) to its target marking. Every LTS label must be a transition
+    of the net (ValueError otherwise)."""
     missing = [t for t in lts.labels if t not in net.pre]
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
-    effects = [net.moves[t][1] for t in lts.labels]
-    markings = walk(lts, effects, start=net.initial_marking)  # by state id
+    moves = [net.moves[t] for t in lts.labels]  # by label id
+    markings = walk(lts, [effect for _, effect in moves], start=net.initial_marking)  # by state id
     mapping = dict(zip(lts.states, markings))
     # all markings at once; the ordered loops only name the first violation
     if min(chain.from_iterable(markings), default=0) < 0:
@@ -223,18 +220,18 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
         for s, m in zip(lts.states, markings):
             if seen.setdefault(m, s) != s:
                 return Verification(False, mapping, f"not-injective {seen[m]} {s}")
-    src, _, dst = lts.columns
-    for e, s, d in zip(lts.edges, src, dst):
-        try:
-            fired = fire(net, markings[s], e.label)
-        except NotEnabled as short:
-            return Verification(
-                False, mapping, f"not-enabled {e.source} {e.label} {short.place}"
-            )
-        if fired != markings[d]:
-            return Verification(
-                False, mapping, f"edge-mismatch {e.source} {e.label} {e.target}"
-            )
+    # each edge replayed as `fire` does, by label id, and named through the columns
+    states, labels = lts.states, lts.labels
+    for s, t, d in zip(*lts.columns):
+        m = markings[s]
+        inputs, effect = moves[t]
+        for p, w in inputs:  # in place order: the first short place is named
+            if m[p] < w:
+                reason = f"not-enabled {states[s]} {labels[t]} {net.places[p]}"
+                return Verification(False, mapping, reason)
+        if tuple(map(add, m, effect)) != markings[d]:
+            reason = f"edge-mismatch {states[s]} {labels[t]} {states[d]}"
+            return Verification(False, mapping, reason)
     return Verification(True, mapping, None)
 
 

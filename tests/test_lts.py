@@ -483,3 +483,38 @@ def test_random_walk_difference_in_cycle_span():
                 )
             )
             assert in_span(rows, diff)
+
+
+def test_rg_to_verify_builds_no_edges():
+    # the text path keeps a large LTS as id columns: writing a reachability
+    # graph, and reading, validating and verifying it back, read no `edges`
+    net = ring_net(4, 20)
+    rg = reachability_graph(net)
+    text = format_lts(rg)
+    lts = parse_lts(text)
+    assert validate(lts) == [] and verify_embedding(lts, net).embeds
+    assert "edges" not in vars(rg) and "edges" not in vars(lts)
+    # a first read makes them, as the names in the text give, and keeps them
+    rows = [line.split()[1:] for line in text.splitlines()[2:]]
+    for built in (lts, rg):
+        edges = built.edges
+        assert vars(built)["edges"] is edges is built.edges
+        assert edges == Lts.from_edges(built.initial, rows).edges == tuple(map(tuple, rows))
+        for e, s, t, d in zip(edges, *built.columns):
+            assert type(e) is Edge
+            assert e.source is built.states[s] and e.label is built.labels[t]
+            assert e.target is built.states[d]
+
+
+def test_lts_attribute_reads_stay_specialised():
+    # `edges` made on first read is a descriptor on the class. A first form
+    # of it was `Lts.__getattr__`, which stops Python 3.11 specialising any
+    # attribute read on an `Lts`: every read was 1.6-1.8x slower, and
+    # random-optimize `wall_s` rose by up to 11%
+    import labelsplit.cli  # noqa: F401  (every module, with any subclass it defines)
+
+    classes = [Lts]
+    for cls in classes:
+        classes += cls.__subclasses__()
+        assert not hasattr(cls, "__getattr__")
+        assert cls.__getattribute__ is object.__getattribute__

@@ -6,13 +6,14 @@ in a traceback or an undocumented exit."""
 
 import io
 import os
+import pickle
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from operator import itemgetter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import FIXTURES, load_lts, random_lts
@@ -369,6 +370,65 @@ EDGE_MISMATCH = (
 def test_verify_embedding_equals_oracle(drawn):
     lts, net = drawn
     assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net)
+    # and its parsed twin, which verify replays from the id columns alone
+    twin = parse_lts(format_lts(lts))
+    assert verify_embedding(twin, net) == verify_embedding_oracle(twin, net)
+
+
+# --- an Lts built from its id columns --------------------------------------
+
+
+@st.composite
+def column_builds(draw):
+    """A way to build an `Lts` from its id columns, as a function that makes
+    a fresh one at each call, with the edges it must hold: `Lts.from_edges`
+    or `parse_lts` on a drawn LTS, or a full reachability graph."""
+    kind = draw(st.sampled_from(["from_edges", "parse_lts", "reachability_graph"]))
+    if kind == "reachability_graph":
+        net = draw(few_token_nets())
+        want = reachability_graph_oracle(net, RG_CAP)
+        assume(want is not None)
+        return (lambda: reachability_graph(net, RG_CAP)), want.edges
+    lts = draw(loose_lts())
+    if kind == "from_edges":
+        return (lambda: Lts.from_edges(lts.initial, lts.edges)), lts.edges
+    text = format_lts(lts)
+    return (lambda: parse_lts(text)), lts.edges
+
+
+def unpickled(lts):
+    back = pickle.loads(pickle.dumps(lts))
+    assert all(type(e) is Edge for e in back.edges)
+    return back
+
+
+# each read of an Lts, as a test that it gives what it gives on the Lts
+# built directly
+READS = {
+    "==": lambda lts, eager: lts == eager and eager == lts,
+    "hash": lambda lts, eager: hash(lts) == hash(eager),
+    "repr": lambda lts, eager: repr(lts) == repr(eager),
+    "pickle": lambda lts, eager: unpickled(lts) == eager,
+    "replace": lambda lts, eager: (
+        replace(lts) == eager and replace(lts, initial="x") == replace(eager, initial="x")
+    ),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(column_builds())
+def test_lts_from_columns_is_the_value_built_directly(drawn):
+    # under every read, before and after its edges are first read
+    build, edges = drawn
+    first = build()
+    eager = Lts(first.states, first.labels, edges, first.initial)
+    for name, same in READS.items():
+        lazy = build()
+        assert "edges" not in vars(lazy)
+        assert same(lazy, eager), name
+        lazy = build()
+        assert lazy.edges == edges and "edges" in vars(lazy)
+        assert same(lazy, eager), name
 
 
 # --- validation -----------------------------------------------------------

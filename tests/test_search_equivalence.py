@@ -455,7 +455,9 @@ def test_edge_columns_hold_the_remainder_nonzeros():
 
 def test_labelled_ring_search_memory():
     # leaves on 4,389 remainder rows over 6,160 edges: the columns stay
-    # sparse, so the search holds a few times the factorisation
+    # sparse, so the search holds a few times the factorisation. It peaks
+    # at about 9.8 MiB on Python 3.10 to 3.13, and at 13.4 MiB when it held
+    # the factorisation twice
     lts = labelled_ring(4, 20)
     tracemalloc.start()
     try:
@@ -464,7 +466,7 @@ def test_labelled_ring_search_memory():
     finally:
         tracemalloc.stop()
     assert outcome.exhausted and outcome.nodes == 41
-    assert peak < 32 * 2**20
+    assert peak < 12 * 2**20
 
 
 def test_factorisation_on_fixtures_and_random_draws():
