@@ -6,20 +6,20 @@ keep a canonical order (order of first appearance), and everything downstream
 (spanning trees, Parikh vectors, splitting witnesses) is indexed against that
 order, so two structurally equal systems behave identically.
 
-Every edge also has an integer source, label and target, the memoised
-`Lts.columns`, which index `states` and `labels`. `Lts.from_edges`,
-`parse_lts` and `petri.reachability_graph` build an `Lts` from its names and
-columns alone, one string per name, and make its `edges` on first read, which
-`format_lts` and `validate` do not need. An `Lts` built directly computes its
-columns from its names on first use. The analyses index lists through the
-columns instead of hashing names.
+Every `Lts` declares each state and label once, and names only declared
+ones; an `Lts` built directly checks this when it is built and raises
+ValueError on the first bad name. Every edge also has an integer source,
+label and target, `Lts.columns`, which index `states` and `labels`.
+`Lts.from_edges`, `parse_lts` and `petri.reachability_graph` build an `Lts`
+from its names and columns alone, one string per name, and make its `edges`
+on first read, which `format_lts` and `validate` do not need. The analyses
+index lists through the columns instead of hashing names.
 The breadth-first search from the initial state runs once per `Lts` over
 the columns (the memoised `Lts._parents`): `validate` reads it,
 `spanning_tree` returns it as the tree, each state's incoming tree edge, and
 `walk` sums steps down it into a list in state order. `validate` finds
-undeclared names as None in the columns and repeated (source, label) pairs
-as repeated integer keys. `cycle_base` returns the integer echelon `(rows,
-pivots)` of the chords.
+repeated (source, label) pairs as repeated integer keys. `cycle_base`
+returns the integer echelon `(rows, pivots)` of the chords.
 The reading rules of all three text formats (lines, headers, integer
 tokens) live here, next to `FormatError`, and the other parsers use them.
 """
@@ -47,7 +47,9 @@ _edge = partial(tuple.__new__, Edge)
 
 @dataclass(frozen=True)
 class Lts:
-    """A labelled transition system with canonical state/label/edge order."""
+    """A labelled transition system with canonical state/label/edge order.
+    `columns`, not a field, holds each edge's source, label and target as
+    indices into `states` and `labels`; it must not be mutated."""
 
     states: tuple[str, ...]
     labels: tuple[str, ...]
@@ -72,47 +74,45 @@ class Lts:
 
     @classmethod
     def _from_columns(cls, states: tuple, labels: tuple, columns: tuple, initial: str) -> Lts:
-        """An `Lts` of distinct, declared names from its names and id columns alone."""
+        """An `Lts` from distinct names and id columns into them, unchecked."""
         lts = object.__new__(cls)
         lts.__dict__.update(states=states, labels=labels, initial=initial, columns=columns)
         return lts
 
-    @cached_property
-    def columns(self) -> tuple[list[int | None], list[int | None], list[int | None]]:
-        """Per edge, in edge order: the source, label and target as indices
-        into `states` or `labels`, by first occurrence; None for a name that
-        is not declared. `from_edges` fills them in its pass; an `Lts` built
-        directly computes them here, once. They must not be mutated."""
-        state_ids: dict[str, int] = {}
-        label_ids: dict[str, int] = {}
-        for i, s in enumerate(self.states):
-            state_ids.setdefault(s, i)
-        for i, t in enumerate(self.labels):
-            label_ids.setdefault(t, i)
-        state, label = state_ids.get, label_ids.get
-        return (
-            [state(e.source) for e in self.edges],
-            [label(e.label) for e in self.edges],
-            [state(e.target) for e in self.edges],
-        )
+    def __post_init__(self) -> None:
+        """Check an `Lts` built directly, once: raise ValueError on the first
+        name declared twice or not declared (initial state, then each edge's
+        source, target and label). Then fill `columns`."""
+        dangling = "dangling reference: "
+        state_ids = {s: i for i, s in enumerate(self.states)}
+        label_ids = {t: i for i, t in enumerate(self.labels)}
+        if len(state_ids) != len(self.states):
+            raise ValueError(f"{dangling}duplicate state declaration")
+        if len(label_ids) != len(self.labels):
+            raise ValueError(f"{dangling}duplicate label declaration")
+        if self.initial not in state_ids:
+            raise ValueError(f"{dangling}initial state {self.initial} not declared")
+        columns: tuple[list[int], list[int], list[int]] = ([], [], [])
+        checks = ((0, "source", state_ids), (2, "target", state_ids), (1, "label", label_ids))
+        for i, edge in enumerate(self.edges):
+            for k, what, ids in checks:
+                if edge[k] not in ids:
+                    raise ValueError(f"{dangling}edge {i} {what} {edge[k]} not declared")
+                columns[k].append(ids[edge[k]])
+        self.__dict__["columns"] = columns
 
     @cached_property
     def _parents(self) -> dict[str, int]:
-        """Breadth-first search from the initial state, which must be declared,
-        over `columns`, taking each state's edges in canonical order and
-        skipping edges with an undeclared end: the index of the edge that
+        """Breadth-first search from the initial state over `columns`, taking
+        each state's edges in canonical order: the index of the edge that
         first reached each state, in discovery order. Run once per LTS:
         `validate` reads it and `spanning_tree` returns it; equality and
         hashing see only the fields above."""
-        try:
-            root = self.states.index(self.initial)
-        except ValueError:
-            raise ValueError(f"initial state {self.initial} not declared") from None
+        root = self.states.index(self.initial)
         src, _, dst = self.columns
         out: list[list[int]] = [[] for _ in self.states]
-        for i, s, d in zip(range(len(src)), src, dst):
-            if s is not None is not d:
-                out[s].append(i)
+        for i, s in enumerate(src):
+            out[s].append(i)
         states = self.states
         parent: dict[str, int] = {}
         reached = [False] * len(states)
@@ -144,43 +144,25 @@ Lts.edges.__set_name__(Lts, "edges")
 
 
 def validate(lts: Lts) -> list[str]:
-    """A message for every structural violation; an empty list means the
-    LTS is well formed."""
+    """A message for each pair of edges from one state with one label and for
+    each state the initial one does not reach; an empty list means well formed."""
     problems: list[str] = []
-    dangling = "dangling reference: "
-    state_set = set(lts.states)
-    if len(state_set) != len(lts.states):
-        problems.append(f"{dangling}duplicate state declaration")
-    if len(set(lts.labels)) != len(lts.labels):
-        problems.append(f"{dangling}duplicate label declaration")
-    if lts.initial not in state_set:
-        problems.append(f"{dangling}initial state {lts.initial} not declared")
-    src, lab, dst = lts.columns
-    # whole-column checks first; only the loops that say where they fail read `edges`
-    declared = None not in src and None not in lab and None not in dst
-    if not declared:
-        for i, e in enumerate(lts.edges):
-            if src[i] is None:
-                problems.append(f"{dangling}edge {i} source {e.source} not declared")
-            if dst[i] is None:
-                problems.append(f"{dangling}edge {i} target {e.target} not declared")
-            if lab[i] is None:
-                problems.append(f"{dangling}edge {i} label {e.label} not declared")
-    # one key per (source, label) pair: integers, or the names where one is undeclared
+    src, lab, _ = lts.columns
+    # one integer key per (source, label) pair; only the loop that says where
+    # it fails reads `edges`
     n = len(lts.labels)
-    keys = [s * n + t for s, t in zip(src, lab)] if declared else [e[:2] for e in lts.edges]
+    keys = [s * n + t for s, t in zip(src, lab)]
     if len(set(keys)) != len(keys):
         seen: set = set()
         for e, key in zip(lts.edges, keys):
             if key in seen:
                 problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
             seen.add(key)
-    if lts.initial in state_set:
-        parent = lts._parents
-        if len(parent) + 1 != len(lts.states):
-            problems += [
-                f"unreachable state: {s}" for s in lts.states if s != lts.initial and s not in parent
-            ]
+    parent = lts._parents
+    if len(parent) + 1 != len(lts.states):
+        problems += [
+            f"unreachable state: {s}" for s in lts.states if s != lts.initial and s not in parent
+        ]
     return problems
 
 
@@ -191,13 +173,12 @@ def spanning_tree(lts: Lts) -> dict[str, int]:
     """Deterministic BFS tree: the index of the tree edge into every state
     but the initial one, in the order BFS discovered the states. States are
     discovered in canonical edge order, so every call returns the same
-    memoised map, `Lts._parents`, which must not be mutated."""
+    memoised map, `Lts._parents`, which must not be mutated. Raises
+    ValueError naming the first declared state the search does not reach."""
     parent = lts._parents
     if len(parent) + 1 != len(lts.states):
-        missing = [s for s in lts.states if s != lts.initial and s not in parent]
-        if not missing:  # every name reached, so some name is declared twice
-            raise ValueError("duplicate state declaration")
-        raise ValueError(f"state not reachable from {lts.initial}: {missing[0]}")
+        missing = next(s for s in lts.states if s != lts.initial and s not in parent)
+        raise ValueError(f"state not reachable from {lts.initial}: {missing}")
     return parent
 
 
@@ -298,12 +279,9 @@ def format_lts(lts: Lts) -> str:
     """Canonical text form. Two representation limits: labels no edge uses
     are dropped on a round trip, and tokens containing `#` (e.g. labels of a
     split LTS) collide with the comment syntax and cannot round-trip."""
+    states, labels = lts.states, lts.labels
     out = ["lts", f"initial {lts.initial}"]
-    if "edges" in vars(lts):
-        out += [f"edge {s} {t} {d}" for s, t, d in lts.edges]
-    else:  # built from its columns: make no edges to write it
-        states, labels = lts.states, lts.labels
-        out += [f"edge {states[s]} {labels[t]} {states[d]}" for s, t, d in zip(*lts.columns)]
+    out += [f"edge {states[s]} {labels[t]} {states[d]}" for s, t, d in zip(*lts.columns)]
     return "\n".join(out) + "\n"
 
 

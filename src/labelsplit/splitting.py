@@ -49,7 +49,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import independent, integer_echelon, nullspace_basis
-from .lts import Edge, FormatError, Lts, _content_lines, _int_token, spanning_tree, walk
+from .lts import FormatError, Lts, _content_lines, _int_token, spanning_tree, walk
 from .regions import is_embeddable
 
 
@@ -102,15 +102,17 @@ def from_partitions(
 def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
     """Relabel the edges; states, initial state and graph shape are kept,
     and the labels are the splitting's alphabet."""
-    if len(splitting.edge_labels) != len(lts.edges):
+    src, _, dst = lts.columns
+    if len(splitting.edge_labels) != len(src):
         raise ValueError("splitting does not match the LTS edge count")
-    missing = set(splitting.edge_labels).difference(splitting.alphabet)
+    label_ids = {t: i for i, t in enumerate(splitting.alphabet)}
+    if len(label_ids) != len(splitting.alphabet):
+        raise ValueError("splitting alphabet repeats a label")
+    missing = set(splitting.edge_labels).difference(label_ids)
     if missing:
         raise ValueError(f"splitting alphabet misses used labels: {sorted(missing)}")
-    edges = tuple(
-        Edge(e.source, t, e.target) for e, t in zip(lts.edges, splitting.edge_labels)
-    )
-    return Lts(lts.states, splitting.alphabet, edges, lts.initial)
+    lab = [label_ids[t] for t in splitting.edge_labels]
+    return Lts._from_columns(lts.states, splitting.alphabet, (src, lab, dst), lts.initial)
 
 
 # --- witness text form --------------------------------------------------

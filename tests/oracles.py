@@ -479,20 +479,24 @@ def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
     return Verification(True, mapping, None)
 
 
-def validate_oracle(lts: Lts) -> list[str]:
-    """`validate` with one pass over the edges for undeclared ends and
-    labels, one for repeated (source, label) pairs, and a reachability
-    search of its own over the declared states."""
+def validate_oracle(parts: tuple) -> list[str]:
+    """What `Lts(*parts)` refuses and `validate` reports, on the four parts
+    an `Lts` is built from (states, labels, edges, initial): one pass over
+    the edges for undeclared ends and labels, one for repeated (source,
+    label) pairs, and a reachability search of its own over the declared
+    states. The build raises the first "dangling reference"; `validate`
+    gives the rest."""
+    states, labels, edges, initial = parts
     problems: list[str] = []
-    state_set = set(lts.states)
-    label_set = set(lts.labels)
-    if len(state_set) != len(lts.states):
+    state_set = set(states)
+    label_set = set(labels)
+    if len(state_set) != len(states):
         problems.append("dangling reference: duplicate state declaration")
-    if len(label_set) != len(lts.labels):
+    if len(label_set) != len(labels):
         problems.append("dangling reference: duplicate label declaration")
-    if lts.initial not in state_set:
-        problems.append(f"dangling reference: initial state {lts.initial} not declared")
-    for i, e in enumerate(lts.edges):
+    if initial not in state_set:
+        problems.append(f"dangling reference: initial state {initial} not declared")
+    for i, e in enumerate(edges):
         if e.source not in state_set:
             problems.append(f"dangling reference: edge {i} source {e.source} not declared")
         if e.target not in state_set:
@@ -500,19 +504,19 @@ def validate_oracle(lts: Lts) -> list[str]:
         if e.label not in label_set:
             problems.append(f"dangling reference: edge {i} label {e.label} not declared")
     seen_pairs: set[tuple[str, str]] = set()
-    for e in lts.edges:
+    for e in edges:
         key = (e.source, e.label)
         if key in seen_pairs:
             problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
         seen_pairs.add(key)
-    if lts.initial in state_set:
-        reached = {lts.initial}
+    if initial in state_set:
+        reached = {initial}
         grew = True
         while grew:
             grew = False
-            for e in lts.edges:
+            for e in edges:
                 if e.source in reached and e.target in state_set and e.target not in reached:
                     reached.add(e.target)
                     grew = True
-        problems += [f"unreachable state: {s}" for s in lts.states if s not in reached]
+        problems += [f"unreachable state: {s}" for s in states if s not in reached]
     return problems

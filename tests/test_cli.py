@@ -7,7 +7,7 @@ import pytest
 from helpers import FIXTURES, load_lts
 from labelsplit import cli
 from labelsplit.cli import build_parser, main
-from labelsplit.lts import parse_lts
+from labelsplit.lts import Lts, parse_lts
 from labelsplit.petri import parse_net, verify_embedding
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import apply_splitting, parse_splitting
@@ -92,6 +92,42 @@ def test_check_contract_violations_exact(tmp_path, capsys):
         f"{bad}: nondeterministic: two edges from s0 with label a\n"
         f"{bad}: unreachable state: s3\n"
     )
+
+
+def test_verbs_build_no_lts_by_name(tmp_path, monkeypatch, capsys):
+    # the check `Lts(...)` makes of its names costs the verbs nothing: they
+    # build every Lts from id columns, and answer the same without the check
+    net = tmp_path / "out.net"
+    calls = [
+        ["check", FIG1_RIGHT],
+        ["check", FIG2_MIDDLE],
+        ["synth", FIG2_MIDDLE, "-o", str(net)],
+        ["synth", FIG1_RIGHT, "-o", str(net)],
+        ["rg", FIG2_NET],
+        ["rg", str(FIXTURES / "ring3.net")],
+        ["rg", str(FIXTURES / "weighted.net")],
+        ["verify", FIG2_LEFT, FIG2_NET],
+        ["verify", FIG1_RIGHT, FIG2_NET],
+        ["split", FIG1_RIGHT, "--max-labels", "3"],
+        ["split", FIG1_RIGHT, "--max-labels", "2"],
+        ["split", FIG1_RIGHT, "--optimize"],
+        ["split", FIG2_MIDDLE, "--optimize"],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        written = net.read_text() if net.exists() else None
+        net.unlink(missing_ok=True)
+        return code, capsys.readouterr().out, written
+
+    checked = [run(argv) for argv in calls]
+
+    def by_name(lts):
+        raise AssertionError("an Lts built by name")
+
+    monkeypatch.setattr(Lts, "__post_init__", by_name)
+    assert [run(argv) for argv in calls] == checked
+    assert [code for code, _, _ in checked] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
 
 
 def test_synth_writes_parseable_net(tmp_path, capsys):

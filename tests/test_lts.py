@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from labelsplit.lts import (
     walk,
 )
 from labelsplit.petri import parse_net, reachability_graph, verify_embedding
-from labelsplit.regions import effect_space, is_embeddable
+from labelsplit.regions import is_embeddable
 from labelsplit.splitting import parse_splitting
 from oracles import edge_parikh, in_span, rref_rows, state_parikh
 
@@ -132,34 +133,41 @@ def test_validate_single_state():
     assert validate(Lts(("s0",), (), (), "s0")) == []
 
 
-# (LTS, messages) for every message of `validate`, one LTS each
+# (the four parts an `Lts` is built from, messages) for every message on a
+# malformed LTS, one value each: `Lts(...)` refuses a "dangling reference"
+# with its text, and `validate` reports the rest
 VALIDATE_MESSAGES = [
-    (Lts(("s0", "s0"), (), (), "s0"), ["dangling reference: duplicate state declaration"]),
-    (Lts(("s0",), ("a", "a"), (), "s0"), ["dangling reference: duplicate label declaration"]),
-    (Lts(("s0",), (), (), "x"), ["dangling reference: initial state x not declared"]),
+    ((("s0", "s0"), (), (), "s0"), ["dangling reference: duplicate state declaration"]),
+    ((("s0",), ("a", "a"), (), "s0"), ["dangling reference: duplicate label declaration"]),
+    ((("s0",), (), (), "x"), ["dangling reference: initial state x not declared"]),
     (
-        Lts(("s0",), ("a",), (Edge("ghost", "a", "s0"),), "s0"),
+        (("s0",), ("a",), (Edge("ghost", "a", "s0"),), "s0"),
         ["dangling reference: edge 0 source ghost not declared"],
     ),
     (
-        Lts(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0"),
+        (("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0"),
         ["dangling reference: edge 0 target ghost not declared"],
     ),
     (
-        Lts(("s0", "s1"), ("a",), (Edge("s0", "b", "s1"),), "s0"),
+        (("s0", "s1"), ("a",), (Edge("s0", "b", "s1"),), "s0"),
         ["dangling reference: edge 0 label b not declared"],
     ),
     (
-        Lts.from_edges("s0", [("s0", "a", "s1"), ("s0", "a", "s2")]),
+        (("s0", "s1", "s2"), ("a",), (Edge("s0", "a", "s1"), Edge("s0", "a", "s2")), "s0"),
         ["nondeterministic: two edges from s0 with label a"],
     ),
-    (Lts(("s0", "s1"), ("a",), (), "s0"), ["unreachable state: s1"]),
+    ((("s0", "s1"), ("a",), (), "s0"), ["unreachable state: s1"]),
 ]
 
 
 @pytest.mark.parametrize("lts,messages", VALIDATE_MESSAGES)
 def test_validate_messages(lts, messages):
-    assert validate(lts) == messages
+    if messages[0].startswith("dangling reference: "):
+        with pytest.raises(ValueError) as refused:
+            Lts(*lts)
+        assert str(refused.value) == messages[0]
+    else:
+        assert validate(Lts(*lts)) == messages
 
 
 def test_validate_nondeterminism():
@@ -173,21 +181,32 @@ def test_validate_unreachable():
 
 
 def test_validate_dangling():
-    lts = Lts(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
-    assert validate(lts) == ["dangling reference: edge 0 target ghost not declared"]
+    with pytest.raises(ValueError, match="^dangling reference: edge 0 target ghost not declared$"):
+        Lts(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
 
 
 def test_validate_mixed_violations_exact():
-    # edge 1 repeats (s0, a); edges 2 and 3 run through an undeclared state,
-    # which the reachability search skips, so s3 is unreachable
-    edges = [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "a", "ghost"), ("ghost", "a", "s3")]
-    lts = Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
+    # edge 1 repeats (s0, a); edges 2 and 3 run through an undeclared state:
+    # the build names the first bad name, edge by edge as source, target, label
+    edges = [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "ghost"), ("ghost", "a", "s3")]
+    with pytest.raises(ValueError, match="^dangling reference: edge 2 target ghost not declared$"):
+        Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
+    # without them, s3 is unreachable, and `validate` reports both in order
+    lts = Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges[:2]), "s0")
     assert validate(lts) == [
-        "dangling reference: edge 2 target ghost not declared",
-        "dangling reference: edge 3 source ghost not declared",
         "nondeterministic: two edges from s0 with label a",
         "unreachable state: s3",
     ]
+
+
+def test_undeclared_edge_name_is_a_value_error():
+    # refused when built, so no analysis or verifier indexes by a missing id
+    bad_label = (Edge("s0", "a", "s1"), Edge("s1", "b", "s1"))
+    with pytest.raises(ValueError) as refused:
+        Lts(("s0", "s1"), ("a",), bad_label, "s0")
+    assert str(refused.value) == "dangling reference: edge 1 label b not declared"
+    with pytest.raises(ValueError, match="^dangling reference: edge 0 target s9 not declared$"):
+        Lts(("s0", "s1"), ("a",), (Edge("s0", "a", "s9"),), "s0")
 
 
 def test_spanning_tree_tree_lts_uses_all_edges():
@@ -221,36 +240,30 @@ def test_spanning_tree_names_first_unreachable_state():
 
 
 def test_undeclared_initial_state_is_a_value_error():
-    # the analyses say what `validate` says, where the search used to fail
-    # with a bare KeyError
-    lts = Lts(("s0",), (), (), "x")
-    for analyse in (
-        spanning_tree, lambda lts: walk(lts, []), cycle_base, effect_space, is_embeddable
-    ):
-        with pytest.raises(ValueError, match="^initial state x not declared$"):
-            analyse(lts)
-    assert validate(lts) == ["dangling reference: initial state x not declared"]
+    # refused when built, also by `replace`, which builds by name
+    with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
+        Lts(("s0",), (), (), "x")
+    for lts in (Lts(("s0",), (), (), "s0"), load_lts("fig2-middle.lts")):
+        with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
+            replace(lts, initial="x")
 
 
 def test_duplicate_state_declaration_is_a_value_error():
-    # every name is reached, but the search reaches fewer states than are
-    # declared; the analyses said so with a bare IndexError
+    # every name is reached, but fewer states than are declared
     for states in (("s0", "s1", "s1"), ("s0", "s0")):
-        lts = Lts(states, ("a",), (Edge("s0", "a", "s1"),) * (len(set(states)) - 1), "s0")
-        for analyse in (spanning_tree, lambda lts: walk(lts, []), cycle_base, is_embeddable):
-            with pytest.raises(ValueError, match="^duplicate state declaration$"):
-                analyse(lts)
-        assert validate(lts)[0] == "dangling reference: duplicate state declaration"
+        edges = (Edge("s0", "a", "s1"),) * (len(set(states)) - 1)
+        with pytest.raises(ValueError, match="^dangling reference: duplicate state declaration$"):
+            Lts(states, ("a",), edges, "s0")
 
 
 def test_one_breadth_first_search_per_lts(monkeypatch):
     # validate reads, and every spanning tree is, the same memoised parent
     # map; a parsed LTS has its columns from the parse, and no analysis
-    # computes them again from its names
-    def from_names(lts):
-        raise AssertionError("columns computed from names")
+    # builds an Lts by name, which would check its names again
+    def by_name(lts):
+        raise AssertionError("an Lts built by name")
 
-    monkeypatch.setattr(Lts.__dict__["columns"], "func", from_names)
+    monkeypatch.setattr(Lts, "__post_init__", by_name)
     lts = load_lts("fig2-middle.lts")
     columns = lts.columns
     assert validate(lts) == []

@@ -78,49 +78,59 @@ def test_lts_round_trip(seed):
 
 @st.composite
 def loose_lts(draw):
-    """An `Lts` over a few names, valid or not: drawn declarations, initial
-    state and edges, repeats and self-loops allowed."""
+    """The initial state and edges of an LTS over a few names, valid or not:
+    repeats, self-loops and edges the initial state does not reach allowed."""
     states = st.sampled_from(["s0", "s1", "s2", "s3"])
     labels = st.sampled_from(["a", "b", "c"])
-    return Lts(
-        tuple(draw(st.lists(states, max_size=4))),
-        tuple(draw(st.lists(labels, max_size=3))),
-        tuple(draw(st.lists(st.builds(Edge, states, labels, states), max_size=8))),
-        draw(states),
-    )
+    edges = draw(st.lists(st.builds(Edge, states, labels, states), max_size=8))
+    return draw(states), tuple(edges)
+
+
+def lts_text(initial, edges):
+    """The LTS text of an initial state and edges, written by hand."""
+    return "".join([f"lts\ninitial {initial}\n", *(f"edge {s} {t} {d}\n" for s, t, d in edges)])
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(loose_lts())
-@example(Lts((), (), (Edge("s0", "a", "s2"), Edge("s2", "b", "s1")), "s1"))  # initial seen last
-@example(Lts((), (), (Edge("s0", "a", "s0"), Edge("s0", "b", "s1")), "s0"))  # a self-loop
-@example(Lts(("s0",), (), (), "s0"))  # no edges
-def test_parse_lts_builds_like_from_edges(lts):
-    parsed = parse_lts(format_lts(lts))
-    assert parsed == Lts.from_edges(lts.initial, lts.edges)
-    ends = [s for e in lts.edges for s in (e.source, e.target)]
-    assert parsed.states == tuple(dict.fromkeys([lts.initial, *ends]))
-    assert parsed.labels == tuple(dict.fromkeys(e.label for e in lts.edges))
-    assert parsed.edges == lts.edges and all(type(e) is Edge for e in parsed.edges)
+@example(("s1", (Edge("s0", "a", "s2"), Edge("s2", "b", "s1"))))  # initial seen last
+@example(("s0", (Edge("s0", "a", "s0"), Edge("s0", "b", "s1"))))  # a self-loop
+@example(("s0", ()))  # no edges
+def test_parse_lts_builds_like_from_edges(drawn):
+    initial, edges = drawn
+    text = lts_text(initial, edges)
+    parsed = parse_lts(text)
+    assert parsed == Lts.from_edges(initial, edges)
+    ends = [s for e in edges for s in (e.source, e.target)]
+    assert parsed.states == tuple(dict.fromkeys([initial, *ends]))
+    assert parsed.labels == tuple(dict.fromkeys(e.label for e in edges))
+    assert format_lts(parsed) == text
+    assert parsed.edges == edges and all(type(e) is Edge for e in parsed.edges)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(loose_lts())
-@example(Lts(("s0", "s1", "s0"), ("a", "a"), (Edge("s1", "a", "s0"), Edge("s2", "b", "s1")), "s0"))
-def test_from_edges_fills_the_columns_its_names_give(lts):
-    # an Lts built directly computes its columns from its names: each name
-    # by its first occurrence, None where it is not declared
-    def ids(names, k):
-        return [names.index(e[k]) if e[k] in names else None for e in lts.edges]
+@example(("s0", (Edge("s1", "a", "s0"), Edge("s2", "b", "s1"))))
+def test_from_edges_fills_the_columns_its_names_give(drawn):
+    # from_edges fills the columns in its pass, and an Lts built directly
+    # from the same names, in any declared order, computes the ids its
+    # names give
+    initial, edges = drawn
 
-    assert lts.columns == (ids(lts.states, 0), ids(lts.labels, 1), ids(lts.states, 2))
-    # from_edges fills them in its pass, the same as its names give, and
-    # every edge holds the very strings its columns index
-    built = Lts.from_edges(lts.initial, lts.edges)
+    def ids(states, labels):
+        return (
+            [states.index(e.source) for e in edges],
+            [labels.index(e.label) for e in edges],
+            [states.index(e.target) for e in edges],
+        )
+
+    built = Lts.from_edges(initial, edges)
     assert "columns" in vars(built)
-    src, lab, dst = built.columns
-    assert Lts(built.states, built.labels, built.edges, built.initial).columns == (src, lab, dst)
-    for e, s, t, d in zip(built.edges, src, lab, dst):
+    assert built.columns == ids(built.states, built.labels)
+    for states, labels in ((built.states, built.labels), (built.states[::-1], built.labels[::-1])):
+        assert Lts(states, labels, edges, initial).columns == ids(states, labels)
+    # and every edge holds the very strings its columns index
+    for e, s, t, d in zip(built.edges, *built.columns):
         assert built.states[s] is e.source and built.labels[t] is e.label and built.states[d] is e.target
 
 
@@ -389,11 +399,11 @@ def column_builds(draw):
         want = reachability_graph_oracle(net, RG_CAP)
         assume(want is not None)
         return (lambda: reachability_graph(net, RG_CAP)), want.edges
-    lts = draw(loose_lts())
+    initial, edges = draw(loose_lts())
     if kind == "from_edges":
-        return (lambda: Lts.from_edges(lts.initial, lts.edges)), lts.edges
-    text = format_lts(lts)
-    return (lambda: parse_lts(text)), lts.edges
+        return (lambda: Lts.from_edges(initial, edges)), edges
+    text = lts_text(initial, edges)
+    return (lambda: parse_lts(text)), edges
 
 
 def unpickled(lts):
@@ -402,15 +412,27 @@ def unpickled(lts):
     return back
 
 
+def refused(build):
+    """Whether `build()` raises ValueError."""
+    try:
+        build()
+    except ValueError:
+        return True
+    return False
+
+
 # each read of an Lts, as a test that it gives what it gives on the Lts
-# built directly
+# built directly; `replace` builds by name, so it refuses an undeclared
+# initial state on both alike
 READS = {
     "==": lambda lts, eager: lts == eager and eager == lts,
     "hash": lambda lts, eager: hash(lts) == hash(eager),
     "repr": lambda lts, eager: repr(lts) == repr(eager),
     "pickle": lambda lts, eager: unpickled(lts) == eager,
     "replace": lambda lts, eager: (
-        replace(lts) == eager and replace(lts, initial="x") == replace(eager, initial="x")
+        replace(lts) == eager
+        and refused(lambda: replace(lts, initial="x"))
+        and refused(lambda: replace(eager, initial="x"))
     ),
 }
 
@@ -436,13 +458,18 @@ def test_lts_from_columns_is_the_value_built_directly(drawn):
 
 @st.composite
 def damaged_lts(draw):
-    """A random valid LTS, then up to five edits: an edge end or label
-    replaced by an undeclared one, an edge repeating the (source, label)
-    pair of another, a state or label declaration dropped, or a state
-    declared twice."""
+    """The four parts (states, labels, edges, initial) of a random valid LTS
+    after up to five edits: an edge end or label replaced by an undeclared
+    one, an edge repeating the (source, label) pair of another, an edge, a
+    state or a label declaration dropped, or a state or label declared
+    twice."""
     lts = random_lts(random.Random(draw(st.integers(0, 2**32))))
     states, labels, edges = list(lts.states), list(lts.labels), list(lts.edges)
-    kinds = ["source", "label", "target", "repeat", "drop-state", "drop-label", "redeclare"]
+    # half the draws only edit edges between declared names, so they build
+    # and reach `validate`
+    kinds = ["repeat", "drop-edge"]
+    if draw(st.booleans()):
+        kinds += ["source", "label", "target", "drop-state", "drop-label", "redeclare", "redeclare-label"]
     for n in range(draw(st.integers(0, 5))):
         kind = draw(st.sampled_from(kinds))
         if kind == "drop-state" and states:
@@ -451,6 +478,10 @@ def damaged_lts(draw):
             del labels[draw(st.integers(0, len(labels) - 1))]
         elif kind == "redeclare" and states:
             states.insert(draw(st.integers(0, len(states))), draw(st.sampled_from(states)))
+        elif kind == "redeclare-label" and labels:
+            labels.insert(draw(st.integers(0, len(labels))), draw(st.sampled_from(labels)))
+        elif kind == "drop-edge" and edges:
+            del edges[draw(st.integers(0, len(edges) - 1))]
         elif kind in ("source", "label", "target", "repeat") and edges:
             i = draw(st.integers(0, len(edges) - 1))
             source, label, target = edges[i]
@@ -463,13 +494,21 @@ def damaged_lts(draw):
             else:
                 again = Edge(source, label, draw(st.sampled_from(lts.states)))
                 edges.insert(draw(st.integers(0, len(edges))), again)
-    return Lts(tuple(states), tuple(labels), tuple(edges), lts.initial)
+    return tuple(states), tuple(labels), tuple(edges), lts.initial
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(damaged_lts())
-def test_validate_equals_oracle(lts):
-    assert validate(lts) == validate_oracle(lts)
+def test_validate_equals_oracle(parts):
+    # a dangling reference is refused by the build, with the oracle's first
+    # message; any other value builds, and `validate` lists the rest
+    problems = validate_oracle(parts)
+    if problems and problems[0].startswith("dangling reference: "):
+        with pytest.raises(ValueError) as refused_with:
+            Lts(*parts)
+        assert str(refused_with.value) == problems[0]
+    else:
+        assert validate(Lts(*parts)) == problems
 
 
 # --- command line ---------------------------------------------------------

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import (
+    FIXTURES,
     INT_LIMITED,
     LONG_TOKEN,
     load_lts,
@@ -97,6 +98,46 @@ def test_apply_splitting_alphabet_must_cover():
     for edge_labels in ((), ("a", "a")):
         with pytest.raises(ValueError, match="edge count"):
             apply_splitting(lts, LabelSplitting(("a",), edge_labels))
+
+
+def test_apply_splitting_refuses_a_repeated_label():
+    # the split LTS is built from id columns, unchecked, so the alphabet is
+    # checked here: a name declared twice would index two labels
+    lts = Lts.from_edges("s0", [("s0", "a", "s1")])
+    with pytest.raises(ValueError, match="^splitting alphabet repeats a label$"):
+        apply_splitting(lts, LabelSplitting(("a", "a#1", "a"), ("a",)))
+
+
+def random_splitting(rng, lts):
+    """Each label's edges dealt into a random number of blocks."""
+    partitions = {}
+    for t in lts.labels:
+        blocks = {}
+        edges = [i for i, e in enumerate(lts.edges) if e.label == t]
+        for i in edges:
+            blocks.setdefault(rng.randrange(len(edges)), []).append(i)
+        partitions[t] = list(blocks.values())
+    return from_partitions(lts, partitions)
+
+
+def test_apply_splitting_equals_the_lts_built_by_name():
+    # relabelled from the id columns, making no edge, the split LTS is the
+    # value `Lts(...)` builds, and checks, from the relabelled edges
+    rng = random.Random(29)
+    paths = sorted(FIXTURES.glob("**/*.lts"))
+    fixtures = [load_lts(str(path.relative_to(FIXTURES))) for path in paths]
+    cases = [(lts, random_splitting(rng, lts)) for lts in fixtures for _ in range(5)]
+    cases += [(lts, from_partitions(lts, {})) for lts in fixtures]
+    for _ in range(100):
+        lts = random_lts(rng, max_states=8, max_labels=3, extra_edges=6)
+        cases.append((lts, random_splitting(rng, lts)))
+    for lts, sp in cases:
+        new = apply_splitting(lts, sp)
+        assert "edges" not in vars(new)
+        edges = tuple(Edge(e.source, t, e.target) for e, t in zip(lts.edges, sp.edge_labels))
+        by_name = Lts(lts.states, sp.alphabet, edges, lts.initial)
+        assert new.columns == by_name.columns
+        assert new == by_name and hash(new) == hash(by_name)
 
 
 def test_alternative_single_edge_split_makes_fig1_right_embeddable():
