@@ -10,10 +10,11 @@ Every `Lts` declares each state and label once, and names only declared
 ones; an `Lts` built directly checks this when it is built and raises
 ValueError on the first bad name. Every edge also has an integer source,
 label and target, `Lts.columns`, which index `states` and `labels`.
-`Lts.from_edges`, `parse_lts` and `petri.reachability_graph` build an `Lts`
-from its names and columns alone, one string per name, and make its `edges`
-on first read, which `format_lts` and `validate` do not need. The analyses
-index lists through the columns instead of hashing names.
+`Lts.from_edges`, `parse_lts`, `petri.reachability_graph` and
+`splitting.apply_splitting` build an `Lts` from its names and columns alone,
+one string per name. Its `edges` are a view for library users, made on first
+read: every analysis, the splitting layer and the formats read the columns,
+and names appear only where text is read or written and in diagnostics.
 The breadth-first search from the initial state runs once per `Lts` over
 the columns (the memoised `Lts._parents`): `validate` reads it,
 `spanning_tree` returns it as the tree, each state's incoming tree edge, and
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -39,10 +40,6 @@ class Edge(NamedTuple):
     source: str
     label: str
     target: str
-
-
-# `Edge(*triple)` without the namedtuple's Python-level `__new__` or its arity check
-_edge = partial(tuple.__new__, Edge)
 
 
 @dataclass(frozen=True)
@@ -130,7 +127,7 @@ class Lts:
 
 def _edges_from_columns(lts: Lts) -> tuple[Edge, ...]:
     states, labels = lts.states, lts.labels
-    return tuple([_edge((states[s], labels[t], states[d])) for s, t, d in zip(*lts.columns)])
+    return tuple([Edge(states[s], labels[t], states[d]) for s, t, d in zip(*lts.columns)])
 
 
 # `edges` of an `Lts` built from its columns, made on first read, then kept: a
@@ -148,15 +145,14 @@ def validate(lts: Lts) -> list[str]:
     each state the initial one does not reach; an empty list means well formed."""
     problems: list[str] = []
     src, lab, _ = lts.columns
-    # one integer key per (source, label) pair; only the loop that says where
-    # it fails reads `edges`
+    # one integer key per (source, label) pair
     n = len(lts.labels)
     keys = [s * n + t for s, t in zip(src, lab)]
     if len(set(keys)) != len(keys):
         seen: set = set()
-        for e, key in zip(lts.edges, keys):
+        for key, s, t in zip(keys, src, lab):
             if key in seen:
-                problems.append(f"nondeterministic: two edges from {e.source} with label {e.label}")
+                problems.append(f"nondeterministic: two edges from {lts.states[s]} with label {lts.labels[t]}")
             seen.add(key)
     parent = lts._parents
     if len(parent) + 1 != len(lts.states):

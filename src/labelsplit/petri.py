@@ -191,7 +191,6 @@ def synthesize(lts: Lts) -> PetriNet:
 @dataclass(frozen=True)
 class Verification:
     embeds: bool
-    marking_map: dict[str, Marking] | None
     reason: str | None
 
 
@@ -210,16 +209,15 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
     moves = [net.moves[t] for t in lts.labels]  # by label id
     markings = walk(lts, [effect for _, effect in moves], start=net.initial_marking)  # by state id
-    mapping = dict(zip(lts.states, markings))
     # all markings at once; the ordered loops only name the first violation
     if min(chain.from_iterable(markings), default=0) < 0:
         s = next(s for s, m in zip(lts.states, markings) if min(m) < 0)
-        return Verification(False, mapping, f"negative-marking {s}")
+        return Verification(False, f"negative-marking {s}")
     if len(set(markings)) != len(markings):
         seen: dict[Marking, str] = {}
         for s, m in zip(lts.states, markings):
             if seen.setdefault(m, s) != s:
-                return Verification(False, mapping, f"not-injective {seen[m]} {s}")
+                return Verification(False, f"not-injective {seen[m]} {s}")
     # each edge replayed as `fire` does, by label id, and named through the columns
     states, labels = lts.states, lts.labels
     for s, t, d in zip(*lts.columns):
@@ -228,11 +226,11 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
         for p, w in inputs:  # in place order: the first short place is named
             if m[p] < w:
                 reason = f"not-enabled {states[s]} {labels[t]} {net.places[p]}"
-                return Verification(False, mapping, reason)
+                return Verification(False, reason)
         if tuple(map(add, m, effect)) != markings[d]:
             reason = f"edge-mismatch {states[s]} {labels[t]} {states[d]}"
-            return Verification(False, mapping, reason)
-    return Verification(True, mapping, None)
+            return Verification(False, reason)
+    return Verification(True, None)
 
 
 # --- text format --------------------------------------------------------

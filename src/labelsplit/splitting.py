@@ -3,7 +3,9 @@
 A splitting refines the alphabet: every original label keeps its name, each
 label's edge set may be partitioned into blocks, and every extra block gets a
 fresh label that stands for the original. Splitting never changes states
-or the shape of the graph, only edge labels, and it preserves determinism.
+or the shape of the graph, only edge labels, and it preserves determinism:
+a split LTS is a new label column over the same `Lts.columns`, and the whole
+layer reads edges through those columns.
 
 Canonical form: per label, the block containing the lowest-numbered edge
 keeps the original name; the remaining blocks are named `<label>#1`,
@@ -72,14 +74,14 @@ def from_partitions(
 ) -> LabelSplitting:
     """Canonical splitting from per-label partitions of edge indices.
 
-    `partitions` maps a label to a partition of that label's edge indices
-    (absolute indices into lts.edges) into nonempty blocks; labels not in the
-    dict stay unsplit.
+    `partitions` maps a label to a partition of that label's edges, given as
+    edge indices (positions in `lts.columns`), into nonempty blocks; labels
+    not in the dict stay unsplit.
     """
+    edge_labels = [lts.labels[k] for k in lts.columns[1]]
     per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
-    for i, e in enumerate(lts.edges):
-        per_label[e.label].append(i)
-    edge_labels = [e.label for e in lts.edges]
+    for i, t in enumerate(edge_labels):
+        per_label[t].append(i)
     for t, partition in partitions.items():
         # disjoint nonempty blocks sort by their lowest edge
         blocks = sorted(sorted(int(i) for i in blk) for blk in partition)
@@ -101,18 +103,28 @@ def from_partitions(
 
 def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
     """Relabel the edges; states, initial state and graph shape are kept,
-    and the labels are the splitting's alphabet."""
-    src, _, dst = lts.columns
-    if len(splitting.edge_labels) != len(src):
+    and the labels are the splitting's alphabet. Raises ValueError unless
+    `splitting` is a splitting of `lts`, by `parse_splitting`'s rule: one
+    label per edge; an alphabet of the originals and the labels the edges
+    use, each once; and every label standing for one original, an original
+    for itself and a new label for the original of the edges it relabels."""
+    src, old, dst = lts.columns
+    if len(splitting.edge_labels) != len(old):
         raise ValueError("splitting does not match the LTS edge count")
-    label_ids = {t: i for i, t in enumerate(splitting.alphabet)}
-    if len(label_ids) != len(splitting.alphabet):
+    alphabet = splitting.alphabet
+    label_ids = {t: i for i, t in enumerate(alphabet)}
+    if len(label_ids) != len(alphabet):
         raise ValueError("splitting alphabet repeats a label")
-    missing = set(splitting.edge_labels).difference(label_ids)
-    if missing:
-        raise ValueError(f"splitting alphabet misses used labels: {sorted(missing)}")
+    if differ := label_ids.keys() ^ {*lts.labels, *splitting.edge_labels}:
+        raise ValueError(f"splitting alphabet differs from the original and used labels: {sorted(differ)}")
     lab = [label_ids[t] for t in splitting.edge_labels]
-    return Lts._from_columns(lts.states, splitting.alphabet, (src, lab, dst), lts.initial)
+    # by label id: the original each label of the alphabet stands for
+    stands_for = {label_ids[t]: k for k, t in enumerate(lts.labels)}
+    for i, (new, k) in enumerate(zip(lab, old)):
+        if stands_for.setdefault(new, k) != k:
+            original, other = lts.labels[k], lts.labels[stands_for[new]]
+            raise ValueError(f"edge {i} of {original} relabelled to {alphabet[new]}, which stands for {other}")
+    return Lts._from_columns(lts.states, alphabet, (src, lab, dst), lts.initial)
 
 
 # --- witness text form --------------------------------------------------
@@ -122,10 +134,8 @@ def serialize_splitting(lts: Lts, splitting: LabelSplitting) -> str:
     """Sparse text form: a `labels <count>` line, then one
     `split <edge-index> <new-label>` line per edge whose label changed."""
     out = [f"labels {splitting.labels_used()}"]
-    for i, e in enumerate(lts.edges):
-        new = splitting.edge_labels[i]
-        if new != e.label:
-            out.append(f"split {i} {new}")
+    pairs = enumerate(zip(lts.columns[1], splitting.edge_labels, strict=True))
+    out += [f"split {i} {new}" for i, (k, new) in pairs if new != lts.labels[k]]
     return "\n".join(out) + "\n"
 
 
@@ -144,7 +154,7 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
     if len(parts) != 2 or parts[0] != "labels":
         raise FormatError(header, "expected 'labels <count>'")
     declared = _int_token(parts[1], header, "label count")
-    edge_labels = [e.label for e in lts.edges]
+    edge_labels = [lts.labels[k] for k in lts.columns[1]]
     relabelled: set[int] = set()
     # the original each label stands for: the originals, then the new labels
     # by first use
@@ -153,12 +163,12 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
         if len(parts) != 3 or parts[0] != "split":
             raise FormatError(n, "expected 'split <edge-index> <new-label>'")
         i = _int_token(parts[1], n, "edge index")
-        if not 0 <= i < len(lts.edges):
+        if not 0 <= i < len(edge_labels):
             raise FormatError(n, f"edge index out of range: {i}")
         if i in relabelled:
             raise FormatError(n, f"edge {i} relabelled twice")
         relabelled.add(i)
-        new, original = parts[2], lts.edges[i].label
+        new, original = parts[2], edge_labels[i]  # not relabelled yet
         if stands_for.setdefault(new, original) != original:
             raise FormatError(
                 n, f"edge {i} of {original} relabelled to {new}, which stands for {stands_for[new]}"
@@ -211,22 +221,6 @@ def set_partitions(
         used[i + 1 :] = [used[i]] * (count - i - 1)
 
 
-def conflict_pairs(lts: Lts) -> dict[str, list[tuple[int, int]]]:
-    """Per label, the edge index pairs forming a two-state cycle under that
-    label. Such a pair can never share a block in an embeddable splitting."""
-    by_key: dict[tuple[str, str, str], int] = {
-        (e.source, e.label, e.target): i for i, e in enumerate(lts.edges)
-    }
-    result: dict[str, list[tuple[int, int]]] = {t: [] for t in lts.labels}
-    for i, e in enumerate(lts.edges):
-        if e.source == e.target:
-            continue
-        j = by_key.get((e.target, e.label, e.source))
-        if j is not None and i < j:
-            result[e.label].append((i, j))
-    return result
-
-
 @dataclass(frozen=True)
 class SplitOutcome:
     """A witness `splitting`, a definitive not-found (None), or `exhausted`
@@ -253,14 +247,20 @@ class _Search:
 
     def __init__(self, lts: Lts) -> None:
         self.lts = lts
-        self.label_columns = lts.columns[1]
+        src, self.label_columns, dst = lts.columns
         self.per_label: dict[str, list[int]] = {t: [] for t in lts.labels}
         edges_of = list(self.per_label.values())
         for i, k in enumerate(self.label_columns):
             edges_of[k].append(i)
         position = {i: k for edges in edges_of for k, i in enumerate(edges)}
-        pairs = conflict_pairs(lts)
-        self.conflicts = {t: [(position[a], position[b]) for a, b in pairs[t]] for t in lts.labels}
+        # two-cycle conflicts: edges s -t-> s' and s' -t-> s, s != s'
+        triples = list(zip(src, self.label_columns, dst))
+        edge_of = {triple: i for i, triple in enumerate(triples)}
+        self.conflicts: dict[str, list[tuple[int, int]]] = {t: [] for t in lts.labels}
+        for i, (s, k, d) in enumerate(triples):
+            j = edge_of.get((d, k, s), -1)
+            if i < j and s != d:
+                self.conflicts[lts.labels[k]].append((position[i], position[j]))
         # most edges first; a label without edges has nothing to split
         self.order = sorted((t for t in lts.labels if self.per_label[t]), key=lambda t: -len(self.per_label[t]))
         # suffix[d]: labels from order[d] on that need a second block;
@@ -315,9 +315,9 @@ class _Search:
         splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
         tree_edges = set(spanning_tree(lts).values())
         label_rows: dict[int, dict[int, int]] = {}
-        remainder: list[list[tuple[int, int]]] = [[] for _ in lts.edges]
+        remainder: list[list[tuple[int, int]]] = [[] for _ in label]
         rows = 0
-        for i in range(len(lts.edges)):
+        for i in range(len(label)):
             if i in tree_edges:
                 continue
             # the fundamental cycle: the chord s -> t and the tree path from
@@ -550,7 +550,7 @@ def optimize(lts: Lts, node_budget: int | None = None) -> SplitOutcome:
     search = _Search(lts)
     separation = None
     nodes = leaves = 0
-    for q in range(len(lts.labels), len(lts.labels) + len(lts.edges) + 1):
+    for q in range(len(lts.labels), len(lts.labels) + len(lts.columns[1]) + 1):
         outcome = _decide(search, q, node_budget, exact=True, separation=separation)
         nodes += outcome.nodes
         leaves += outcome.leaves

@@ -2,8 +2,9 @@
 
 Everything here is written the slow, obvious way: `Fraction` row reduction
 through `linalg.rref`, Parikh vectors found by climbing the spanning tree,
-dot products per state or per pair, a splitting search that builds and
-checks every leaf's split LTS, a leaf check that eliminates every leaf's
+dot products per state or per pair, two-cycle conflicts found by comparing
+every pair of edges by name, a splitting search that builds and checks
+every leaf's split LTS, a leaf check that eliminates every leaf's
 block columns anew, a search prune that re-tests every pair of states of
 every collision class from full vectors, region validity checked edge by
 edge, markings from Parikh vectors times transition effects, a token game
@@ -38,7 +39,6 @@ from labelsplit.splitting import (
     SplitOutcome,
     _Search,
     apply_splitting,
-    conflict_pairs,
     from_partitions,
     set_partitions,
 )
@@ -143,6 +143,19 @@ def ssp_solvable(lts: Lts, s: str, t: str) -> tuple[int, ...] | None:
         if dot(e, diff) != 0:
             return e
     return None
+
+
+def conflict_pairs(lts: Lts) -> dict[str, list[tuple[int, int]]]:
+    """Per label, the pairs (i, j), i < j, of edge indices that form a
+    two-state cycle under that label, s -t-> s' and s' -t-> s, found by name.
+    Such a pair can never share a block in an embeddable splitting."""
+    result: dict[str, list[tuple[int, int]]] = {t: [] for t in lts.labels}
+    for i, e in enumerate(lts.edges):
+        for j in range(i + 1, len(lts.edges)):
+            f = lts.edges[j]
+            if e.label == f.label and e.source != e.target and (f.source, f.target) == (e.target, e.source):
+                result[e.label].append((i, j))
+    return result
 
 
 def decide_oracle(lts: Lts, max_labels: int, node_budget: int | None = None) -> SplitOutcome:
@@ -458,25 +471,25 @@ def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
     mapping = marking_map(lts, net)
     for s in lts.states:
         if any(v < 0 for v in mapping[s]):
-            return Verification(False, mapping, f"negative-marking {s}")
+            return Verification(False, f"negative-marking {s}")
     seen: dict[Marking, str] = {}
     for s in lts.states:
         m = mapping[s]
         if m in seen:
-            return Verification(False, mapping, f"not-injective {seen[m]} {s}")
+            return Verification(False, f"not-injective {seen[m]} {s}")
         seen[m] = s
     for e in lts.edges:
         try:
             fired = fire_oracle(net, mapping[e.source], e.label)
         except NotEnabled as short:
             return Verification(
-                False, mapping, f"not-enabled {e.source} {e.label} {short.place}"
+                False, f"not-enabled {e.source} {e.label} {short.place}"
             )
         if fired != mapping[e.target]:
             return Verification(
-                False, mapping, f"edge-mismatch {e.source} {e.label} {e.target}"
+                False, f"edge-mismatch {e.source} {e.label} {e.target}"
             )
-    return Verification(True, mapping, None)
+    return Verification(True, None)
 
 
 def validate_oracle(parts: tuple) -> list[str]:

@@ -9,6 +9,7 @@ from labelsplit import cli
 from labelsplit.cli import build_parser, main
 from labelsplit.lts import Lts, parse_lts
 from labelsplit.petri import parse_net, verify_embedding
+from labelsplit.reduction import SubsetSumInstance, extract_solution
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import apply_splitting, parse_splitting
 
@@ -16,6 +17,42 @@ FIG1_RIGHT = str(FIXTURES / "fig1-right.lts")
 FIG2_LEFT = str(FIXTURES / "fig2-left.lts")
 FIG2_MIDDLE = str(FIXTURES / "fig2-middle.lts")
 FIG2_NET = str(FIXTURES / "fig2.net")
+
+
+class _NoEdges:
+    """`Lts.edges` that fails when an `Lts` built from its id columns reads
+    it; a non-data descriptor, so an `Lts` built directly keeps its field."""
+
+    def __get__(self, lts, owner=None):
+        if lts is None:
+            return self
+        raise AssertionError("an Lts built from its columns made its edges")
+
+
+def test_verbs_make_no_edges(tmp_path, monkeypatch, capsys):
+    # names appear only where text is read or written: no verb, and no
+    # witness decoding, makes an `Edge` of a parsed or generated LTS
+    monkeypatch.setattr(Lts, "edges", _NoEdges())
+    ring = str(FIXTURES / "ring3.net")
+    graph, net, gadget = (str(tmp_path / name) for name in ("r.lts", "s.net", "g.lts"))
+    assert main(["rg", ring, "-o", graph]) == 0
+    assert main(["check", graph]) == 0
+    assert main(["synth", graph, "-o", net]) == 0
+    assert main(["verify", graph, net]) == 0
+    assert main(["verify", graph, ring]) == 0
+    assert main(["check", FIG1_RIGHT]) == 1
+    capsys.readouterr()
+    assert main(["split", graph, "--max-labels", "3"]) == 0
+    assert capsys.readouterr().out == "labels 3\n"
+    for mode in (["--max-labels", "3"], ["--optimize"]):
+        assert main(["split", FIG1_RIGHT, *mode]) == 0
+        assert capsys.readouterr().out == "labels 3\nsplit 3 b#1\n"
+    assert main(["reduce", "--b", "3", "--c", "1,2", "-o", gadget]) == 0
+    capsys.readouterr()
+    assert main(["split", gadget, "--max-labels", "18"]) == 0
+    with open(gadget, encoding="utf-8") as f:
+        witness = parse_splitting(parse_lts(f.read()), capsys.readouterr().out)
+    assert extract_solution(SubsetSumInstance(3, (1, 2)), witness) == (1, 2)
 
 
 def test_check_not_embeddable(capsys):

@@ -305,18 +305,6 @@ def test_verify_embedding_fig2_fixtures():
     assert verify_embedding(load_lts("fig2-left.lts"), net).embeds
 
 
-def test_verify_embedding_marking_map_matches_rg():
-    net = load_net("fig2.net")
-    lts = load_lts("fig2-middle.lts")
-    outcome = verify_embedding(lts, net)
-    assert outcome.marking_map is not None
-    assert outcome.marking_map["s0"] == net.initial_marking
-    rg = reachability_graph(net, max_states=100)
-    rg_names = set(rg.states)
-    for s in lts.states:
-        assert marking_name(net, outcome.marking_map[s]) in rg_names
-
-
 def test_verify_embedding_not_injective():
     lts = Lts.from_edges("s0", [("s0", "t", "s1")])
     net = PetriNet((), ("t",), {"t": ()}, {"t": ()}, ())
@@ -341,43 +329,46 @@ def test_verify_embedding_edge_mismatch():
     lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s0")])
     net = parse_net("net\nplace p 0\ntrans a\narc a p 1\n")
     outcome = verify_embedding(lts, net)
-    assert outcome == Verification(False, {"s0": (0,), "s1": (1,)}, "edge-mismatch s1 a s0")
+    assert outcome == Verification(False, "edge-mismatch s1 a s0")
     assert outcome == verify_embedding_oracle(lts, net)
 
 
 def test_verify_embedding_no_labels_maps_to_initial_marking():
     lts = Lts(("s0",), (), (), "s0")
-    outcome = verify_embedding(lts, load_net("fig2.net"))
-    assert outcome.embeds
-    assert outcome.marking_map == {"s0": (5, 1, 0, 0)}
+    net = load_net("fig2.net")
+    assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net) == Verification(True, None)
+    assert marking_map(lts, net) == {"s0": (5, 1, 0, 0)}
 
 
 @pytest.mark.parametrize("places,tokens", [(2, 5), (3, 4), (4, 3)])
-def test_verify_embedding_marking_map_equals_oracle_ring(places, tokens):
+def test_verify_embedding_equals_oracle_ring(places, tokens):
+    # the graph embeds in its own net, each state at the marking it names
     net = ring_net(places, tokens)
     rg = reachability_graph(net)
-    outcome = verify_embedding(rg, net)
-    assert outcome.embeds
-    assert outcome.marking_map == marking_map(rg, net)
-    assert all(marking_name(net, m) == s for s, m in outcome.marking_map.items())
+    assert verify_embedding(rg, net) == verify_embedding_oracle(rg, net) == Verification(True, None)
+    assert all(marking_name(net, m) == s for s, m in marking_map(rg, net).items())
 
 
-def test_verify_embedding_marking_map_equals_oracle_random():
+def test_verify_embedding_equals_oracle_random():
     # synthesized nets, and random nets over the same labels that mostly do
-    # not embed the LTS: the map is the same formula either way
+    # not embed the LTS: the same verdict and reason
     rng = random.Random(67)
+    reasons = set()
     for _ in range(100):
         lts = random_lts(rng)
         if is_embeddable(lts).embeddable:
             net = synthesize(lts)
-            assert verify_embedding(lts, net).marking_map == marking_map(lts, net)
+            assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net) == Verification(True, None)
         places = tuple(f"p{i}" for i in range(rng.randint(0, 3)))
 
         def arcs():
             return {t: tuple(rng.choice((0, 0, 1, 2)) for _ in places) for t in lts.labels}
 
         net = PetriNet(places, lts.labels, arcs(), arcs(), tuple(rng.randint(0, 3) for _ in places))
-        assert verify_embedding(lts, net).marking_map == marking_map(lts, net)
+        outcome = verify_embedding(lts, net)
+        assert outcome == verify_embedding_oracle(lts, net)
+        reasons.add(outcome.reason and outcome.reason.split()[0])
+    assert reasons == {None, "negative-marking", "not-injective", "not-enabled", "edge-mismatch"}
 
 
 def test_verify_embedding_unknown_label():

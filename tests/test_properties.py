@@ -31,8 +31,8 @@ from labelsplit.petri import (
     verify_embedding,
 )
 from labelsplit.regions import is_embeddable
-from labelsplit.splitting import parse_splitting
-from oracles import reachability_graph_oracle, validate_oracle, verify_embedding_oracle
+from labelsplit.splitting import LabelSplitting, apply_splitting, parse_splitting, serialize_splitting
+from oracles import reachability_graph_oracle, validate_oracle, validate_splitting, verify_embedding_oracle
 
 FIG1_RIGHT = load_lts("fig1-right.lts")
 
@@ -67,6 +67,39 @@ def test_parse_net_total(text):
 @given(texts)
 def test_parse_splitting_total(text):
     parses_or_format_error(lambda t: parse_splitting(FIG1_RIGHT, t), text)
+
+
+@st.composite
+def relabellings(draw):
+    """A small LTS and a relabelling of its edges: each edge keeps its label,
+    takes a fresh one of its own, takes `x` or another original. The
+    alphabet is the originals and the labels used, in the order
+    `parse_splitting` gives them, or that with a name dropped or added."""
+    lts = random_lts(random.Random(draw(st.integers(0, 2**32))), max_states=4, max_labels=3, extra_edges=3)
+    edge_labels = tuple(
+        draw(st.sampled_from([lts.labels[k], f"{lts.labels[k]}#1", "x", *lts.labels])) for k in lts.columns[1]
+    )
+    alphabet = tuple(dict.fromkeys([*lts.labels, *edge_labels]))
+    alphabet = draw(st.sampled_from([alphabet, alphabet[:-1], (*alphabet, "y")]))
+    return lts, LabelSplitting(alphabet, edge_labels)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(relabellings())
+@example((Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s0"), ("s1", "b", "s2")]), LabelSplitting(("a", "b", "x"), ("x", "a", "x"))))
+def test_apply_splitting_accepts_what_parse_splitting_reads_back(drawn):
+    # the writer and the reader of a witness agree with `apply_splitting`:
+    # every splitting it accepts comes back from its text form, the same
+    # edge labels under the same alphabet, and every one it refuses does not
+    lts, sp = drawn
+    try:
+        apply_splitting(lts, sp)
+    except ValueError:
+        with pytest.raises(FormatError):
+            parse_splitting(lts, serialize_splitting(lts, sp))
+        return
+    assert validate_splitting(lts, sp) == []
+    assert parse_splitting(lts, serialize_splitting(lts, sp)) == sp
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

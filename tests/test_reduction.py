@@ -15,13 +15,14 @@ from labelsplit.reduction import (
 )
 from labelsplit.regions import Region, effect_space, is_embeddable
 from labelsplit.splitting import (
+    _Search,
     apply_splitting,
-    conflict_pairs,
     decide,
     parse_splitting,
     serialize_splitting,
 )
 from oracles import (
+    conflict_pairs,
     in_span,
     index_set_splitting,
     region_violations,
@@ -114,9 +115,9 @@ def test_gadget_two_cycle_pair_is_inseparable():
 def test_gadget_conflicts_are_exactly_the_gammas():
     inst = SubsetSumInstance(5, (2, 3, 4))
     lts = build_lts(inst)
-    conflicts = conflict_pairs(lts)
-    assert {t for t, pairs in conflicts.items() if pairs} == {"g1", "g2", "g3"}
-    assert all(len(pairs) == 1 for t, pairs in conflicts.items() if pairs)
+    for conflicts in (conflict_pairs(lts), _Search(lts).conflicts):
+        assert {t for t, pairs in conflicts.items() if pairs} == {"g1", "g2", "g3"}
+        assert all(len(pairs) == 1 for t, pairs in conflicts.items() if pairs)
 
 
 def test_effect_space_collapse_unsplit():

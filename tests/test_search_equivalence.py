@@ -34,7 +34,7 @@ from labelsplit.splitting import (
     optimize,
     set_partitions,
 )
-from oracles import block_leaf_oracle, decide_oracle, separation_cut_oracle, ssp_solvable
+from oracles import block_leaf_oracle, conflict_pairs, decide_oracle, separation_cut_oracle, ssp_solvable
 
 # the subset-sum gadgets of the benchmark: three unsolvable all-even
 # instances, one solvable instance and one unsolvable odd target
@@ -205,6 +205,23 @@ def test_self_loops():
     assert assert_same(Lts.from_edges("s0", [("s0", "a", "s0")]), 1)
     lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s1"), ("s1", "b", "s0")])
     sweep(lts)
+
+
+def test_conflicts_equal_the_oracle():
+    # the search finds two-cycle conflicts from id triples, as positions in
+    # each label's edge list; the oracle compares every pair of edges by name
+    rng = random.Random(41)
+    cases = [load_lts(name) for name in SEARCH_FIXTURES]
+    cases += [build_lts(SubsetSumInstance(b, c)) for b, c in GADGETS[:2]]
+    cases += [random_lts(rng, max_states=4, max_labels=2, extra_edges=8) for _ in range(300)]
+    with_conflicts = 0
+    for lts in cases:
+        search = _Search(lts)
+        position = {i: k for edges in search.per_label.values() for k, i in enumerate(edges)}
+        want = {t: [(position[i], position[j]) for i, j in pairs] for t, pairs in conflict_pairs(lts).items()}
+        assert search.conflicts == want, lts
+        with_conflicts += any(want.values())
+    assert with_conflicts > 50
 
 
 def test_long_chain():
@@ -456,8 +473,8 @@ def test_edge_columns_hold_the_remainder_nonzeros():
 def test_labelled_ring_search_memory():
     # leaves on 4,389 remainder rows over 6,160 edges: the columns stay
     # sparse, so the search holds a few times the factorisation. It peaks
-    # at about 9.8 MiB on Python 3.10 to 3.13, and at 13.4 MiB when it held
-    # the factorisation twice
+    # at about 9.35 MiB on Python 3.10 to 3.13; at 9.8 MiB when it made the
+    # LTS's edges, and at 13.4 MiB when it held the factorisation twice
     lts = labelled_ring(4, 20)
     tracemalloc.start()
     try:
@@ -466,7 +483,8 @@ def test_labelled_ring_search_memory():
     finally:
         tracemalloc.stop()
     assert outcome.exhausted and outcome.nodes == 41
-    assert peak < 12 * 2**20
+    assert "edges" not in vars(lts)
+    assert peak < 9.6 * 2**20
 
 
 def test_factorisation_on_fixtures_and_random_draws():

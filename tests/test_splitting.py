@@ -16,8 +16,8 @@ from labelsplit.lts import Edge, FormatError, Lts, validate
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import (
     LabelSplitting,
+    _Search,
     apply_splitting,
-    conflict_pairs,
     decide,
     from_partitions,
     optimize,
@@ -25,7 +25,7 @@ from labelsplit.splitting import (
     serialize_splitting,
     set_partitions,
 )
-from oracles import validate_splitting
+from oracles import conflict_pairs, validate_splitting
 
 
 def test_unsplit_partitions_are_identity():
@@ -106,6 +106,30 @@ def test_apply_splitting_refuses_a_repeated_label():
     lts = Lts.from_edges("s0", [("s0", "a", "s1")])
     with pytest.raises(ValueError, match="^splitting alphabet repeats a label$"):
         apply_splitting(lts, LabelSplitting(("a", "a#1", "a"), ("a",)))
+
+
+def test_apply_splitting_refuses_what_parse_splitting_refuses():
+    # x relabels an a edge and a b edge: the split LTS would embed, but the
+    # witness written for it does not parse back, so it is not a splitting
+    lts = Lts.from_edges("s0", [("s0", "a", "s1"), ("s1", "a", "s0"), ("s1", "b", "s2")])
+    sp = LabelSplitting(("a", "b", "x"), ("x", "a", "x"))
+    message = "edge 2 of b relabelled to x, which stands for a"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        apply_splitting(lts, sp)
+    with pytest.raises(FormatError, match=f"^line 3: {message}$"):
+        parse_splitting(lts, "labels 3\nsplit 0 x\nsplit 2 x\n")
+    # an original name keeps only its own edges
+    with pytest.raises(ValueError, match="^edge 2 of b relabelled to a, which stands for a$"):
+        apply_splitting(lts, LabelSplitting(("a", "b"), ("a", "a", "a")))
+    # the alphabet is the originals and the labels used, no more and no fewer
+    differs = "^splitting alphabet differs from the original and used labels: "
+    with pytest.raises(ValueError, match=differs + r"\['y'\]$"):
+        apply_splitting(lts, LabelSplitting(("a", "b", "y"), ("a", "a", "b")))
+    with pytest.raises(ValueError, match=differs + r"\['b'\]$"):
+        apply_splitting(lts, LabelSplitting(("a", "b#1"), ("a", "a", "b#1")))
+    good = LabelSplitting(("a", "b", "x"), ("x", "a", "b"))
+    assert parse_splitting(lts, serialize_splitting(lts, good)) == good
+    assert apply_splitting(lts, good).labels == ("a", "b", "x")
 
 
 def random_splitting(rng, lts):
@@ -329,6 +353,8 @@ def test_conflict_pairs():
         ],
     )
     assert conflict_pairs(lts) == {"g": [(0, 1)], "a": []}
+    # the search's own rule, by id, as positions in each label's edge list
+    assert _Search(lts).conflicts == {"g": [(0, 1)], "a": []}
 
 
 def test_decide_fig1_right():
