@@ -6,15 +6,15 @@ keep a canonical order (order of first appearance), and everything downstream
 (spanning trees, Parikh vectors, splitting witnesses) is indexed against that
 order, so two structurally equal systems behave identically.
 
-Every `Lts` declares each state and label once, and names only declared
-ones; an `Lts` built directly checks this when it is built and raises
-ValueError on the first bad name. Every edge also has an integer source,
-label and target, `Lts.columns`, which index `states` and `labels`.
-`Lts.from_edges`, `parse_lts`, `petri.reachability_graph` and
-`splitting.apply_splitting` build an `Lts` from its names and columns alone,
-one string per name. Its `edges` are a view for library users, made on first
-read: every analysis, the splitting layer and the formats read the columns,
-and names appear only where text is read or written and in diagnostics.
+An `Lts` is its declared states and labels, each once, its initial state,
+and its edges as integer columns, `Lts.columns`: each edge's source, label
+and target as indices into `states` and `labels`. `Lts.from_edges`,
+`parse_lts`, `petri.reachability_graph` and `splitting.apply_splitting`
+build it from those ids, one string per name; `Lts.from_names` builds it
+from edges by name, raising ValueError on the first name declared twice or
+not declared. Its `edges` are a view for library users, made on first read:
+every analysis, the splitting layer and the formats read the columns, and
+names appear only where text is read or written and in diagnostics.
 The breadth-first search from the initial state runs once per `Lts` over
 the columns (the memoised `Lts._parents`): `validate` reads it,
 `spanning_tree` returns it as the tree, each state's incoming tree edge, and
@@ -28,7 +28,7 @@ tokens) live here, next to `FormatError`, and the other parsers use them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -45,20 +45,23 @@ class Edge(NamedTuple):
 @dataclass(frozen=True)
 class Lts:
     """A labelled transition system with canonical state/label/edge order.
-    `columns`, not a field, holds each edge's source, label and target as
-    indices into `states` and `labels`; it must not be mutated."""
+    `columns` holds ids into distinct `states` and `labels`, unchecked and
+    never mutated; only an undeclared initial state is refused."""
 
     states: tuple[str, ...]
     labels: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    columns: tuple[list[int], list[int], list[int]] = field(hash=False)
     initial: str
+
+    def __post_init__(self) -> None:  # one comparison when `initial` is declared first
+        if self.states[:1] != (self.initial,) and self.initial not in self.states:
+            raise ValueError(f"dangling reference: initial state {self.initial} not declared")
 
     @classmethod
     def from_edges(cls, initial: str, edges: Iterable[Sequence[str]]) -> "Lts":
         """Build in one pass, with first-use ordering: initial state first, then
         states and labels in order of first appearance along the edges. Each
-        name is kept as one string; the pass fills `columns`, and the edges
-        are made from them on first read."""
+        name is kept as one string; the pass fills `columns`."""
         state_ids = {initial: 0}
         label_ids: dict[str, int] = {}
         state, label = state_ids.setdefault, label_ids.setdefault
@@ -67,44 +70,43 @@ class Lts:
             src.append(state(s, len(state_ids)))
             lab.append(label(t, len(label_ids)))
             dst.append(state(d, len(state_ids)))
-        return cls._from_columns(tuple(state_ids), tuple(label_ids), columns, initial)
+        return cls(tuple(state_ids), tuple(label_ids), columns, initial)
 
     @classmethod
-    def _from_columns(cls, states: tuple, labels: tuple, columns: tuple, initial: str) -> Lts:
-        """An `Lts` from distinct names and id columns into them, unchecked."""
-        lts = object.__new__(cls)
-        lts.__dict__.update(states=states, labels=labels, initial=initial, columns=columns)
-        return lts
-
-    def __post_init__(self) -> None:
-        """Check an `Lts` built directly, once: raise ValueError on the first
-        name declared twice or not declared (initial state, then each edge's
-        source, target and label). Then fill `columns`."""
+    def from_names(cls, states: Sequence[str], labels: Sequence[str], edges: Iterable, initial: str) -> Lts:
+        """Build from declared names and edges between them, in the declared
+        order: raise ValueError on the first name declared twice or not
+        declared (initial state, then each edge's source, target and label)."""
         dangling = "dangling reference: "
-        state_ids = {s: i for i, s in enumerate(self.states)}
-        label_ids = {t: i for i, t in enumerate(self.labels)}
-        if len(state_ids) != len(self.states):
+        state_ids = {s: i for i, s in enumerate(states)}
+        label_ids = {t: i for i, t in enumerate(labels)}
+        if len(state_ids) != len(states):
             raise ValueError(f"{dangling}duplicate state declaration")
-        if len(label_ids) != len(self.labels):
+        if len(label_ids) != len(labels):
             raise ValueError(f"{dangling}duplicate label declaration")
-        if self.initial not in state_ids:
-            raise ValueError(f"{dangling}initial state {self.initial} not declared")
+        if initial not in state_ids:
+            raise ValueError(f"{dangling}initial state {initial} not declared")
         columns: tuple[list[int], list[int], list[int]] = ([], [], [])
         checks = ((0, "source", state_ids), (2, "target", state_ids), (1, "label", label_ids))
-        for i, edge in enumerate(self.edges):
+        for i, edge in enumerate(edges):
             for k, what, ids in checks:
                 if edge[k] not in ids:
                     raise ValueError(f"{dangling}edge {i} {what} {edge[k]} not declared")
                 columns[k].append(ids[edge[k]])
-        self.__dict__["columns"] = columns
+        return cls(tuple(states), tuple(labels), columns, initial)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges by name, for library users: made on first read, then kept."""
+        states, labels = self.states, self.labels
+        return tuple([Edge(states[s], labels[t], states[d]) for s, t, d in zip(*self.columns)])
 
     @cached_property
     def _parents(self) -> dict[str, int]:
         """Breadth-first search from the initial state over `columns`, taking
         each state's edges in canonical order: the index of the edge that
-        first reached each state, in discovery order. Run once per LTS:
-        `validate` reads it and `spanning_tree` returns it; equality and
-        hashing see only the fields above."""
+        first reached each state, in discovery order. Run once per LTS, and no
+        field: `validate` reads it and `spanning_tree` returns it."""
         root = self.states.index(self.initial)
         src, _, dst = self.columns
         out: list[list[int]] = [[] for _ in self.states]
@@ -123,18 +125,6 @@ class Lts:
                     parent[states[d]] = i
                     frontier.append(d)
         return parent
-
-
-def _edges_from_columns(lts: Lts) -> tuple[Edge, ...]:
-    states, labels = lts.states, lts.labels
-    return tuple([Edge(states[s], labels[t], states[d]) for s, t, d in zip(*lts.columns)])
-
-
-# `edges` of an `Lts` built from its columns, made on first read, then kept: a
-# non-data descriptor, so the field of an `Lts` built directly, in its instance
-# dict, is found first (`__getattr__` would slow every attribute read of an `Lts`)
-Lts.edges = cached_property(_edges_from_columns)  # type: ignore[assignment]
-Lts.edges.__set_name__(Lts, "edges")
 
 
 # --- validation ---------------------------------------------------------
@@ -268,7 +258,7 @@ def parse_lts(text: str) -> Lts:
         src.append(state(parts[1], len(state_ids)))
         lab.append(label(parts[2], len(label_ids)))
         dst.append(state(parts[3], len(state_ids)))
-    return Lts._from_columns(tuple(state_ids), tuple(label_ids), columns, initial)
+    return Lts(tuple(state_ids), tuple(label_ids), columns, initial)
 
 
 def format_lts(lts: Lts) -> str:

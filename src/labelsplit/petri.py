@@ -1,22 +1,22 @@
 """Place/transition Petri nets: token game, reachability graphs, synthesis.
 
-Weighted arcs, integer markings. Markings are tuples aligned with the
-declared place order, and so are a transition's arc weights: `pre[t]` is what
-t takes from each place, `post[t]` what it puts back, and firing t turns
-marking M into M - pre[t] + post[t]. `PetriNet.moves` holds each transition's
-input arcs and effect post[t] - pre[t], made once per net, for `enabled`,
-`fire` and `verify_embedding`. `reachability_graph` shares no enabling code
-with them: it packs each marking into one int, a field per place whose top
-bit is a guard that no count reached within the state bound sets, so one
-subtraction tests enabling and one addition fires. `verify_embedding` keeps
-tuple markings in a list by state id and replays each edge of `Lts.columns`
-by label id with `fire`'s tuple test, its independent check; it names a
-failing edge through the columns and reads no `Lts.edges`. Synthesis makes
-one place per region, so `pre[t]` and `post[t]` hold label t's consume and
-produce weight in every region. The reachability graph is itself an `Lts`,
-built from its id columns (its `edges` are made on first read), whose states
-are canonical marking names, which lets the region machinery and the token
-game meet in `verify_embedding`.
+Weighted arcs, integer markings, no count or weight negative (a `PetriNet`
+refuses one). Markings are tuples aligned with the declared place order, and
+so are a transition's arc weights: `pre[t]` is what t takes from each place,
+`post[t]` what it puts back, and firing t turns marking M into
+M - pre[t] + post[t]. `PetriNet.moves` holds each transition's input arcs and
+effect post[t] - pre[t], made once per net, for `enabled`, `fire` and
+`verify_embedding`. `reachability_graph` shares no enabling code with them: it
+packs each marking into one int, a field per place whose top bit is a guard
+that no count reached within the state bound sets, so one subtraction tests
+enabling and one addition fires. `verify_embedding` keeps tuple markings in a
+list by state id and replays each edge of `Lts.columns` by label id with
+`fire`'s tuple test, its independent check; it names a failing edge through
+the columns and reads no `Lts.edges`. Synthesis makes one place per region, so
+`pre[t]` and `post[t]` hold label t's consume and produce weight in every
+region. The reachability graph is itself an `Lts`, built by its id constructor
+from the columns of the search, whose states are canonical marking names,
+which lets the region machinery and the token game meet in `verify_embedding`.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ Move = tuple[tuple[tuple[int, int], ...], Marking]
 class PetriNet:
     """`pre[t]` and `post[t]` hold transition t's input and output arc
     weights, one per place in declared order (0 where there is no arc).
-    The maps must not change once the net is built: `moves` reads them once."""
+    The maps must not change once the net is built: `moves` reads them once.
+    No count or weight is negative, as every enabling test assumes."""
 
     places: tuple[str, ...]
     transitions: tuple[str, ...]
@@ -54,6 +55,12 @@ class PetriNet:
                 len(w) != len(self.places) for w in arcs.values()
             ):
                 raise ValueError("pre and post need one weight per place for each transition")
+        for p, c in zip(self.places, self.initial_marking):
+            if c < 0:
+                raise ValueError(f"place {p} has a negative token count: {c}")
+        for t, p, w in ((t, p, w) for arcs in (self.pre, self.post) for t in arcs for p, w in zip(self.places, arcs[t])):
+            if w < 0:
+                raise ValueError(f"arc between place {p} and transition {t} has a negative weight: {w}")
 
     @cached_property
     def _name_template(self) -> str:
@@ -168,7 +175,7 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
         place = next(p for m in zip(*columns) for p, k in zip(net.places, m) if k >= too_long)
         message = f"place {place} reaches a token count of more than {digits} digits"
         raise ValueError(f"{message}, too long to write in a state name") from None
-    return Lts._from_columns(tuple(names), net.transitions, (sources, labels, targets), names[0])
+    return Lts(tuple(names), net.transitions, (sources, labels, targets), names[0])
 
 
 # --- synthesis and verification -----------------------------------------

@@ -4,8 +4,8 @@ A splitting refines the alphabet: every original label keeps its name, each
 label's edge set may be partitioned into blocks, and every extra block gets a
 fresh label that stands for the original. Splitting never changes states
 or the shape of the graph, only edge labels, and it preserves determinism:
-a split LTS is a new label column over the same `Lts.columns`, and the whole
-layer reads edges through those columns.
+a split LTS is the same states and columns with a new label column and the
+alphabet as labels, and the whole layer reads edges through the columns.
 
 Canonical form: per label, the block containing the lowest-numbered edge
 keeps the original name; the remaining blocks are named `<label>#1`,
@@ -59,8 +59,8 @@ from .regions import is_embeddable
 class LabelSplitting:
     """`edge_labels` gives the new label of every edge in canonical edge
     order; a label that is not an original stands for the original of the
-    edges it relabels. `alphabet` is the refined label set: the originals,
-    then the new labels by first use."""
+    edges it relabels. `alphabet` is the refined label set in one order: the
+    originals, then the new labels by first use along the edges."""
 
     alphabet: tuple[str, ...]
     edge_labels: tuple[str, ...]
@@ -105,18 +105,16 @@ def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
     """Relabel the edges; states, initial state and graph shape are kept,
     and the labels are the splitting's alphabet. Raises ValueError unless
     `splitting` is a splitting of `lts`, by `parse_splitting`'s rule: one
-    label per edge; an alphabet of the originals and the labels the edges
-    use, each once; and every label standing for one original, an original
-    for itself and a new label for the original of the edges it relabels."""
+    label per edge; the alphabet in `LabelSplitting`'s one order; and every
+    label standing for one original, an original for itself and a new
+    label for the original of the edges it relabels."""
     src, old, dst = lts.columns
     if len(splitting.edge_labels) != len(old):
         raise ValueError("splitting does not match the LTS edge count")
     alphabet = splitting.alphabet
+    if alphabet != (ordered := tuple(dict.fromkeys((*lts.labels, *splitting.edge_labels)))):
+        raise ValueError(f"splitting alphabet is not {ordered}: the originals, then the new labels by first use")
     label_ids = {t: i for i, t in enumerate(alphabet)}
-    if len(label_ids) != len(alphabet):
-        raise ValueError("splitting alphabet repeats a label")
-    if differ := label_ids.keys() ^ {*lts.labels, *splitting.edge_labels}:
-        raise ValueError(f"splitting alphabet differs from the original and used labels: {sorted(differ)}")
     lab = [label_ids[t] for t in splitting.edge_labels]
     # by label id: the original each label of the alphabet stands for
     stands_for = {label_ids[t]: k for k, t in enumerate(lts.labels)}
@@ -124,7 +122,7 @@ def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
         if stands_for.setdefault(new, k) != k:
             original, other = lts.labels[k], lts.labels[stands_for[new]]
             raise ValueError(f"edge {i} of {original} relabelled to {alphabet[new]}, which stands for {other}")
-    return Lts._from_columns(lts.states, alphabet, (src, lab, dst), lts.initial)
+    return Lts(lts.states, alphabet, (src, lab, dst), lts.initial)
 
 
 # --- witness text form --------------------------------------------------
@@ -143,7 +141,7 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
     """Parse a witness against the LTS it splits. New labels are taken as
     written; each relabels edges of a single original label, and an original
     name may only keep its own edges. `labels N` counts the originals plus
-    the new labels, which enter the alphabet in the order of their lines.
+    the new labels, which enter the alphabet by first use along the edges.
 
     Unlike the LTS/net formats this one has no comment syntax: canonical
     fresh labels contain `#`, so `#` stays an ordinary character here."""
@@ -156,8 +154,7 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
     declared = _int_token(parts[1], header, "label count")
     edge_labels = [lts.labels[k] for k in lts.columns[1]]
     relabelled: set[int] = set()
-    # the original each label stands for: the originals, then the new labels
-    # by first use
+    # the original each label stands for
     stands_for = {t: t for t in lts.labels}
     for n, parts in lines:
         if len(parts) != 3 or parts[0] != "split":
@@ -176,7 +173,7 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
         edge_labels[i] = new
     if declared != len(stands_for):
         raise FormatError(header, f"declared {declared} labels, witness uses {len(stands_for)}")
-    return LabelSplitting(tuple(stands_for), tuple(edge_labels))
+    return LabelSplitting(tuple(dict.fromkeys((*lts.labels, *edge_labels))), tuple(edge_labels))
 
 
 # --- search -------------------------------------------------------------

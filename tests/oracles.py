@@ -453,7 +453,7 @@ def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | N
                 order.append(succ)
                 frontier.append(succ)
             edges.append(Edge(names[m], t, names[succ]))
-    return Lts(
+    return Lts.from_names(
         states=tuple(names[m] for m in order),
         labels=net.transitions,
         edges=tuple(edges),
@@ -493,8 +493,8 @@ def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
 
 
 def validate_oracle(parts: tuple) -> list[str]:
-    """What `Lts(*parts)` refuses and `validate` reports, on the four parts
-    an `Lts` is built from (states, labels, edges, initial): one pass over
+    """What `Lts.from_names(*parts)` refuses and `validate` reports, on its
+    four parts (states, labels, edges, initial): one pass over
     the edges for undeclared ends and labels, one for repeated (source,
     label) pairs, and a reachability search of its own over the declared
     states. The build raises the first "dangling reference"; `validate`

@@ -20,13 +20,12 @@ FIG2_NET = str(FIXTURES / "fig2.net")
 
 
 class _NoEdges:
-    """`Lts.edges` that fails when an `Lts` built from its id columns reads
-    it; a non-data descriptor, so an `Lts` built directly keeps its field."""
+    """`Lts.edges` that fails when it is read."""
 
     def __get__(self, lts, owner=None):
         if lts is None:
             return self
-        raise AssertionError("an Lts built from its columns made its edges")
+        raise AssertionError("an Lts made its edges")
 
 
 def test_verbs_make_no_edges(tmp_path, monkeypatch, capsys):
@@ -132,8 +131,8 @@ def test_check_contract_violations_exact(tmp_path, capsys):
 
 
 def test_verbs_build_no_lts_by_name(tmp_path, monkeypatch, capsys):
-    # the check `Lts(...)` makes of its names costs the verbs nothing: they
-    # build every Lts from id columns, and answer the same without the check
+    # the check `Lts.from_names` makes of its names costs the verbs nothing:
+    # they build every Lts from id columns, and answer the same without it
     net = tmp_path / "out.net"
     calls = [
         ["check", FIG1_RIGHT],
@@ -159,10 +158,10 @@ def test_verbs_build_no_lts_by_name(tmp_path, monkeypatch, capsys):
 
     checked = [run(argv) for argv in calls]
 
-    def by_name(lts):
+    def by_name(*parts):
         raise AssertionError("an Lts built by name")
 
-    monkeypatch.setattr(Lts, "__post_init__", by_name)
+    monkeypatch.setattr(Lts, "from_names", by_name)
     assert [run(argv) for argv in calls] == checked
     assert [code for code, _, _ in checked] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
 

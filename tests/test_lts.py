@@ -1,5 +1,6 @@
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,7 @@ from labelsplit.lts import (
 )
 from labelsplit.petri import parse_net, reachability_graph, verify_embedding
 from labelsplit.regions import is_embeddable
-from labelsplit.splitting import parse_splitting
+from labelsplit.splitting import apply_splitting, from_partitions, parse_splitting
 from oracles import edge_parikh, in_span, rref_rows, state_parikh
 
 
@@ -130,11 +131,11 @@ def test_validate_clean_fixtures():
 
 
 def test_validate_single_state():
-    assert validate(Lts(("s0",), (), (), "s0")) == []
+    assert validate(Lts.from_names(("s0",), (), (), "s0")) == []
 
 
-# (the four parts an `Lts` is built from, messages) for every message on a
-# malformed LTS, one value each: `Lts(...)` refuses a "dangling reference"
+# (the four parts `Lts.from_names` takes, messages) for every message on a
+# malformed LTS, one value each: `from_names` refuses a "dangling reference"
 # with its text, and `validate` reports the rest
 VALIDATE_MESSAGES = [
     ((("s0", "s0"), (), (), "s0"), ["dangling reference: duplicate state declaration"]),
@@ -164,10 +165,10 @@ VALIDATE_MESSAGES = [
 def test_validate_messages(lts, messages):
     if messages[0].startswith("dangling reference: "):
         with pytest.raises(ValueError) as refused:
-            Lts(*lts)
+            Lts.from_names(*lts)
         assert str(refused.value) == messages[0]
     else:
-        assert validate(Lts(*lts)) == messages
+        assert validate(Lts.from_names(*lts)) == messages
 
 
 def test_validate_nondeterminism():
@@ -176,13 +177,13 @@ def test_validate_nondeterminism():
 
 
 def test_validate_unreachable():
-    lts = Lts(("s0", "s1"), ("a",), (), "s0")
+    lts = Lts.from_names(("s0", "s1"), ("a",), (), "s0")
     assert validate(lts) == ["unreachable state: s1"]
 
 
 def test_validate_dangling():
     with pytest.raises(ValueError, match="^dangling reference: edge 0 target ghost not declared$"):
-        Lts(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
+        Lts.from_names(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
 
 
 def test_validate_mixed_violations_exact():
@@ -190,9 +191,9 @@ def test_validate_mixed_violations_exact():
     # the build names the first bad name, edge by edge as source, target, label
     edges = [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "ghost"), ("ghost", "a", "s3")]
     with pytest.raises(ValueError, match="^dangling reference: edge 2 target ghost not declared$"):
-        Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
+        Lts.from_names(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
     # without them, s3 is unreachable, and `validate` reports both in order
-    lts = Lts(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges[:2]), "s0")
+    lts = Lts.from_names(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges[:2]), "s0")
     assert validate(lts) == [
         "nondeterministic: two edges from s0 with label a",
         "unreachable state: s3",
@@ -203,10 +204,10 @@ def test_undeclared_edge_name_is_a_value_error():
     # refused when built, so no analysis or verifier indexes by a missing id
     bad_label = (Edge("s0", "a", "s1"), Edge("s1", "b", "s1"))
     with pytest.raises(ValueError) as refused:
-        Lts(("s0", "s1"), ("a",), bad_label, "s0")
+        Lts.from_names(("s0", "s1"), ("a",), bad_label, "s0")
     assert str(refused.value) == "dangling reference: edge 1 label b not declared"
     with pytest.raises(ValueError, match="^dangling reference: edge 0 target s9 not declared$"):
-        Lts(("s0", "s1"), ("a",), (Edge("s0", "a", "s9"),), "s0")
+        Lts.from_names(("s0", "s1"), ("a",), (Edge("s0", "a", "s9"),), "s0")
 
 
 def test_spanning_tree_tree_lts_uses_all_edges():
@@ -227,7 +228,7 @@ def test_spanning_tree_fig2_middle_picks_first_use_edges():
 
 
 def test_spanning_tree_rejects_unreachable():
-    lts = Lts(("s0", "s1"), ("a",), (), "s0")
+    lts = Lts.from_names(("s0", "s1"), ("a",), (), "s0")
     with pytest.raises(ValueError):
         spanning_tree(lts)
 
@@ -240,10 +241,13 @@ def test_spanning_tree_names_first_unreachable_state():
 
 
 def test_undeclared_initial_state_is_a_value_error():
-    # refused when built, also by `replace`, which builds by name
-    with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
-        Lts(("s0",), (), (), "x")
-    for lts in (Lts(("s0",), (), (), "s0"), load_lts("fig2-middle.lts")):
+    # refused by name and by the id constructor, so also by `replace`; a
+    # declared initial state need not be the first
+    for build in (Lts.from_names, lambda *parts: Lts(*parts[:2], ([], [], []), parts[3])):
+        with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
+            build(("s0",), (), (), "x")
+        assert build(("s0", "s1"), (), (), "s1").initial == "s1"
+    for lts in (Lts.from_names(("s0",), (), (), "s0"), load_lts("fig2-middle.lts")):
         with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
             replace(lts, initial="x")
 
@@ -253,17 +257,17 @@ def test_duplicate_state_declaration_is_a_value_error():
     for states in (("s0", "s1", "s1"), ("s0", "s0")):
         edges = (Edge("s0", "a", "s1"),) * (len(set(states)) - 1)
         with pytest.raises(ValueError, match="^dangling reference: duplicate state declaration$"):
-            Lts(states, ("a",), edges, "s0")
+            Lts.from_names(states, ("a",), edges, "s0")
 
 
 def test_one_breadth_first_search_per_lts(monkeypatch):
     # validate reads, and every spanning tree is, the same memoised parent
     # map; a parsed LTS has its columns from the parse, and no analysis
     # builds an Lts by name, which would check its names again
-    def by_name(lts):
+    def by_name(*parts):
         raise AssertionError("an Lts built by name")
 
-    monkeypatch.setattr(Lts, "__post_init__", by_name)
+    monkeypatch.setattr(Lts, "from_names", by_name)
     lts = load_lts("fig2-middle.lts")
     columns = lts.columns
     assert validate(lts) == []
@@ -496,6 +500,26 @@ def test_random_walk_difference_in_cycle_span():
                 )
             )
             assert in_span(rows, diff)
+
+
+def test_an_lts_is_its_id_columns():
+    # the fields are the names and the columns, so equality, hashing, repr
+    # and pickling make no `Edge` of an Lts from `parse_lts`,
+    # `reachability_graph` or `apply_splitting`, nor of one built by name
+    assert [f.name for f in fields(Lts)] == ["states", "labels", "columns", "initial"]
+    parsed = load_lts("fig1-right.lts")
+    split = apply_splitting(parsed, from_partitions(parsed, {"b": [[1], [3, 5]]}))
+    built = [parsed, reachability_graph(ring_net(4, 5)), split]
+    edges = load_lts("fig1-right.lts").edges
+    built.append(Lts.from_names(parsed.states, parsed.labels, edges, parsed.initial))
+    for lts in built:
+        twin = replace(lts)
+        back = pickle.loads(pickle.dumps(lts))
+        assert lts == twin == back and hash(lts) == hash(twin) == hash(back)
+        assert repr(lts) == repr(back) and f"columns={lts.columns!r}" in repr(lts)
+        for read in (lts, twin, back):
+            assert "edges" not in vars(read)
+    assert built[0] == built[3] != split
 
 
 def test_rg_to_verify_builds_no_edges():

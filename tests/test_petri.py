@@ -182,6 +182,24 @@ def test_petri_net_rejects_wrong_marking_length():
         PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (0,)}, ())
 
 
+def test_petri_net_rejects_negative_counts_and_weights():
+    # the packed search of `reachability_graph` and the enabling test of
+    # `enabled` and `fire` assume no count is negative: a marking of -1 made
+    # `rg` report the bound exceeded, and a weight of -1 made `fire` fire a
+    # transition `rg` found never enabled
+    with pytest.raises(ValueError, match="^place p has a negative token count: -1$"):
+        PetriNet(("p", "q"), ("t",), {"t": (1, 0)}, {"t": (0, 1)}, (-1, 0))
+    with pytest.raises(ValueError, match="^arc between place p and transition t has a negative weight: -1$"):
+        PetriNet(("p",), ("t",), {"t": (-1,)}, {"t": (0,)}, (0,))
+    with pytest.raises(ValueError, match="^arc between place q and transition u has a negative weight: -2$"):
+        PetriNet(("p", "q"), ("t", "u"), {"t": (1, 0), "u": (0, 0)}, {"t": (0, 1), "u": (0, -2)}, (1, 0))
+    # the same nets with those counts at zero build, and agree with the token game
+    net = PetriNet(("p", "q"), ("t",), {"t": (1, 0)}, {"t": (0, 1)}, (0, 0))
+    assert not enabled(net, (0, 0), "t") and len(reachability_graph(net).states) == 1
+    net = PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (0,)}, (0,))
+    assert enabled(net, (0,), "t") and reachability_graph(net).columns == ([0], [0], [0])
+
+
 def test_transition_without_inputs_always_enabled():
     net = PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (1,)}, (0,))
     assert enabled(net, (0,), "t")
@@ -293,7 +311,7 @@ def test_synthesize_not_embeddable():
 
 
 def test_synthesize_single_state():
-    lts = Lts(("s0",), (), (), "s0")
+    lts = Lts.from_names(("s0",), (), (), "s0")
     net = synthesize(lts)
     assert net.places == ()
     assert verify_embedding(lts, net).embeds
@@ -334,7 +352,7 @@ def test_verify_embedding_edge_mismatch():
 
 
 def test_verify_embedding_no_labels_maps_to_initial_marking():
-    lts = Lts(("s0",), (), (), "s0")
+    lts = Lts.from_names(("s0",), (), (), "s0")
     net = load_net("fig2.net")
     assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net) == Verification(True, None)
     assert marking_map(lts, net) == {"s0": (5, 1, 0, 0)}

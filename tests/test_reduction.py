@@ -323,7 +323,7 @@ def test_extract_solution_rejects_tight_witnesses_of_the_wrong_shape():
     good = index_set_splitting(inst, lts, {1, 2})
     assert extract_solution(inst, good) == (1, 2)
     renamed = replace(good, alphabet=good.alphabet[:-1] + ("zz",))
-    with pytest.raises(ValueError, match="alphabet differs"):
+    with pytest.raises(ValueError, match="splitting alphabet is not "):
         extract_solution(inst, renamed)
 
 

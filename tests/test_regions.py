@@ -103,7 +103,7 @@ def test_is_embeddable_fixtures():
 
 
 def test_is_embeddable_single_state():
-    report = is_embeddable(Lts(("s0",), (), (), "s0"))
+    report = is_embeddable(Lts.from_names(("s0",), (), (), "s0"))
     assert report.embeddable
     assert report.signatures == {"s0": ()}
 
@@ -178,7 +178,7 @@ def test_separating_regions_raises_with_witness():
 
 
 def test_separating_regions_single_state():
-    assert separating_regions(Lts(("s0",), (), (), "s0")) == []
+    assert separating_regions(Lts.from_names(("s0",), (), (), "s0")) == []
 
 
 def test_random_regions_are_valid():

@@ -194,7 +194,7 @@ def test_full_rank_leaves_need_no_echelon(monkeypatch):
 
 
 def test_zero_edges():
-    for lts in (Lts(("s0",), (), (), "s0"), Lts(("s0",), ("a",), (), "s0")):
+    for lts in (Lts.from_names(("s0",), (), (), "s0"), Lts.from_names(("s0",), ("a",), (), "s0")):
         assert assert_same(lts, 1)
         # the first round's only leaf is the unsplit LTS, even with no labels
         assert optimize(lts) == SplitOutcome(from_partitions(lts, {}), False, 1, 1)
