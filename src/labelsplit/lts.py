@@ -16,13 +16,16 @@ not declared. Its `edges` are a view for library users, made on first read:
 every analysis, the splitting layer and the formats read the columns, and
 names appear only where text is read or written and in diagnostics.
 The breadth-first search from the initial state runs once per `Lts` over
-the columns (the memoised `Lts._parents`): `validate` reads it,
-`spanning_tree` returns it as the tree, each state's incoming tree edge, and
-`walk` sums steps down it into a list in state order. `validate` finds
-repeated (source, label) pairs as repeated integer keys. `cycle_base`
+the columns (the memoised `Lts._parents`), and it is the one spanning tree
+of the LTS: a map from each state id to its incoming tree edge, holding no
+name. `validate` reads it, `spanning_tree` returns it, `walk` sums steps
+down it into a list in state order, and `cycle_base` and the splitting
+search take edge i as a chord unless `parent.get(dst[i]) == i`. `validate`
+finds repeated (source, label) pairs as repeated integer keys. `cycle_base`
 returns the integer echelon `(rows, pivots)` of the chords.
 The reading rules of all three text formats (lines, headers, integer
 tokens) live here, next to `FormatError`, and the other parsers use them.
+`_fresh_names` names a splitting's new labels and a synthesized net's places.
 """
 
 from __future__ import annotations
@@ -30,8 +33,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import count
 from operator import add, sub
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import IntRows, integer_echelon
 
@@ -102,19 +106,18 @@ class Lts:
         return tuple([Edge(states[s], labels[t], states[d]) for s, t, d in zip(*self.columns)])
 
     @cached_property
-    def _parents(self) -> dict[str, int]:
+    def _parents(self) -> dict[int, int]:
         """Breadth-first search from the initial state over `columns`, taking
-        each state's edges in canonical order: the index of the edge that
-        first reached each state, in discovery order. Run once per LTS, and no
-        field: `validate` reads it and `spanning_tree` returns it."""
+        each state's edges in canonical order: per state id, the index of the
+        edge that first reached it, in discovery order. Run once per LTS, and
+        no field: `validate` reads it and `spanning_tree` returns it."""
         root = self.states.index(self.initial)
         src, _, dst = self.columns
         out: list[list[int]] = [[] for _ in self.states]
         for i, s in enumerate(src):
             out[s].append(i)
-        states = self.states
-        parent: dict[str, int] = {}
-        reached = [False] * len(states)
+        parent: dict[int, int] = {}
+        reached = [False] * len(self.states)
         reached[root] = True
         frontier = [root]  # the queue: read on while it grows
         for s in frontier:
@@ -122,7 +125,7 @@ class Lts:
                 d = dst[i]
                 if not reached[d]:
                     reached[d] = True
-                    parent[states[d]] = i
+                    parent[d] = i
                     frontier.append(d)
         return parent
 
@@ -146,24 +149,24 @@ def validate(lts: Lts) -> list[str]:
             seen.add(key)
     parent = lts._parents
     if len(parent) + 1 != len(lts.states):
-        problems += [
-            f"unreachable state: {s}" for s in lts.states if s != lts.initial and s not in parent
-        ]
+        unreached = [s for d, s in enumerate(lts.states) if s != lts.initial and d not in parent]
+        problems += [f"unreachable state: {s}" for s in unreached]
     return problems
 
 
 # --- spanning tree and Parikh vectors -----------------------------------
 
 
-def spanning_tree(lts: Lts) -> dict[str, int]:
-    """Deterministic BFS tree: the index of the tree edge into every state
-    but the initial one, in the order BFS discovered the states. States are
-    discovered in canonical edge order, so every call returns the same
-    memoised map, `Lts._parents`, which must not be mutated. Raises
-    ValueError naming the first declared state the search does not reach."""
+def spanning_tree(lts: Lts) -> dict[int, int]:
+    """Deterministic BFS tree: per state id but the initial one's, the index
+    of the tree edge into it, in the order BFS discovered the states. States
+    are discovered in canonical edge order, so every call returns the same
+    memoised map, `Lts._parents`, which must not be mutated; edge i is a
+    tree edge iff `parent.get(dst[i]) == i`. Raises ValueError naming the
+    first declared state the search does not reach."""
     parent = lts._parents
     if len(parent) + 1 != len(lts.states):
-        missing = next(s for s in lts.states if s != lts.initial and s not in parent)
+        missing = next(s for d, s in enumerate(lts.states) if s != lts.initial and d not in parent)
         raise ValueError(f"state not reachable from {lts.initial}: {missing}")
     return parent
 
@@ -181,14 +184,14 @@ def walk(
     maps each edge index to a step; by default an edge takes the step of
     its label (the label column of `Lts.columns`)."""
     parent = spanning_tree(lts)
-    src, lab, dst = lts.columns
+    src, lab, _ = lts.columns
     if columns is None:
         columns = lab
     if start is None:
         start = (0,) * (len(steps[0]) if steps else 0)
     values = [start] * len(lts.states)  # every state but the initial one is set below
-    for i in parent.values():  # parents are discovered first
-        values[dst[i]] = tuple(map(add, values[src[i]], steps[columns[i]]))
+    for d, i in parent.items():  # parents are discovered first
+        values[d] = tuple(map(add, values[src[i]], steps[columns[i]]))
     return values
 
 
@@ -201,12 +204,12 @@ def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
     n = len(lts.labels)
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     parikh = walk(lts, units)
-    tree_edges = set(spanning_tree(lts).values())
+    parent = spanning_tree(lts)
 
     def chords() -> Iterator[tuple[int, ...]]:
         seen: set[tuple[int, ...]] = set()
         for i, (s, t, d) in enumerate(zip(*lts.columns)):
-            if i not in tree_edges:
+            if parent.get(d) != i:
                 c = tuple(map(sub, map(add, parikh[s], units[t]), parikh[d]))
                 if c not in seen:
                     seen.add(c)
@@ -269,6 +272,12 @@ def format_lts(lts: Lts) -> str:
     out = ["lts", f"initial {lts.initial}"]
     out += [f"edge {states[s]} {labels[t]} {states[d]}" for s, t, d in zip(*lts.columns)]
     return "\n".join(out) + "\n"
+
+
+def _fresh_names(stem: str, taken: Container[str]) -> Iterator[str]:
+    """`<stem>1`, `<stem>2`, ... skipping every name in `taken`: the rule for
+    the new labels of a splitting and the places of a synthesized net."""
+    return (name for k in count(1) if (name := f"{stem}{k}") not in taken)
 
 
 def _content_lines(text: str, comment: str | None) -> Iterator[tuple[int, list[str]]]:

@@ -24,10 +24,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import add, sub
 
-from .lts import FormatError, Lts, _content_lines, _expect_header, _int_token, walk
+from .lts import FormatError, Lts, _content_lines, _expect_header, _fresh_names, _int_token, walk
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
@@ -183,12 +183,13 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
 
 def synthesize(lts: Lts) -> PetriNet:
     """A net whose reachability graph the LTS embeds into, one place per
-    separating region (places p1, p2, ... in basis order). Raises
+    separating region (places p1, p2, ... in basis order, skipping every
+    label's name, since place and transition ids are disjoint). Raises
     NotEmbeddable with a witness pair when no such net exists. An LTS with a
     single separable state class (e.g. one state) yields a net with no
     places whose transitions are the labels."""
     regions = separating_regions(lts)
-    places = tuple(f"p{i + 1}" for i in range(len(regions)))
+    places = tuple(islice(_fresh_names("p", set(lts.labels)), len(regions)))
     pre = {t: tuple(reg.consume[t] for reg in regions) for t in lts.labels}
     post = {t: tuple(reg.produce[t] for reg in regions) for t in lts.labels}
     initial = tuple(reg.state_value[lts.initial] for reg in regions)

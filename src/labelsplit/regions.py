@@ -13,10 +13,10 @@ of states apart. All of it runs in integers: the cycle base is an integer
 echelon form, the effect basis is read off it with denominators already
 cleared, and a state's signature (its value under every basis vector) comes
 from one `walk` down the spanning tree. Every function takes only the LTS;
-its spanning tree (the LTS's own parent map) and cycle base `(rows,
-pivots)` rest on the one breadth-first search each `Lts` runs. The tests
-check this decision against two independent ones: span membership of
-Parikh differences, and a separating effect per pair.
+its spanning tree (the LTS's own parent map, from state id to tree edge)
+and cycle base `(rows, pivots)` rest on the one breadth-first search each
+`Lts` runs. The tests check this decision against two independent ones:
+span membership of Parikh differences, and a separating effect per pair.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ alphabet as labels, and the whole layer reads edges through the columns.
 
 Canonical form: per label, the block containing the lowest-numbered edge
 keeps the original name; the remaining blocks are named `<label>#1`,
-`<label>#2`, ... in order of their lowest edge index. Every splitting is
-equivalent to exactly one canonical splitting, so searches enumerate only
-those.
+`<label>#2`, ... in order of their lowest edge index, skipping names that
+are labels already. Every splitting is equivalent to exactly one canonical
+splitting, so searches enumerate only those.
 
 `decide` is a complete branch-and-bound over canonical splittings within a
 label budget, on an explicit stack of one frame per label plus one for the
@@ -25,6 +25,10 @@ prunings preserve completeness.
 A leaf of the search never builds its split LTS. With one column per label,
 the sum of its blocks, and one per fresh block, every leaf's cycle base has
 the same label columns, so a search eliminates them from the chord rows once.
+The chords and their fundamental cycles come from the LTS's one spanning
+tree, `spanning_tree(lts)`, keyed by state id: edge i is a chord unless
+`parent.get(dst[i]) == i`, and a cycle climbs that map from both ends of
+its chord, by the depths of one `walk` down the tree.
 Only states that collide unsplit can collide at a leaf, since splitting
 refines the alphabet. A leaf sums the remaining rows, kept only by edge as
 sparse columns, over each fresh block. If those sums have full rank, which one
@@ -51,7 +55,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import independent, integer_echelon, nullspace_basis
-from .lts import FormatError, Lts, _content_lines, _int_token, spanning_tree, walk
+from .lts import FormatError, Lts, _content_lines, _fresh_names, _int_token, spanning_tree, walk
 from .regions import is_embeddable
 
 
@@ -88,17 +92,16 @@ def from_partitions(
         flat = sorted(i for blk in blocks for i in blk)
         if t not in per_label or not all(blocks) or flat != per_label[t]:
             raise ValueError(f"partition for {t} does not cover its edge set exactly")
-        counter = 0
-        for blk in blocks[1:]:
-            counter += 1
-            name = f"{t}#{counter}"
-            while name in per_label:
-                counter += 1
-                name = f"{t}#{counter}"
+        for blk, name in zip(blocks[1:], _fresh_names(f"{t}#", per_label)):
             for i in blk:
                 edge_labels[i] = name
-    alphabet = tuple(dict.fromkeys([*lts.labels, *edge_labels]))
-    return LabelSplitting(alphabet, tuple(edge_labels))
+    return LabelSplitting(_alphabet(lts, edge_labels), tuple(edge_labels))
+
+
+def _alphabet(lts: Lts, edge_labels: Sequence[str]) -> tuple[str, ...]:
+    """A splitting's one alphabet order: the originals, then the new labels
+    by first use along the edges."""
+    return tuple(dict.fromkeys((*lts.labels, *edge_labels)))
 
 
 def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
@@ -112,7 +115,7 @@ def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
     if len(splitting.edge_labels) != len(old):
         raise ValueError("splitting does not match the LTS edge count")
     alphabet = splitting.alphabet
-    if alphabet != (ordered := tuple(dict.fromkeys((*lts.labels, *splitting.edge_labels)))):
+    if alphabet != (ordered := _alphabet(lts, splitting.edge_labels)):
         raise ValueError(f"splitting alphabet is not {ordered}: the originals, then the new labels by first use")
     label_ids = {t: i for i, t in enumerate(alphabet)}
     lab = [label_ids[t] for t in splitting.edge_labels]
@@ -173,7 +176,7 @@ def parse_splitting(lts: Lts, text: str) -> LabelSplitting:
         edge_labels[i] = new
     if declared != len(stands_for):
         raise FormatError(header, f"declared {declared} labels, witness uses {len(stands_for)}")
-    return LabelSplitting(tuple(dict.fromkeys((*lts.labels, *edge_labels))), tuple(edge_labels))
+    return LabelSplitting(_alphabet(lts, edge_labels), tuple(edge_labels))
 
 
 # --- search -------------------------------------------------------------
@@ -269,30 +272,22 @@ class _Search:
             self.capacity[d] = self.capacity[d + 1] + len(self.per_label[self.order[d]]) - 1
 
     @cached_property
-    def tree(self) -> tuple[list[int | None], list[int]]:
-        """Per state id: the tree edge into it (None at the initial state)
-        and its depth in the tree."""
-        src, _, dst = self.lts.columns
-        into: list[int | None] = [None] * len(self.lts.states)
-        depth = [0] * len(self.lts.states)
-        for i in spanning_tree(self.lts).values():  # parents are discovered first
-            into[dst[i]] = i
-            depth[dst[i]] = depth[src[i]] + 1
-        return into, depth
+    def depth(self) -> list[int]:
+        """Per state id, its depth in the spanning tree."""
+        return [d for (d,) in walk(self.lts, [(1,)] * len(self.lts.labels), start=(0,))]
 
     def path(self, s: int, t: int) -> dict[int, int]:
         """The tree edges below the common ancestor of states s and t (ids):
         +1 to s, -1 to t."""
-        src = self.lts.columns[0]
-        into, depth = self.tree
+        src, parent, depth = self.lts.columns[0], self.lts._parents, self.depth
         path = {}
         while s != t:
             if depth[s] >= depth[t]:
-                path[into[s]] = 1
-                s = src[into[s]]
+                path[parent[s]] = 1
+                s = src[parent[s]]
             else:
-                path[into[t]] = -1
-                t = src[into[t]]
+                path[parent[t]] = -1
+                t = src[parent[t]]
         return path
 
     @cached_property
@@ -310,12 +305,12 @@ class _Search:
         lts = self.lts
         src, label, dst = lts.columns
         splittable = {i for edges in self.per_label.values() if len(edges) > 1 for i in edges}
-        tree_edges = set(spanning_tree(lts).values())
+        parent = spanning_tree(lts)
         label_rows: dict[int, dict[int, int]] = {}
         remainder: list[list[tuple[int, int]]] = [[] for _ in label]
         rows = 0
         for i in range(len(label)):
-            if i in tree_edges:
+            if parent.get(dst[i]) == i:
                 continue
             # the fundamental cycle: the chord s -> t and the tree path from
             # s up to the common ancestor count +1, the path from t -1

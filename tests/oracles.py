@@ -95,7 +95,7 @@ def state_parikh(lts: Lts, state: str) -> tuple[int, ...]:
     found by climbing parent edges."""
     if state not in lts.states:
         raise ValueError(f"unknown state: {state}")
-    parent = spanning_tree(lts)
+    parent = {lts.states[d]: i for d, i in spanning_tree(lts).items()}
     idx = {t: k for k, t in enumerate(lts.labels)}
     counts = [0] * len(lts.labels)
     while state != lts.initial:
@@ -266,7 +266,7 @@ def separation_cut_oracle(
     k of parikh(s)[k] * scale / a_k * row_k, over every edge."""
     search = _Search(lts)
     _, _, label_rows, scale, classes = search.factored
-    parent = spanning_tree(lts)
+    parent = {lts.states[d]: i for d, i in spanning_tree(lts).items()}
 
     def u(state: str) -> list[int]:
         parikh, vector = state_parikh(lts, state), [0] * len(lts.edges)

@@ -173,6 +173,19 @@ def test_synth_writes_parseable_net(tmp_path, capsys):
     assert verify_embedding(load_lts("fig2-middle.lts"), net).embeds
 
 
+def test_synth_place_names_skip_the_labels(tmp_path, capsys):
+    # a label named like a place: the net must still read back
+    lts, out = tmp_path / "p1.lts", tmp_path / "p1.net"
+    lts.write_text("lts\ninitial s0\nedge s0 p1 s1\n")
+    assert main(["synth", str(lts), "-o", str(out)]) == 0
+    assert out.read_text() == "net\nplace p2 0\ntrans p1\narc p1 p2 1\n"
+    assert main(["verify", str(lts), str(out)]) == 0
+    assert capsys.readouterr().out == "embeds\n"
+    # p1 fires from no place, so the net is unbounded: rg reads it and says so
+    assert main(["rg", str(out)]) == 1
+    assert capsys.readouterr() == ("bound-exceeded\n", "")
+
+
 def test_synth_not_embeddable(tmp_path, capsys):
     out = tmp_path / "out.net"
     assert main(["synth", FIG1_RIGHT, "-o", str(out)]) == 1

@@ -221,7 +221,7 @@ def test_spanning_tree_fig2_middle_picks_first_use_edges():
     # chords are the three c-edges and the duplicate route to s3
     assert set(parent.values()) == {0, 1, 2, 3, 4, 5, 9}
     # in the order the search discovers the states
-    assert list(parent.items()) == [
+    assert [(lts.states[d], i) for d, i in parent.items()] == [
         ("s1", 0), ("s2", 1), ("s3", 5), ("s4", 2), ("s6", 3), ("s5", 9), ("s7", 4)
     ]
     assert spanning_tree(load_lts("fig2-middle.lts")) == parent  # deterministic

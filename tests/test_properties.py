@@ -426,6 +426,29 @@ def test_verify_embedding_equals_oracle(drawn):
     assert verify_embedding(twin, net) == verify_embedding_oracle(twin, net)
 
 
+@st.composite
+def place_named_labels(draw):
+    """A random embeddable LTS whose labels are renamed from a pool that
+    mixes the names synthesis gives places with ordinary ones."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    lts = random_lts(rng, max_states=6)
+    while not is_embeddable(lts).embeddable:
+        lts = random_lts(rng, max_states=6)
+    names = draw(st.permutations(["p1", "p2", "p3", "p4", "a", "b", "c", "d"]))
+    return Lts(lts.states, tuple(names[: len(lts.labels)]), lts.columns, lts.initial)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(place_named_labels())
+@example(Lts.from_edges("s0", [("s0", "p1", "s1")]))
+def test_synthesized_net_reads_back(lts):
+    net = synthesize(lts)
+    back = parse_net(format_net(net))
+    assert back == net
+    assert not set(net.places) & set(net.transitions)
+    assert verify_embedding(lts, back).embeds
+
+
 # --- an Lts built from its id columns --------------------------------------
 
 

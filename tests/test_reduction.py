@@ -355,4 +355,4 @@ def test_gadget_growth_is_moderate():
 
 def test_gadget_tree_reaches_everything():
     lts = build_lts(SubsetSumInstance(3, (1, 2)))
-    assert {lts.initial, *spanning_tree(lts)} == set(lts.states)
+    assert {lts.initial, *(lts.states[d] for d in spanning_tree(lts))} == set(lts.states)

@@ -339,7 +339,7 @@ def chord_rows(lts: Lts) -> list[list[int]]:
     """Each chord's fundamental cycle over the labels, then every edge of a
     label with two or more edges (zero at the others), found by climbing
     the tree from both ends of the chord."""
-    parent = spanning_tree(lts)
+    parent = {lts.states[d]: i for d, i in spanning_tree(lts).items()}
     idx, per_label = {t: k for k, t in enumerate(lts.labels)}, _Search(lts).per_label
     n = len(lts.labels)
 
