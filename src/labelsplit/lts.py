@@ -13,16 +13,15 @@ and target as indices into `states` and `labels`. `Lts.from_edges`,
 build it from those ids, one string per name; `Lts.from_names` builds it
 from edges by name, raising ValueError on the first name declared twice or
 not declared. Its `edges` are a view for library users, made on first read:
-every analysis, the splitting layer and the formats read the columns, and
-names appear only where text is read or written and in diagnostics.
-The breadth-first search from the initial state runs once per `Lts` over
-the columns (the memoised `Lts._parents`), and it is the one spanning tree
-of the LTS: a map from each state id to its incoming tree edge, holding no
-name. `validate` reads it, `spanning_tree` returns it, `walk` sums steps
-down it into a list in state order, and `cycle_base` and the splitting
-search take edge i as a chord unless `parent.get(dst[i]) == i`. `validate`
-finds repeated (source, label) pairs as repeated integer keys. `cycle_base`
-returns the integer echelon `(rows, pivots)` of the chords.
+every analysis, the splitting layer and the formats read the columns.
+The breadth-first search from the initial state runs once per `Lts` (the
+memoised `Lts._parents`), and it is the one spanning tree of the LTS: a map
+from each state id to its incoming tree edge. `validate` reads it,
+`spanning_tree` returns it, and `walk` sums int steps down it. A vector is
+one int by one rule, `Packing`, a signed field per entry as wide as a bound
+the caller proves, so a tree step, a chord or an equality test is one int
+operation. `cycle_base` returns the integer echelon `(rows, pivots)` of the
+distinct chords, packed with entries bounded by the state count.
 The reading rules of all three text formats (lines, headers, integer
 tokens) live here, next to `FormatError`, and the other parsers use them.
 `_fresh_names` names a splitting's new labels and a synthesized net's places.
@@ -33,8 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
-from operator import add, sub
+from itertools import chain, count
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import IntRows, integer_echelon
@@ -171,27 +169,56 @@ def spanning_tree(lts: Lts) -> dict[int, int]:
     return parent
 
 
-def walk(
-    lts: Lts,
-    steps: Sequence[tuple[int, ...]],
-    columns: Sequence[int] | None = None,
-    start: tuple[int, ...] | None = None,
-) -> list[tuple[int, ...]]:
-    """Sum one step per tree edge along every state's tree path in one
+class Packing:
+    """Vectors of `fields` ints as one int: entry j is a signed field at bit
+    j * width, one bit wider than a proven bound on |entry| needs. Packing
+    is linear, so a walk over packed steps sums vectors, and equal ints are
+    equal vectors while every entry but the last lies within the bound: the
+    last field, at the top of the int, holds any value. `top` has each
+    field's top bit; adding it sets that bit where an entry within the bound
+    is >= 0."""
+
+    def __init__(self, fields: int, bound: int) -> None:
+        self.width = width = bound.bit_length() + 1
+        self.shifts = range(0, width * fields, width)
+        self.top = (1 << width - 1) * ((1 << width * fields) - 1) // ((1 << width) - 1)
+
+    @classmethod
+    def summing(cls, vectors: Sequence[Sequence[int]], terms: int) -> Packing:
+        """Holds every signed sum of `terms` of `vectors` (a walk sums fewer than its states)."""
+        lower = list(zip(*vectors))[:-1]  # the last field needs no bound
+        return cls(len(vectors[0]) if vectors else 0, terms * max(map(abs, chain.from_iterable(lower)), default=0))
+
+    def pack(self, vectors: Sequence[Sequence[int]]) -> list[int]:
+        """Each vector as one int, written one field at a time."""
+        fields = zip(*vectors)
+        packed = list(next(fields, [0] * len(vectors)))
+        for k, field in zip(self.shifts[1:], fields):
+            packed = [v + (x << k) for v, x in zip(packed, field)]
+        return packed
+
+    def unpack(self, values: Sequence[int]) -> list[tuple[int, ...]]:
+        """The vectors of packed `values`, read one field at a time."""
+        mask, half = (1 << self.width) - 1, 1 << self.width - 1
+        biased = [v + self.top for v in values]
+        fields = [[(v >> k & mask) - half for v in biased] for k in self.shifts[:-1]]
+        fields += [[(v >> k) - half for v in biased] for k in self.shifts[-1:]]  # the last, unmasked
+        return list(zip(*fields)) if fields else [()] * len(biased)
+
+
+def walk(lts: Lts, steps: Sequence[int], columns: Sequence[int] | None = None, start: int = 0) -> list[int]:
+    """Sum one int step per tree edge along every state's tree path in one
     pass down the tree: value(child) = value(parent) + steps[columns[i]]
-    for the tree edge i into the child, and `start` (zeros by default) at
-    the initial state. The values are listed in state order. `columns`
-    maps each edge index to a step; by default an edge takes the step of
-    its label (the label column of `Lts.columns`)."""
+    for the tree edge i into the child, and `start` at the initial state,
+    listed in state order. `columns` maps each edge index to a step; by
+    default an edge takes the step of its label (`Lts.columns[1]`)."""
     parent = spanning_tree(lts)
     src, lab, _ = lts.columns
     if columns is None:
         columns = lab
-    if start is None:
-        start = (0,) * (len(steps[0]) if steps else 0)
     values = [start] * len(lts.states)  # every state but the initial one is set below
     for d, i in parent.items():  # parents are discovered first
-        values[d] = tuple(map(add, values[src[i]], steps[columns[i]]))
+        values[d] = values[src[i]] + steps[columns[i]]
     return values
 
 
@@ -199,23 +226,18 @@ def cycle_base(lts: Lts) -> tuple[IntRows, tuple[int, ...]]:
     """Chord Parikh vectors in one pass, eliminated in integers: the
     `(rows, pivots)` of `linalg.integer_echelon`. The chord of an edge
     s -t-> s' off the tree is parikh(s) + unit(t) - parikh(s'), where
-    parikh counts the labels on a state's tree path. The rows span the cycle
-    space of the graph, whatever tree the chords close; each distinct chord is read once."""
+    parikh counts the labels on a state's tree path; each is one packed
+    sum, and only the distinct ones are unpacked, in order of first use.
+    The rows span the cycle space of the graph, whatever tree they close."""
     n = len(lts.labels)
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    packing = Packing(n, len(lts.states))  # Parikh entries below it, chord entries within it
+    units = [1 << k for k in packing.shifts]
     parikh = walk(lts, units)
     parent = spanning_tree(lts)
-
-    def chords() -> Iterator[tuple[int, ...]]:
-        seen: set[tuple[int, ...]] = set()
-        for i, (s, t, d) in enumerate(zip(*lts.columns)):
-            if parent.get(d) != i:
-                c = tuple(map(sub, map(add, parikh[s], units[t]), parikh[d]))
-                if c not in seen:
-                    seen.add(c)
-                    yield c
-
-    return integer_echelon(chords(), n)
+    chords = dict.fromkeys(
+        parikh[s] + units[t] - parikh[d] for i, (s, t, d) in enumerate(zip(*lts.columns)) if parent.get(d) != i
+    )
+    return integer_echelon(packing.unpack(list(chords)), n)
 
 
 # --- text format --------------------------------------------------------

@@ -1,44 +1,39 @@
 """Place/transition Petri nets: token game, reachability graphs, synthesis.
 
 Weighted arcs, integer markings, no count or weight negative (a `PetriNet`
-refuses one). Markings are tuples aligned with the declared place order, and
-so are a transition's arc weights: `pre[t]` is what t takes from each place,
-`post[t]` what it puts back, and firing t turns marking M into
-M - pre[t] + post[t]. `PetriNet.moves` holds each transition's input arcs and
-effect post[t] - pre[t], made once per net, for `enabled`, `fire` and
-`verify_embedding`. `reachability_graph` shares no enabling code with them: it
-packs each marking into one int, a field per place whose top bit is a guard
-that no count reached within the state bound sets, so one subtraction tests
-enabling and one addition fires. `verify_embedding` keeps tuple markings in a
-list by state id and replays each edge of `Lts.columns` by label id with
-`fire`'s tuple test, its independent check; it names a failing edge through
-the columns and reads no `Lts.edges`. Synthesis makes one place per region, so
-`pre[t]` and `post[t]` hold label t's consume and produce weight in every
-region. The reachability graph is itself an `Lts`, built by its id constructor
-from the columns of the search, whose states are canonical marking names,
-which lets the region machinery and the token game meet in `verify_embedding`.
+refuses one). Markings are tuples in declared place order, and so are a
+transition's arc weights: firing t takes `pre[t]` and puts back `post[t]`,
+the token game of `enabled` and `fire`. `reachability_graph` and
+`verify_embedding` each hold a marking as one int, a field per place, so
+one subtraction tests enabling and one addition fires, but they share no
+code: the verifier stays an independent check of `rg`. `reachability_graph`
+guards each field with a bit no count within the state bound reaches;
+`verify_embedding` walks `lts.Packing` ints as wide as its own bound from
+the tree depth, each field biased by half its range, and unpacks a marking
+only to name a short place. Synthesis makes one place per region, so
+`pre[t]` and `post[t]` hold label t's consume and produce weight in each.
+The reachability graph is itself an `Lts` named by markings, which lets the
+region machinery and the token game meet in `verify_embedding`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, islice
-from operator import add, sub
+from operator import and_, sub
 
-from .lts import FormatError, Lts, _content_lines, _expect_header, _fresh_names, _int_token, walk
+from .lts import FormatError, Lts, Packing, _content_lines, _expect_header, _fresh_names, _int_token, walk
 from .regions import NotEmbeddable, separating_regions
 
 Marking = tuple[int, ...]
-Move = tuple[tuple[tuple[int, int], ...], Marking]
 
 
 @dataclass(frozen=True)
 class PetriNet:
     """`pre[t]` and `post[t]` hold transition t's input and output arc
     weights, one per place in declared order (0 where there is no arc).
-    The maps must not change once the net is built: `moves` reads them once.
     No count or weight is negative, as every enabling test assumes."""
 
     places: tuple[str, ...]
@@ -67,18 +62,6 @@ class PetriNet:
         """`marking_name`'s format: "p1:{},p2:{},...", braces in ids doubled."""
         return ",".join(p.replace("{", "{{").replace("}", "}}") + ":{}" for p in self.places)
 
-    @cached_property
-    def moves(self) -> dict[str, Move]:
-        """Per transition, once per net: its input arcs as `(place index,
-        weight)` pairs in place order, and its effect `post - pre`."""
-        return {
-            t: (
-                tuple((i, w) for i, w in enumerate(self.pre[t]) if w),
-                tuple(map(sub, self.post[t], self.pre[t])),
-            )
-            for t in self.transitions
-        }
-
 
 class NotEnabled(ValueError):
     def __init__(self, transition: str, place: str) -> None:
@@ -86,9 +69,9 @@ class NotEnabled(ValueError):
         self.place = place
 
 
-def _move(net: PetriNet, transition: str) -> Move:
+def _arcs(net: PetriNet, transition: str) -> tuple[Marking, Marking]:
     try:
-        return net.moves[transition]
+        return net.pre[transition], net.post[transition]
     except KeyError:
         raise ValueError(f"unknown transition: {transition}") from None
 
@@ -96,17 +79,17 @@ def _move(net: PetriNet, transition: str) -> Move:
 def enabled(net: PetriNet, marking: Marking, transition: str) -> bool:
     """True when every input place holds at least the arc's weight.
     Transitions with no input arcs are always enabled."""
-    return all(marking[i] >= w for i, w in _move(net, transition)[0])
+    return all(m >= w for m, w in zip(marking, _arcs(net, transition)[0]) if w)
 
 
 def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     """Successor marking; raises NotEnabled (naming the first short place)
     otherwise. Only input places are tested: markings are nonnegative."""
-    inputs, effect = _move(net, transition)
-    for i, w in inputs:
-        if marking[i] < w:
-            raise NotEnabled(transition, net.places[i])
-    return tuple(map(add, marking, effect))
+    pre, post = _arcs(net, transition)
+    for p, m, w in zip(net.places, marking, pre):
+        if w and m < w:
+            raise NotEnabled(transition, p)
+    return tuple(m - w + v for m, w, v in zip(marking, pre, post))
 
 
 def marking_name(net: PetriNet, marking: Marking) -> str:
@@ -209,35 +192,41 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     The map sends a state to the initial marking plus the effects
     post[t] - pre[t] of the labels on the state's tree path. Checked in
     order: all markings nonnegative, the map is injective, and every LTS edge
-    fires at its source marking (`fire`'s enabling test, naming the first
-    short place) to its target marking. Every LTS label must be a transition
-    of the net (ValueError otherwise)."""
+    is enabled at its source marking (naming the first short place) and
+    fires to its target marking. Every LTS label must be a transition of the
+    net (ValueError otherwise)."""
     missing = [t for t in lts.labels if t not in net.pre]
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
-    moves = [net.moves[t] for t in lts.labels]  # by label id
-    markings = walk(lts, [effect for _, effect in moves], start=net.initial_marking)  # by state id
+    # Its own bound from tree depth: no count of a marking, or of one firing
+    # on, exceeds M0 + len(states) * W (M0 the largest initial count, W the
+    # largest label weight). With fields biased by `top`, a count is negative
+    # iff its top bit is clear, and no take (at most W) borrows from the next.
+    weights = chain.from_iterable(net.pre[t] + net.post[t] for t in lts.labels)
+    packing = Packing(len(net.places), max(net.initial_marking, default=0) + len(lts.states) * max(weights, default=0))
+    top = packing.top
+    takes = packing.pack([net.pre[t] for t in lts.labels])  # by label id
+    effects = list(map(sub, packing.pack([net.post[t] for t in lts.labels]), takes))
+    (start,) = packing.pack([net.initial_marking])
+    markings = walk(lts, effects, start=start + top)  # by state id
     # all markings at once; the ordered loops only name the first violation
-    if min(chain.from_iterable(markings), default=0) < 0:
-        s = next(s for s, m in zip(lts.states, markings) if min(m) < 0)
+    if reduce(and_, markings) & top != top:
+        s = next(s for s, m in zip(lts.states, markings) if m & top != top)
         return Verification(False, f"negative-marking {s}")
     if len(set(markings)) != len(markings):
-        seen: dict[Marking, str] = {}
-        for s, m in zip(lts.states, markings):
-            if seen.setdefault(m, s) != s:
-                return Verification(False, f"not-injective {seen[m]} {s}")
-    # each edge replayed as `fire` does, by label id, and named through the columns
+        seen: dict[int, str] = {}
+        first, then = next((seen[m], s) for s, m in zip(lts.states, markings) if seen.setdefault(m, s) != s)
+        return Verification(False, f"not-injective {first} {then}")
+    # each edge replayed by label id, and named through the columns
     states, labels = lts.states, lts.labels
     for s, t, d in zip(*lts.columns):
         m = markings[s]
-        inputs, effect = moves[t]
-        for p, w in inputs:  # in place order: the first short place is named
-            if m[p] < w:
-                reason = f"not-enabled {states[s]} {labels[t]} {net.places[p]}"
-                return Verification(False, reason)
-        if tuple(map(add, m, effect)) != markings[d]:
-            reason = f"edge-mismatch {states[s]} {labels[t]} {states[d]}"
-            return Verification(False, reason)
+        if (m - takes[t]) & top != top:  # some place short of tokens: name the first
+            (counts,) = packing.unpack([m - top])
+            p = next(p for p, (c, w) in enumerate(zip(counts, net.pre[labels[t]])) if c < w)
+            return Verification(False, f"not-enabled {states[s]} {labels[t]} {net.places[p]}")
+        if m + effects[t] != markings[d]:
+            return Verification(False, f"edge-mismatch {states[s]} {labels[t]} {states[d]}")
     return Verification(True, None)
 
 

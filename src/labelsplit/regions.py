@@ -11,12 +11,12 @@ question: take the cycle base of the LTS, its nullspace (the space of
 feasible label effects), and ask whether effect vectors can tell every pair
 of states apart. All of it runs in integers: the cycle base is an integer
 echelon form, the effect basis is read off it with denominators already
-cleared, and a state's signature (its value under every basis vector) comes
-from one `walk` down the spanning tree. Every function takes only the LTS;
-its spanning tree (the LTS's own parent map, from state id to tree edge)
-and cycle base `(rows, pivots)` rest on the one breadth-first search each
-`Lts` runs. The tests check this decision against two independent ones:
-span membership of Parikh differences, and a separating effect per pair.
+cleared, and every state's signature (its value under each basis vector)
+is one packed int from one `walk` down the spanning tree, so the collision
+test is a set of ints. Every function takes only the LTS; its spanning tree
+and cycle base rest on the one breadth-first search each `Lts` runs. The
+tests check this decision against two independent ones: span membership of
+Parikh differences, and a separating effect per pair.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from operator import mul
 from typing import Sequence
 
 from .linalg import nullspace_basis
-from .lts import Lts, cycle_base, walk
+from .lts import Lts, Packing, cycle_base, walk
 
 EffectVector = tuple[int, ...]
 
@@ -79,15 +79,16 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
 
 
 def _report(lts: Lts, basis: list[EffectVector]) -> EmbeddabilityReport:
-    """Signatures under `basis` and the first collision in state order."""
-    sums = walk(lts, list(zip(*basis))) if basis else [()] * len(lts.states)
-    signatures = dict(zip(lts.states, sums))
-    first_owner: dict[tuple[int, ...], str] = {}
-    for s, sig in signatures.items():
-        if sig in first_owner:
-            return EmbeddabilityReport(False, signatures, (first_owner[sig], s))
-        first_owner[sig] = s
-    return EmbeddabilityReport(True, signatures, None)
+    """Signatures under `basis` and the first collision in state order,
+    found on packed signatures, which are unpacked for the report."""
+    steps = list(zip(*basis)) or [()] * len(lts.labels)  # per label
+    packing = Packing.summing(steps, len(lts.states))
+    sums = walk(lts, packing.pack(steps)) if basis else [0] * len(lts.states)
+    witness = None
+    if len(set(sums)) != len(sums):
+        owner: dict[int, str] = {}
+        witness = next((owner[m], s) for s, m in zip(lts.states, sums) if owner.setdefault(m, s) != s)
+    return EmbeddabilityReport(witness is None, dict(zip(lts.states, packing.unpack(sums))), witness)
 
 
 def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
@@ -105,8 +106,7 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
     for row in rows:
         if sum(map(mul, row, effect)):
             raise ValueError("effect vector has nonzero work around a cycle of the LTS")
-    sums = walk(lts, [(x,) for x in effect])
-    return _region(lts, effect, {s: w for s, (w,) in zip(lts.states, sums)})
+    return _region(lts, effect, dict(zip(lts.states, walk(lts, effect))))
 
 
 def _region(lts: Lts, effect: EffectVector, sums: dict[str, int]) -> Region:

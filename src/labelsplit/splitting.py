@@ -34,9 +34,9 @@ refines the alphabet. A leaf sums the remaining rows, kept only by edge as
 sparse columns, over each fresh block. If those sums have full rank, which one
 fraction-free forward pass certifies, no effect is left to separate a class
 and the leaf fails; otherwise it takes the effect basis of those few columns
-and compares each collision class under it. A leaf that passes becomes a
-`LabelSplitting`, confirmed with `is_embeddable` on the split LTS before it
-is returned.
+and compares each collision class under it, as `lts.Packing` ints. A leaf
+that passes becomes a `LabelSplitting`, confirmed with `is_embeddable` on
+the split LTS before it is returned.
 
 `optimize` tries one label count after another, each only once every
 smaller count has failed, so a round visits only the splittings with exactly
@@ -55,7 +55,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .linalg import independent, integer_echelon, nullspace_basis
-from .lts import FormatError, Lts, _content_lines, _fresh_names, _int_token, spanning_tree, walk
+from .lts import FormatError, Lts, Packing, _content_lines, _fresh_names, _int_token, spanning_tree, walk
 from .regions import is_embeddable
 
 
@@ -274,7 +274,7 @@ class _Search:
     @cached_property
     def depth(self) -> list[int]:
         """Per state id, its depth in the spanning tree."""
-        return [d for (d,) in walk(self.lts, [(1,)] * len(self.lts.labels), start=(0,))]
+        return walk(self.lts, [1] * len(self.lts.labels))
 
     def path(self, s: int, t: int) -> dict[int, int]:
         """The tree edges below the common ancestor of states s and t (ids):
@@ -335,14 +335,14 @@ class _Search:
             label_rows[lead] = row
         scale = lcm(*(row[key] for key, row in label_rows.items()))
         label_rows = {~key: row for key, row in label_rows.items()}
-        # unsplit signatures: parikh(s) less the label rows, at the free labels
+        # unsplit signatures, packed: parikh(s) less the label rows, at the free labels
         free = [j for j in range(len(lts.labels)) if j not in label_rows]
         steps = [tuple(scale * (j == k) for j in free) for k in range(len(lts.labels))]
         for k, row in label_rows.items():
             steps[k] = tuple(-(scale // row[~k]) * row.get(~j, 0) for j in free)
-        sums = walk(lts, steps)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for s, signature in enumerate(sums):
+        packing = Packing.summing(steps, len(lts.states))
+        groups: dict[int, list[int]] = {}
+        for s, signature in enumerate(walk(lts, packing.pack(steps))):
             groups.setdefault(signature, []).append(s)
         classes = [g for g in groups.values() if len(g) > 1]
         return remainder, rows, label_rows, scale, classes
@@ -378,7 +378,7 @@ class _Search:
             for i in block:
                 steps.append(tuple(x + scale * y[b] for x, y in zip(steps[columns[i]], ys)))
                 columns[i] = len(steps) - 1
-        sums = walk(self.lts, steps, columns)
+        sums = walk(self.lts, Packing.summing(steps, len(self.lts.states)).pack(steps), columns)
         return all(len({sums[s] for s in group}) == len(group) for group in classes)
 
 

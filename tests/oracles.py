@@ -10,8 +10,10 @@ every collision class from full vectors, region validity checked edge by
 edge, markings from Parikh vectors times transition effects, a token game
 that compares every place against the dense `pre`/`post` rows, a `validate`
 that walks the edges once per kind of violation, subset sums by listing
-every index set, and the splitting contract checked clause by clause. None
-of it runs in the package.
+every index set, and the splitting contract checked clause by clause. The
+tree walk, the cycle base and the embedding check also run here on tuples,
+as the package ran them before it packed each vector into one int. None of
+it runs in the package.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import add, ge, sub
 from typing import Iterator, Sequence
 
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
-from labelsplit.lts import Edge, Lts, spanning_tree, walk
+from labelsplit.lts import Edge, Lts, spanning_tree
 from labelsplit.petri import (
     Marking,
     NotEnabled,
@@ -88,6 +90,44 @@ def in_span(rows: Sequence[Sequence], vector: Sequence) -> bool:
     if any(len(r) != len(vector) for r in rows):
         raise ValueError(f"length-{len(vector)} vector vs rows of another length")
     return len(rref(rows)[1]) == len(rref([*rows, vector])[1])
+
+
+def tuple_walk(
+    lts: Lts,
+    steps: Sequence[tuple[int, ...]],
+    columns: Sequence[int] | None = None,
+    start: tuple[int, ...] | None = None,
+) -> list[tuple[int, ...]]:
+    """The tree walk on tuples, as the package ran it before it packed
+    vectors into ints: value(child) = value(parent) + steps[columns[i]]
+    entry by entry, for the tree edge i into the child, `start` (zeros by
+    default) at the initial state, listed in state order."""
+    parent = spanning_tree(lts)
+    src, lab, _ = lts.columns
+    if columns is None:
+        columns = lab
+    if start is None:
+        start = (0,) * (len(steps[0]) if steps else 0)
+    values = [start] * len(lts.states)
+    for d, i in parent.items():
+        values[d] = tuple(map(add, values[src[i]], steps[columns[i]]))
+    return values
+
+
+def tuple_cycle_base(lts: Lts) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """`cycle_base` on tuples, as the package ran it before it packed
+    vectors: each distinct chord parikh(s) + unit(t) - parikh(s'), in edge
+    order, read by `integer_echelon`."""
+    n = len(lts.labels)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    parikh = tuple_walk(lts, units)
+    parent = spanning_tree(lts)
+    chords = dict.fromkeys(
+        tuple(map(sub, map(add, parikh[s], units[t]), parikh[d]))
+        for i, (s, t, d) in enumerate(zip(*lts.columns))
+        if parent.get(d) != i
+    )
+    return integer_echelon(chords, n)
 
 
 def state_parikh(lts: Lts, state: str) -> tuple[int, ...]:
@@ -238,7 +278,7 @@ def block_leaf_oracle(lts: Lts, chosen: dict[str, list[list[int]]]) -> bool:
                 columns[i] = cols
             cols += 1
     units = [tuple(int(c == j) for j in range(cols)) for c in range(cols)]
-    parikh = dict(zip(lts.states, walk(lts, units, columns)))
+    parikh = dict(zip(lts.states, tuple_walk(lts, units, columns)))
     tree_edges = set(spanning_tree(lts).values())
     chords = []
     for i, e in enumerate(lts.edges):
@@ -489,6 +529,39 @@ def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
             return Verification(
                 False, f"edge-mismatch {e.source} {e.label} {e.target}"
             )
+    return Verification(True, None)
+
+
+def tuple_verify_embedding(lts: Lts, net: PetriNet) -> Verification:
+    """`verify_embedding` on tuple markings, as the package ran it before
+    it packed them: markings from `tuple_walk` over the transition
+    effects, and each edge replayed by label id, testing its input places
+    in place order."""
+    missing = [t for t in lts.labels if t not in net.pre]
+    if missing:
+        raise ValueError(f"label is not a transition of the net: {missing[0]}")
+    # per label id: input arcs in place order, and the effect post - pre
+    moves = [
+        (tuple((p, w) for p, w in enumerate(net.pre[t]) if w), tuple(map(sub, net.post[t], net.pre[t])))
+        for t in lts.labels
+    ]
+    markings = tuple_walk(lts, [effect for _, effect in moves], start=net.initial_marking)
+    for s, m in zip(lts.states, markings):
+        if min(m, default=0) < 0:
+            return Verification(False, f"negative-marking {s}")
+    seen: dict[Marking, str] = {}
+    for s, m in zip(lts.states, markings):
+        if seen.setdefault(m, s) != s:
+            return Verification(False, f"not-injective {seen[m]} {s}")
+    states, labels = lts.states, lts.labels
+    for s, t, d in zip(*lts.columns):
+        m = markings[s]
+        inputs, effect = moves[t]
+        for p, w in inputs:
+            if m[p] < w:
+                return Verification(False, f"not-enabled {states[s]} {labels[t]} {net.places[p]}")
+        if tuple(map(add, m, effect)) != markings[d]:
+            return Verification(False, f"edge-mismatch {states[s]} {labels[t]} {states[d]}")
     return Verification(True, None)
 
 

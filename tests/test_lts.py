@@ -22,7 +22,7 @@ from labelsplit.lts import (
 from labelsplit.petri import parse_net, reachability_graph, verify_embedding
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import apply_splitting, from_partitions, parse_splitting
-from oracles import edge_parikh, in_span, rref_rows, state_parikh
+from oracles import edge_parikh, in_span, rref_rows, state_parikh, tuple_walk
 
 
 def test_parse_canonical_order():
@@ -235,7 +235,7 @@ def test_spanning_tree_rejects_unreachable():
 
 def test_spanning_tree_names_first_unreachable_state():
     lts = Lts.from_edges("s0", [("s1", "a", "s2")])
-    for analyse in (spanning_tree, lambda lts: walk(lts, [(1,)])):
+    for analyse in (spanning_tree, lambda lts: walk(lts, [1])):
         with pytest.raises(ValueError, match="^state not reachable from s0: s1$"):
             analyse(lts)
 
@@ -276,7 +276,7 @@ def test_one_breadth_first_search_per_lts(monkeypatch):
     assert spanning_tree(lts) is parent
     assert validate(lts) == []
     assert spanning_tree(lts) is parent
-    walk(lts, [(1,)] * len(lts.labels))
+    walk(lts, [1] * len(lts.labels))
     cycle_base(lts)
     assert is_embeddable(lts).embeddable
     assert verify_embedding(lts, load_net("fig2.net")).embeds
@@ -450,7 +450,7 @@ def test_random_walk_parikh_consistency():
         idx = {t: k for k, t in enumerate(lts.labels)}
         n = len(lts.labels)
         units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        assert walk(lts, units) == [state_parikh(lts, s) for s in lts.states]
+        assert tuple_walk(lts, units) == [state_parikh(lts, s) for s in lts.states]
         for i, e in enumerate(lts.edges):
             v = list(state_parikh(lts, e.source))
             v[idx[e.label]] += 1

@@ -168,15 +168,6 @@ def test_petri_net_rejects_wrong_arc_shape(pre, post):
         PetriNet(("p",), ("t", "u"), post, pre, (0,))
 
 
-def test_moves_hold_input_arcs_and_effects_once_per_net():
-    net = load_net("fig2.net")
-    assert net.moves["a"] == (((0, 2), (1, 1)), (-2, -1, 1, 0))
-    assert net.moves["c"] == (((2, 1), (3, 1)), (3, 1, -1, -1))
-    assert net.moves is net.moves
-    # equality sees only the declared fields
-    assert net == load_net("fig2.net")
-
-
 def test_petri_net_rejects_wrong_marking_length():
     with pytest.raises(ValueError, match="initial marking length"):
         PetriNet(("p",), ("t",), {"t": (0,)}, {"t": (0,)}, ())

@@ -1,8 +1,9 @@
-"""Property tests of the text formats, the token game and the command line:
-parsers return a value or raise `FormatError` on any text, format then parse
-round-trips, the reachability graph, the embedding check and `validate`
-agree with their oracles, and fuzzed arguments or file contents never end
-in a traceback or an undocumented exit."""
+"""Property tests of the text formats, the token game, packed vectors and
+the command line: parsers return a value or raise `FormatError` on any text,
+format then parse round-trips, the reachability graph, the embedding check,
+the packed tree walk, the cycle base and `validate` agree with their
+oracles, and fuzzed arguments or file contents never end in a traceback or
+an undocumented exit."""
 
 import io
 import os
@@ -10,15 +11,27 @@ import pickle
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from itertools import chain
 from operator import itemgetter
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURES, load_lts, random_lts
+from helpers import FIXTURES, labelled_ring, load_lts, random_lts, ring_net
 from labelsplit.cli import main
-from labelsplit.lts import Edge, FormatError, Lts, format_lts, parse_lts, validate
+from labelsplit.lts import (
+    Edge,
+    FormatError,
+    Lts,
+    Packing,
+    cycle_base,
+    format_lts,
+    parse_lts,
+    spanning_tree,
+    validate,
+    walk,
+)
 from labelsplit.petri import (
     NotEnabled,
     PetriNet,
@@ -32,7 +45,15 @@ from labelsplit.petri import (
 )
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import LabelSplitting, apply_splitting, parse_splitting, serialize_splitting
-from oracles import reachability_graph_oracle, validate_oracle, validate_splitting, verify_embedding_oracle
+from oracles import (
+    reachability_graph_oracle,
+    tuple_cycle_base,
+    tuple_verify_embedding,
+    tuple_walk,
+    validate_oracle,
+    validate_splitting,
+    verify_embedding_oracle,
+)
 
 FIG1_RIGHT = load_lts("fig1-right.lts")
 
@@ -424,6 +445,169 @@ def test_verify_embedding_equals_oracle(drawn):
     # and its parsed twin, which verify replays from the id columns alone
     twin = parse_lts(format_lts(lts))
     assert verify_embedding(twin, net) == verify_embedding_oracle(twin, net)
+
+
+def assert_verify_agrees(lts, net):
+    """`verify_embedding` gives the verdict and reason, byte for byte, of the
+    tuple replay it had before packing markings and of the independent
+    oracle; also on the parsed twin, which it replays from the columns."""
+    twin = parse_lts(format_lts(lts))
+    assert verify_embedding(twin, net) == tuple_verify_embedding(twin, net) == verify_embedding_oracle(twin, net)
+    got = verify_embedding(lts, net)
+    assert got == tuple_verify_embedding(lts, net) == verify_embedding_oracle(lts, net)
+    return got
+
+
+@st.composite
+def scaled_rings(draw):
+    """A ring of two to four places whose transition i moves a token from
+    place i to the next, one to four tokens on the first place, and every
+    count and weight scaled by 1 or by a factor past 2^64."""
+    size, tokens = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    scale = draw(st.sampled_from([1, 2**64 + 1, 2**65]))
+    places, transitions = tuple(f"p{i}" for i in range(size)), tuple(f"t{i}" for i in range(size))
+    pre = {t: tuple(scale * (j == i) for j in range(size)) for i, t in enumerate(transitions)}
+    post = {t: tuple(scale * (j == (i + 1) % size) for j in range(size)) for i, t in enumerate(transitions)}
+    return PetriNet(places, transitions, pre, post, tuple(tokens * scale * (j == 0) for j in range(size)))
+
+
+@st.composite
+def tampered_graphs(draw):
+    """A net's full reachability graph with the net, or either tampered: the
+    initial marking or some arc weights of the net changed, a chord of the
+    graph sent to another state, or an edge of it relabelled. Counts and
+    weights reach past 2^64 in the scaled rings and the wide nets."""
+    net = draw(st.one_of(scaled_rings(), game_nets(), few_token_nets(), wide_nets()))
+    lts = reachability_graph(net, RG_CAP)
+    assume(lts is not None)
+    kind = draw(st.sampled_from(["none", "initial", "reweigh", "retarget", "relabel"]))
+    src, lab, dst = (list(column) for column in lts.columns)
+    places = range(len(net.places))
+    if kind == "initial" and net.places:
+        marking = tuple(max(0, m + draw(st.sampled_from([-2, -1, 1, 2**64]))) for m in net.initial_marking)
+        net = replace(net, initial_marking=marking)
+    elif kind == "reweigh" and net.places and src:
+        rows = draw(st.sampled_from(["pre", "post"]))
+        t, i = net.transitions[draw(st.sampled_from(lab))], draw(st.sampled_from(places))  # a label in use
+        weights = dict(getattr(net, rows))
+        row = list(weights[t])
+        row[i] = draw(st.sampled_from([0, 1, 2, row[i] + 1, 2**65]))
+        weights[t] = tuple(row)
+        net = replace(net, **{rows: weights})
+    elif kind == "retarget":
+        tree = set(spanning_tree(lts).values())
+        chords = [i for i in range(len(src)) if i not in tree]
+        if chords and len(lts.states) > 1:
+            i = draw(st.sampled_from(chords))
+            dst[i] = (dst[i] + draw(st.integers(1, len(lts.states) - 1))) % len(lts.states)
+    elif kind == "relabel" and src and len(lts.labels) > 1:
+        i = draw(st.integers(0, len(src) - 1))
+        lab[i] = (lab[i] + draw(st.integers(1, len(lts.labels) - 1))) % len(lts.labels)
+    return Lts(lts.states, lts.labels, (src, lab, dst), lts.initial), net
+
+
+def big_case(edges, places, pre, post, initial):
+    """An LTS on one label `a` and a net whose counts pass 2^64."""
+    return Lts.from_edges("s0", edges), PetriNet(places, ("a",), {"a": pre}, {"a": post}, initial)
+
+
+BIG = 2**64
+# one case per reason, and a graph that embeds, all with counts past 2^64
+BIG_CASES = {
+    "negative-marking s1": big_case([("s0", "a", "s1")], ("p",), (BIG + 1,), (0,), (BIG,)),
+    "not-injective s0 s1": big_case([("s0", "a", "s1")], ("p",), (2**70,), (2**70,), (2**70,)),
+    "not-enabled s0 a p": big_case([("s0", "a", "s1")], ("p", "q"), (BIG + 1, 0), (BIG + 1, 1), (BIG, 0)),
+    "edge-mismatch s1 a s0": big_case([("s0", "a", "s1"), ("s1", "a", "s0")], ("p",), (0,), (BIG,), (0,)),
+    None: big_case([("s0", "a", "s1"), ("s1", "a", "s2")], ("p",), (BIG,), (0,), (2 * BIG,)),
+}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(tampered_graphs())
+@example(TWO_SHORT)
+@example(NEGATIVE_TWICE)
+@example(ALL_EQUAL)
+@example(EDGE_MISMATCH)
+@example((reachability_graph(NO_PLACES), NO_PLACES))
+def test_verify_embedding_of_graphs_equals_oracles(drawn):
+    assert_verify_agrees(*drawn)
+
+
+@pytest.mark.parametrize("reason", list(BIG_CASES), ids=str)
+def test_verify_embedding_reasons_past_two_to_the_64(reason):
+    assert assert_verify_agrees(*BIG_CASES[reason]).reason == reason
+
+
+# --- packed vectors -------------------------------------------------------
+
+# entries next to powers of two where fields and machine words end, both signs
+ENTRIES = sorted({x * sign for x in [0, 1, 2, 3, *NEAR_POWERS] for sign in (1, -1)})
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.sampled_from([0, 1, 2, 3, *NEAR_POWERS]), st.data())
+def test_packing_holds_every_entry_within_its_fields(fields, bound, data):
+    # the bound itself and the top of a field, half its range less one, fit
+    packing = Packing(fields, bound)
+    half = 1 << packing.width - 1
+    assert bound < half <= max(1, 2 * bound)
+    entries = st.sampled_from([x for x in [*ENTRIES, bound, -bound, half - 1, -half] if -half <= x < half])
+    a, b = (tuple(data.draw(entries) for _ in range(fields)) for _ in range(2))
+    # the last field, at the top of the int, holds any value
+    c = (*a[:-1], data.draw(st.sampled_from([*ENTRIES, 2**100, -(2**100)]))) if fields else a
+    packed_a, packed_b, packed_c = packing.pack([a, b, c])
+    assert packing.unpack([packed_a, packed_b, packed_c]) == [a, b, c]
+    assert (packed_a == packed_b) == (a == b) and (packed_a == packed_c) == (a == c)
+    # a field's top bit, after adding `top`, is set exactly where it is >= 0
+    biased = packed_a + packing.top
+    assert [biased >> k + packing.width - 1 & 1 for k in packing.shifts] == [int(x >= 0) for x in a]
+
+
+@st.composite
+def walk_cases(draw):
+    """An LTS, maybe of one state or without labels, a step vector per label
+    and a start, entries from ENTRIES."""
+    lts = draw(
+        st.one_of(
+            st.just(Lts.from_edges("s0", [])),
+            st.just(Lts.from_edges("s0", [("s0", "a", "s0")])),
+            st.integers(0, 2**32).map(lambda seed: random_lts(random.Random(seed), max_states=7, extra_edges=6)),
+        )
+    )
+    fields = draw(st.integers(0, 3))
+    vectors = st.tuples(*[st.sampled_from(ENTRIES)] * fields)
+    return lts, [draw(vectors) for _ in lts.labels], draw(vectors)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(walk_cases())
+def test_packed_walk_sums_like_the_tuple_walk(drawn):
+    lts, steps, start = drawn
+    packing = Packing.summing(steps, len(lts.states))
+    sums = walk(lts, packing.pack(steps))
+    want = tuple_walk(lts, steps)
+    assert packing.unpack(sums) == want
+    assert len(set(sums)) == len(set(want))  # equal ints iff equal vectors
+    # from a start, the bound grows by its largest entry
+    bound = max(map(abs, chain(*steps)), default=0) * len(lts.states) + max(map(abs, start), default=0)
+    packing = Packing(len(start), bound)
+    *packed, packed_start = packing.pack([*steps, start])
+    sums = walk(lts, packed, start=packed_start)
+    assert packing.unpack(sums) == tuple_walk(lts, steps, start=start)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_cycle_base_equals_the_tuple_routine(seed):
+    rng = random.Random(seed)
+    lts = random_lts(rng, max_states=rng.choice([1, 4, 10]), max_labels=rng.randint(1, 5), extra_edges=12)
+    assert cycle_base(lts) == tuple_cycle_base(lts)
+
+
+@pytest.mark.parametrize("places, tokens", [(4, 8), (6, 7)])
+def test_cycle_base_of_rings_equals_the_tuple_routine(places, tokens):
+    for lts in (reachability_graph(ring_net(places, tokens)), labelled_ring(places, tokens)):
+        assert cycle_base(lts) == tuple_cycle_base(lts)
 
 
 @st.composite
