@@ -16,9 +16,9 @@ import argparse
 import gc
 import sys
 from functools import cache
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
-from .lts import FormatError, Lts, _int_token, format_lts, parse_lts, validate
+from .lts import FormatError, Lts, _int_token, lts_chunks, parse_lts, validate
 from .petri import format_net, parse_net, reachability_graph, synthesize, verify_embedding
 from .reduction import BRUTE_MAX_N, SubsetSumInstance, build_lts, params, subset_sum_brute
 from .regions import NotEmbeddable, is_embeddable
@@ -31,9 +31,10 @@ class _Fail(Exception):
 
 
 def _read(path: str) -> str:
+    """The file's bytes decoded: a line ends at a line feed alone, as the formats read it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            return handle.read().decode("utf-8")
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
         raise _Fail(2) from None
@@ -42,10 +43,10 @@ def _read(path: str) -> str:
         raise _Fail(2) from None
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
         raise _Fail(2) from None
@@ -110,7 +111,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except NotEmbeddable as exc:
         print(f"not-embeddable {exc.witness[0]} {exc.witness[1]}")
         return 1
-    _write(args.output, format_net(net))
+    _write(args.output, [format_net(net)])
     return 0
 
 
@@ -125,11 +126,10 @@ def _cmd_rg(args: argparse.Namespace) -> int:
     if result is None:
         print("bound-exceeded")
         return 1
-    text = format_lts(result)
     if args.output:
-        _write(args.output, text)
+        _write(args.output, lts_chunks(result))
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lts_chunks(result))
     return 0
 
 
@@ -169,7 +169,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     instance = _instance(args)
     gadget = build_lts(instance)
-    _write(args.output, format_lts(gadget))
+    _write(args.output, lts_chunks(gadget))
     p = params(instance)
     print(f"k={p.max_bit} q={p.label_budget}")
     return 0

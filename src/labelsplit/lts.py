@@ -8,22 +8,19 @@ order, so two structurally equal systems behave identically.
 
 An `Lts` is its declared states and labels, each once, its initial state,
 and its edges as integer columns, `Lts.columns`: each edge's source, label
-and target as indices into `states` and `labels`. `Lts.from_edges`,
-`parse_lts`, `petri.reachability_graph` and `splitting.apply_splitting`
-build it from those ids, one string per name; `Lts.from_names` builds it
-from edges by name, raising ValueError on the first name declared twice or
-not declared. Its `edges` are a view for library users, made on first read:
-every analysis, the splitting layer and the formats read the columns.
+and target as indices into `states` and `labels`, one string per name;
+`Lts.from_names` builds it from edges by name. Its `edges` are a view for
+library users, made on first read: the package reads the columns.
 The breadth-first search from the initial state runs once per `Lts` (the
-memoised `Lts._parents`), and it is the one spanning tree of the LTS: a map
-from each state id to its incoming tree edge. `validate` reads it,
-`spanning_tree` returns it, and `walk` sums int steps down it. A vector is
-one int by one rule, `Packing`, a signed field per entry as wide as a bound
-the caller proves, so a tree step, a chord or an equality test is one int
-operation. `cycle_base` returns the integer echelon `(rows, pivots)` of the
-distinct chords, packed with entries bounded by the state count.
-The reading rules of all three text formats (lines, headers, integer
-tokens) live here, next to `FormatError`, and the other parsers use them.
+memoised `Lts._parents`, which a split LTS shares), and it is the one
+spanning tree of the LTS: a map from each state id to its incoming tree
+edge. `validate` reads it, `spanning_tree` returns it, and `walk` sums int
+steps down it. A vector is one int by one rule, `Packing`, a signed field
+per entry as wide as a bound the caller proves, so a tree step, a chord or
+an equality test is one int operation. `cycle_base` returns the integer
+echelon `(rows, pivots)` of the distinct chords. The reading rules of all
+three text formats live here, next to `FormatError`; `lts_chunks` writes
+the LTS format a chunk at a time.
 `_fresh_names` names a splitting's new labels and a synthesized net's places.
 """
 
@@ -32,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count
+from itertools import chain, count, islice
 from typing import Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import IntRows, integer_echelon
@@ -190,20 +187,23 @@ class Packing:
         return cls(len(vectors[0]) if vectors else 0, terms * max(map(abs, chain.from_iterable(lower)), default=0))
 
     def pack(self, vectors: Sequence[Sequence[int]]) -> list[int]:
-        """Each vector as one int, written one field at a time."""
-        fields = zip(*vectors)
-        packed = list(next(fields, [0] * len(vectors)))
-        for k, field in zip(self.shifts[1:], fields):
-            packed = [v + (x << k) for v, x in zip(packed, field)]
+        """Each vector as one int, by Horner's rule from the top field down."""
+        fields = list(zip(*vectors)) or [[0] * len(vectors)]
+        packed = list(fields.pop())
+        for field in reversed(fields):
+            packed = [(v << self.width) + x for v, x in zip(packed, field)]
         return packed
 
     def unpack(self, values: Sequence[int]) -> list[tuple[int, ...]]:
-        """The vectors of packed `values`, read one field at a time."""
+        """The vectors of packed `values`, a field of all of them per pass."""
         mask, half = (1 << self.width) - 1, 1 << self.width - 1
         biased = [v + self.top for v in values]
-        fields = [[(v >> k & mask) - half for v in biased] for k in self.shifts[:-1]]
-        fields += [[(v >> k) - half for v in biased] for k in self.shifts[-1:]]  # the last, unmasked
-        return list(zip(*fields)) if fields else [()] * len(biased)
+        fields = []
+        for k in self.shifts[:-1]:
+            fields.append([(v >> k & mask) - half for v in biased])
+        for k in self.shifts[-1:]:  # the last field, unmasked, holds any value
+            fields.append([(v >> k) - half for v in biased])
+        return list(zip(*fields)) if fields else [()] * len(values)
 
 
 def walk(lts: Lts, steps: Sequence[int], columns: Sequence[int] | None = None, start: int = 0) -> list[int]:
@@ -287,13 +287,22 @@ def parse_lts(text: str) -> Lts:
 
 
 def format_lts(lts: Lts) -> str:
-    """Canonical text form. Two representation limits: labels no edge uses
-    are dropped on a round trip, and tokens containing `#` (e.g. labels of a
+    """Canonical text form, `lts_chunks` joined. Labels no edge uses are
+    dropped on a round trip, and tokens containing `#` (e.g. labels of a
     split LTS) collide with the comment syntax and cannot round-trip."""
+    return "".join(lts_chunks(lts))
+
+
+CHUNK_EDGES = 4096  # edge lines per chunk of `lts_chunks`
+
+
+def lts_chunks(lts: Lts) -> Iterator[str]:
+    """The header, then CHUNK_EDGES edge lines at a time: a writer holds one chunk."""
     states, labels = lts.states, lts.labels
-    out = ["lts", f"initial {lts.initial}"]
-    out += [f"edge {states[s]} {labels[t]} {states[d]}" for s, t, d in zip(*lts.columns)]
-    return "\n".join(out) + "\n"
+    yield f"lts\ninitial {lts.initial}\n"
+    edges = zip(*lts.columns)
+    while chunk := [f"edge {states[s]} {labels[t]} {states[d]}\n" for s, t, d in islice(edges, CHUNK_EDGES)]:
+        yield "".join(chunk)
 
 
 def _fresh_names(stem: str, taken: Container[str]) -> Iterator[str]:

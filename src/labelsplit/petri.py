@@ -10,8 +10,8 @@ code: the verifier stays an independent check of `rg`. `reachability_graph`
 guards each field with a bit no count within the state bound reaches;
 `verify_embedding` walks `lts.Packing` ints as wide as its own bound from
 the tree depth, each field biased by half its range, and unpacks a marking
-only to name a short place. Synthesis makes one place per region, so
-`pre[t]` and `post[t]` hold label t's consume and produce weight in each.
+only to name a short place. Synthesis makes one place per effect-space
+basis vector: `pre[t]` and `post[t]` hold label t's consume and produce.
 The reachability graph is itself an `Lts` named by markings, which lets the
 region machinery and the token game meet in `verify_embedding`.
 """
@@ -25,7 +25,7 @@ from itertools import chain, islice
 from operator import and_, sub
 
 from .lts import FormatError, Lts, Packing, _content_lines, _expect_header, _fresh_names, _int_token, walk
-from .regions import NotEmbeddable, separating_regions
+from .regions import separating_basis
 
 Marking = tuple[int, ...]
 
@@ -166,17 +166,16 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
 
 def synthesize(lts: Lts) -> PetriNet:
     """A net whose reachability graph the LTS embeds into, one place per
-    separating region (places p1, p2, ... in basis order, skipping every
-    label's name, since place and transition ids are disjoint). Raises
-    NotEmbeddable with a witness pair when no such net exists. An LTS with a
-    single separable state class (e.g. one state) yields a net with no
-    places whose transitions are the labels."""
-    regions = separating_regions(lts)
-    places = tuple(islice(_fresh_names("p", set(lts.labels)), len(regions)))
-    pre = {t: tuple(reg.consume[t] for reg in regions) for t in lts.labels}
-    post = {t: tuple(reg.produce[t] for reg in regions) for t in lts.labels}
-    initial = tuple(reg.state_value[lts.initial] for reg in regions)
-    return PetriNet(places, tuple(lts.labels), pre, post, initial)
+    effect basis vector (places p1, p2, ... in basis order, skipping every
+    label's name, since place and transition ids are disjoint): label t
+    consumes the negative part of its effect, and a place starts with the
+    least count that keeps every state's nonnegative. Raises NotEmbeddable
+    with a witness pair when no such net exists. One state gives no places."""
+    basis, lows = separating_basis(lts)
+    places = tuple(islice(_fresh_names("p", set(lts.labels)), len(basis)))
+    pre = {t: tuple(max(0, -e[i]) for e in basis) for i, t in enumerate(lts.labels)}
+    post = {t: tuple(w + e[i] for w, e in zip(pre[t], basis)) for i, t in enumerate(lts.labels)}
+    return PetriNet(places, lts.labels, pre, post, tuple(max(0, -low) for low in lows))
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,10 @@ of states apart. All of it runs in integers: the cycle base is an integer
 echelon form, the effect basis is read off it with denominators already
 cleared, and every state's signature (its value under each basis vector)
 is one packed int from one `walk` down the spanning tree, so the collision
-test is a set of ints. Every function takes only the LTS; its spanning tree
-and cycle base rest on the one breadth-first search each `Lts` runs. The
-tests check this decision against two independent ones: span membership of
-Parikh differences, and a separating effect per pair.
+test is a set of ints, never unpacked. Synthesis reads only the basis and
+each vector's least state value, and builds no `Region`. The tests check
+this decision against two independent ones: span membership of Parikh
+differences, and a separating effect per pair.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ class Region:
 @dataclass(frozen=True)
 class EmbeddabilityReport:
     embeddable: bool
-    signatures: dict[str, tuple[int, ...]]
     witness: tuple[str, str] | None
 
 
@@ -75,29 +74,34 @@ def is_embeddable(lts: Lts) -> EmbeddabilityReport:
     pairwise distinct. The witness on failure is the first colliding pair in
     canonical state order.
     """
-    return _report(lts, effect_space(lts))
+    witness = _collision(lts, effect_space(lts))
+    return EmbeddabilityReport(witness is None, witness)
 
 
-def _report(lts: Lts, basis: list[EffectVector]) -> EmbeddabilityReport:
-    """Signatures under `basis` and the first collision in state order,
-    found on packed signatures, which are unpacked for the report."""
+def _collision(lts: Lts, basis: list[EffectVector]) -> tuple[str, str] | None:
+    """The first two states, in state order, of equal signature under `basis`."""
     steps = list(zip(*basis)) or [()] * len(lts.labels)  # per label
-    packing = Packing.summing(steps, len(lts.states))
-    sums = walk(lts, packing.pack(steps)) if basis else [0] * len(lts.states)
-    witness = None
-    if len(set(sums)) != len(sums):
-        owner: dict[int, str] = {}
-        witness = next((owner[m], s) for s, m in zip(lts.states, sums) if owner.setdefault(m, s) != s)
-    return EmbeddabilityReport(witness is None, dict(zip(lts.states, packing.unpack(sums))), witness)
+    sums = walk(lts, Packing.summing(steps, len(lts.states)).pack(steps))
+    if len(set(sums)) == len(sums):
+        return None
+    owner: dict[int, str] = {}
+    return next((owner[m], s) for s, m in zip(lts.states, sums) if owner.setdefault(m, s) != s)
+
+
+def separating_basis(lts: Lts) -> tuple[list[EffectVector], list[int]]:
+    """The effect basis, each vector with its least sum along a state's tree
+    path: one separating region each. Raises NotEmbeddable with a witness."""
+    basis = effect_space(lts)
+    if (witness := _collision(lts, basis)) is not None:
+        raise NotEmbeddable(witness)
+    return basis, [min(walk(lts, effect)) for effect in basis]
 
 
 def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
-    """The canonical region realizing a feasible effect vector.
-
-    The value of a state is a common offset plus the effect of its tree walk;
-    the offset is the smallest one keeping all values nonnegative. Consume is
-    the negative part of the label effect, produce the positive remainder
-    (so consume(t) is minimal for the given effect).
+    """The canonical region realizing a feasible effect vector, for library
+    users and the tests: the value of a state is the smallest common offset
+    keeping all values nonnegative plus the effect of its tree walk; consume
+    is the negative part of the label effect, produce the positive remainder.
     """
     effect = tuple(effect)
     if len(effect) != len(lts.labels):
@@ -106,28 +110,16 @@ def region_from_effect(lts: Lts, effect: Sequence[int]) -> Region:
     for row in rows:
         if sum(map(mul, row, effect)):
             raise ValueError("effect vector has nonzero work around a cycle of the LTS")
-    return _region(lts, effect, dict(zip(lts.states, walk(lts, effect))))
-
-
-def _region(lts: Lts, effect: EffectVector, sums: dict[str, int]) -> Region:
-    offset = max(0, max(-w for w in sums.values()))
-    values = {s: offset + sums[s] for s in lts.states}
-    consume = {t: max(0, -effect[i]) for i, t in enumerate(lts.labels)}
-    produce = {t: effect[i] + consume[t] for i, t in enumerate(lts.labels)}
-    return Region(values, consume, produce)
+    sums = walk(lts, effect)
+    offset = max(0, -min(sums))
+    consume = {t: max(0, -e) for t, e in zip(lts.labels, effect)}
+    produce = {t: e + consume[t] for t, e in zip(lts.labels, effect)}
+    return Region({s: offset + w for s, w in zip(lts.states, sums)}, consume, produce)
 
 
 def separating_regions(lts: Lts) -> list[Region]:
     """One region per effect-space basis vector; together they distinguish
     every pair of states. Raises NotEmbeddable (with a witness pair) when no
-    region set can. One analysis is shared by the check and every region:
-    region k's state values are column k of the signatures."""
-    basis = effect_space(lts)
-    report = _report(lts, basis)
-    if not report.embeddable:
-        assert report.witness is not None
-        raise NotEmbeddable(report.witness)
-    return [
-        _region(lts, e, {s: sig[k] for s, sig in report.signatures.items()})
-        for k, e in enumerate(basis)
-    ]
+    region set can."""
+    basis, _ = separating_basis(lts)
+    return [region_from_effect(lts, e) for e in basis]

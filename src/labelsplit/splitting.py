@@ -2,10 +2,8 @@
 
 A splitting refines the alphabet: every original label keeps its name, each
 label's edge set may be partitioned into blocks, and every extra block gets a
-fresh label that stands for the original. Splitting never changes states
-or the shape of the graph, only edge labels, and it preserves determinism:
-a split LTS is the same states and columns with a new label column and the
-alphabet as labels, and the whole layer reads edges through the columns.
+fresh label that stands for the original. A split LTS is the same states,
+graph and spanning tree with a new label column and the alphabet as labels.
 
 Canonical form: per label, the block containing the lowest-numbered edge
 keeps the original name; the remaining blocks are named `<label>#1`,
@@ -47,7 +45,6 @@ state separation problem, restricted to the pairs that collide unsplit.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd, lcm
@@ -105,12 +102,13 @@ def _alphabet(lts: Lts, edge_labels: Sequence[str]) -> tuple[str, ...]:
 
 
 def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
-    """Relabel the edges; states, initial state and graph shape are kept,
-    and the labels are the splitting's alphabet. Raises ValueError unless
-    `splitting` is a splitting of `lts`, by `parse_splitting`'s rule: one
-    label per edge; the alphabet in `LabelSplitting`'s one order; and every
-    label standing for one original, an original for itself and a new
-    label for the original of the edges it relabels."""
+    """Relabel the edges; states, initial state, graph shape and the memoised
+    search of `lts` are kept, and the labels are the splitting's alphabet.
+    Raises ValueError unless `splitting` is a splitting of `lts`, by
+    `parse_splitting`'s rule: one label per edge; the alphabet in
+    `LabelSplitting`'s one order; and every label standing for one original,
+    an original for itself and a new label for the original of the edges
+    it relabels."""
     src, old, dst = lts.columns
     if len(splitting.edge_labels) != len(old):
         raise ValueError("splitting does not match the LTS edge count")
@@ -125,7 +123,9 @@ def apply_splitting(lts: Lts, splitting: LabelSplitting) -> Lts:
         if stands_for.setdefault(new, k) != k:
             original, other = lts.labels[k], lts.labels[stands_for[new]]
             raise ValueError(f"edge {i} of {original} relabelled to {alphabet[new]}, which stands for {other}")
-    return Lts(lts.states, alphabet, (src, lab, dst), lts.initial)
+    split = Lts(lts.states, alphabet, (src, lab, dst), lts.initial)
+    vars(split)["_parents"] = lts._parents
+    return split
 
 
 # --- witness text form --------------------------------------------------
@@ -340,9 +340,8 @@ class _Search:
         steps = [tuple(scale * (j == k) for j in free) for k in range(len(lts.labels))]
         for k, row in label_rows.items():
             steps[k] = tuple(-(scale // row[~k]) * row.get(~j, 0) for j in free)
-        packing = Packing.summing(steps, len(lts.states))
         groups: dict[int, list[int]] = {}
-        for s, signature in enumerate(walk(lts, packing.pack(steps))):
+        for s, signature in enumerate(walk(lts, Packing.summing(steps, len(lts.states)).pack(steps))):
             groups.setdefault(signature, []).append(s)
         classes = [g for g in groups.values() if len(g) > 1]
         return remainder, rows, label_rows, scale, classes
@@ -410,31 +409,32 @@ class _Separation:
         label, order, per_label = search.label_columns, search.order, search.per_label
         holdable = {i for t in order for i in per_label[t][1:]}
         tracked: list[dict[int, int]] = []
-        keys: list[tuple] = []  # per tracked state, its class, then d over later labels
+        ids: list[int] = []  # per tracked state, its class
         for c, group in enumerate(classes):
             for s in group[:_TRACKED]:
                 path = search.path(s, group[0])
                 d = {i: scale * sign for i, sign in path.items() if i in holdable}
-                pivots: Counter[int] = Counter()  # parikh(s) - parikh(rep)
+                pivots: dict[int, int] = {}  # parikh(s) - parikh(rep)
                 for i, sign in path.items():
-                    pivots[label[i]] += sign
+                    pivots[label[i]] = pivots.get(label[i], 0) + sign
                 for k, row in label_rows.items():
-                    factor = pivots[k] * (scale // row[~k])
+                    factor = pivots.get(k, 0) * (scale // row[~k])
                     for j in holdable.intersection(row) if factor else ():
                         d[j] = d.get(j, 0) - factor * row[j]
                 tracked.append({i: x for i, x in d.items() if x})
-                keys.append((c,))
+                ids.append(c)
         # columns[depth][i]: d_s at edge i of order[depth], per tracked state
-        self.columns = [{i: tuple(d.get(i, 0) for d in tracked) for i in per_label[t][1:]} for t in order]
+        self.columns = [{i: tuple([d.get(i, 0) for d in tracked]) for i in per_label[t][1:]} for t in order]
         # groups[depth]: the tracked states of a class that agree on d over
-        # every label from order[depth] on, where two or more do
+        # every label after order[depth] (equal ids), where two or more do
         self.groups: list[list[list[int]]] = []
-        for columns in [{}, *reversed(self.columns)]:
-            keys = [(*key, *(c[j] for c in columns.values())) for j, key in enumerate(keys)]
-            by_key: dict[tuple, list[int]] = {}
-            for j, key in enumerate(keys):
-                by_key.setdefault(key, []).append(j)
-            self.groups.insert(0, [g for g in by_key.values() if len(g) > 1])
+        for columns in [{}, *reversed(self.columns[1:])]:
+            keys: dict[tuple, int] = {}
+            ids = [keys.setdefault(key, len(keys)) for key in zip(ids, *columns.values())]
+            by_id: dict[int, list[int]] = {}
+            for j, x in enumerate(ids):
+                by_id.setdefault(x, []).append(j)
+            self.groups.insert(0, [g for g in by_id.values() if len(g) > 1])
         self.start = [0] * len(tracked)
 
     def refine(self, ids: list[int], depth: int, blocks: list[list[int]]) -> list[int] | None:
@@ -445,7 +445,7 @@ class _Separation:
             sums = [map(sum, zip(*(self.columns[depth][i] for i in block))) for block in blocks[1:]]
             keys: dict[tuple, int] = {}
             ids = [keys.setdefault(key, len(keys)) for key in zip(ids, *sums)]
-        for group in self.groups[depth + 1]:
+        for group in self.groups[depth]:
             if len({ids[j] for j in group}) < len(group):
                 return None
         return ids

@@ -12,13 +12,16 @@ that compares every place against the dense `pre`/`post` rows, a `validate`
 that walks the edges once per kind of violation, subset sums by listing
 every index set, and the splitting contract checked clause by clause. The
 tree walk, the cycle base and the embedding check also run here on tuples,
-as the package ran them before it packed each vector into one int. None of
-it runs in the package.
+as the package ran them before it packed each vector into one int, and
+the embeddability verdict and synthesis run here on per-state signatures
+and `Region`s, as the package ran them before it stopped building both.
+None of it runs in the package.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import islice
 from collections import deque
 from fractions import Fraction
 from math import gcd
@@ -26,7 +29,7 @@ from operator import add, ge, sub
 from typing import Iterator, Sequence
 
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
-from labelsplit.lts import Edge, Lts, spanning_tree
+from labelsplit.lts import Edge, Lts, _fresh_names, spanning_tree
 from labelsplit.petri import (
     Marking,
     NotEnabled,
@@ -35,7 +38,7 @@ from labelsplit.petri import (
     marking_name,
 )
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges
-from labelsplit.regions import Region, effect_space, is_embeddable
+from labelsplit.regions import EmbeddabilityReport, Region, effect_space, is_embeddable, separating_regions
 from labelsplit.splitting import (
     LabelSplitting,
     SplitOutcome,
@@ -167,6 +170,38 @@ def state_signature(lts: Lts, basis: Sequence[Sequence], state: str) -> tuple:
             raise ValueError("basis vector length does not match label count")
     p = state_parikh(lts, state)
     return tuple(dot(b, p) for b in basis)
+
+
+def oracle_signatures(lts: Lts) -> dict[str, tuple[int, ...]]:
+    """Every state's `state_signature` under the effect basis, by name: the
+    signatures the embeddability report listed before it kept only its
+    verdict and witness."""
+    basis = effect_space(lts)
+    return {s: state_signature(lts, basis, s) for s in lts.states}
+
+
+def embeddability_oracle(lts: Lts) -> EmbeddabilityReport:
+    """The report read off `oracle_signatures`: embeddable iff they are
+    pairwise distinct, and otherwise the first two states in state order
+    that share one."""
+    owner: dict[tuple[int, ...], str] = {}
+    for s, signature in oracle_signatures(lts).items():
+        if owner.setdefault(signature, s) != s:
+            return EmbeddabilityReport(False, (owner[signature], s))
+    return EmbeddabilityReport(True, None)
+
+
+def regions_synthesize_oracle(lts: Lts) -> PetriNet:
+    """`synthesize` as the package ran it before it built the net straight
+    from the effect basis: one `separating_regions` region per place, the
+    label weights read off each region's consume and produce maps and the
+    initial marking off its value at the initial state."""
+    regions = separating_regions(lts)
+    places = tuple(islice(_fresh_names("p", set(lts.labels)), len(regions)))
+    pre = {t: tuple(reg.consume[t] for reg in regions) for t in lts.labels}
+    post = {t: tuple(reg.produce[t] for reg in regions) for t in lts.labels}
+    initial = tuple(reg.state_value[lts.initial] for reg in regions)
+    return PetriNet(places, tuple(lts.labels), pre, post, initial)
 
 
 def ssp_solvable(lts: Lts, s: str, t: str) -> tuple[int, ...] | None:

@@ -1,4 +1,5 @@
 import gc
+import io
 import subprocess
 import sys
 
@@ -7,8 +8,9 @@ import pytest
 from helpers import FIXTURES, load_lts
 from labelsplit import cli
 from labelsplit.cli import build_parser, main
-from labelsplit.lts import Lts, parse_lts
-from labelsplit.petri import parse_net, verify_embedding
+from labelsplit import lts as lts_module
+from labelsplit.lts import CHUNK_EDGES, Lts, format_lts, parse_lts
+from labelsplit.petri import parse_net, reachability_graph, verify_embedding
 from labelsplit.reduction import SubsetSumInstance, extract_solution
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import apply_splitting, parse_splitting
@@ -80,6 +82,55 @@ def test_check_malformed_file(tmp_path, capsys):
 def test_diagnostic_line_matches_grep_after_form_feed(tmp_path, capsys):
     bad = tmp_path / "ff.lts"
     bad.write_bytes(b"lts\ninitial s0\x0c\nedge s0 a\n")
+    assert main(["check", str(bad)]) == 2
+    assert capsys.readouterr().err == f"{bad}:3: expected 'edge <source> <label> <target>'\n"
+
+
+# a carriage return alone ends no line: the reading rule counts line feeds,
+# as `grep -n` does, and `str.split` reads the return as a space
+CR_INSIDE = {
+    "lts": (b"lts\ninitial a\nedge a x b\rjunk\nedge b x a\n", "3: expected 'edge <source> <label> <target>'"),
+    "net": (b"net\nplace p 1\rjunk\ntrans t\n", "2: expected 'place <id> <tokens>'"),
+}
+CR_ONLY = {
+    "lts": (b"lts\rinitial a\redge a x b\redge b x a\r", "1: expected 'lts' header"),
+    "net": (b"net\rplace p 1\rtrans t\r", "1: expected 'net' header"),
+}
+
+
+@pytest.mark.parametrize("files", [CR_INSIDE, CR_ONLY], ids=["cr-inside", "cr-only"])
+@pytest.mark.parametrize(
+    "verb",
+    [
+        ("lts", lambda bad: ["check", bad]),
+        ("lts", lambda bad: ["verify", bad, FIG2_NET]),
+        ("net", lambda bad: ["verify", FIG2_MIDDLE, bad]),
+        ("net", lambda bad: ["rg", bad]),
+    ],
+    ids=["check", "verify-lts", "verify-net", "rg"],
+)
+def test_lone_carriage_return_ends_no_line(files, verb, tmp_path, capsys):
+    kind, argv = verb
+    text, message = files[kind]
+    bad = tmp_path / f"cr.{kind}"
+    bad.write_bytes(text)
+    assert main(argv(str(bad))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}:{message}\n"
+
+
+def test_crlf_files_still_parse(tmp_path, capsys):
+    lts, net = tmp_path / "crlf.lts", tmp_path / "crlf.net"
+    lts.write_bytes((FIXTURES / "fig2-middle.lts").read_bytes().replace(b"\n", b"\r\n"))
+    net.write_bytes((FIXTURES / "fig2.net").read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["check", str(lts)]) == 0
+    assert main(["verify", str(lts), str(FIXTURES / "fig2-middle.synth.net")]) == 0
+    assert capsys.readouterr().out == "embeddable\nembeds\n"
+    assert main(["rg", str(net)]) == 0
+    assert capsys.readouterr().out == (FIXTURES / "rg" / "fig2.rg.lts").read_text()
+    bad = tmp_path / "bad.lts"
+    bad.write_bytes(b"lts\r\ninitial s0\r\nedge oops\r\n")
     assert main(["check", str(bad)]) == 2
     assert capsys.readouterr().err == f"{bad}:3: expected 'edge <source> <label> <target>'\n"
 
@@ -277,6 +328,46 @@ def test_rg_output_matches_golden_bytes(name, tmp_path, capsys):
     assert out.read_bytes() == golden
     assert main(["rg", str(FIXTURES / f"{name}.net")]) == 0
     assert capsys.readouterr().out.encode() == golden
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, CHUNK_EDGES])
+def test_rg_output_in_chunks_matches_golden_bytes(chunk, tmp_path, monkeypatch, capsys):
+    # chunk boundaries anywhere in the edge list leave the bytes as they are
+    monkeypatch.setattr(lts_module, "CHUNK_EDGES", chunk)
+    for name in ("fig2", "ring3", "weighted"):
+        golden = (FIXTURES / "rg" / f"{name}.rg.lts").read_bytes()
+        out = tmp_path / f"{name}.lts"
+        assert main(["rg", str(FIXTURES / f"{name}.net"), "-o", str(out)]) == 0
+        assert out.read_bytes() == golden
+        assert main(["rg", str(FIXTURES / f"{name}.net")]) == 0
+        assert capsys.readouterr().out.encode() == golden
+
+
+@pytest.mark.parametrize("edges", [0, 1, CHUNK_EDGES - 1, CHUNK_EDGES, CHUNK_EDGES + 1, 2 * CHUNK_EDGES])
+def test_rg_writes_a_chunk_at_a_time(edges, tmp_path, monkeypatch):
+    # a chain of `edges` firings: stdout and `-o` get the bytes of
+    # `format_lts` and of the text written line by line, in writes of at
+    # most CHUNK_EDGES edge lines each
+    net = tmp_path / "chain.net"
+    net.write_text(f"net\nplace p {edges}\ntrans t\narc p t 1\n")
+    want = f"lts\ninitial p:{edges}\n" + "".join(f"edge p:{k} t p:{k - 1}\n" for k in range(edges, 0, -1))
+    assert format_lts(reachability_graph(parse_net(net.read_text()), edges + 1)) == want
+    writes: list[str] = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    stdout = Recorder()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["rg", str(net), "--bound", str(edges + 1)]) == 0
+    assert stdout.getvalue() == want
+    assert len(writes) == 1 + -(-edges // CHUNK_EDGES)
+    assert all(text.count("\n") <= CHUNK_EDGES for text in writes[1:])
+    out = tmp_path / "chain.lts"
+    assert main(["rg", str(net), "--bound", str(edges + 1), "-o", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
 
 
 def test_verify_embeds(capsys):

@@ -284,6 +284,17 @@ def test_one_breadth_first_search_per_lts(monkeypatch):
     assert lts.columns is columns
 
 
+def test_a_split_lts_shares_the_search_of_the_lts_it_splits():
+    # a splitting keeps the graph, so the split LTS is handed the memoised
+    # tree of the LTS it splits, the one a search of its own would find
+    for name, partitions in (("fig1-right.lts", {"b": [[1], [3, 5]]}), ("fig2-middle.lts", {})):
+        lts = load_lts(name)
+        split = apply_splitting(lts, from_partitions(lts, partitions))
+        assert split._parents is lts._parents
+        assert Lts(split.states, split.labels, split.columns, split.initial)._parents == lts._parents
+        assert is_embeddable(split).embeddable
+
+
 def test_analysed_lts_equals_and_hashes_like_fresh_copy():
     for name in ("fig1-right.lts", "fig2-middle.lts"):
         analysed = load_lts(name)

@@ -15,10 +15,10 @@ from itertools import chain
 from operator import itemgetter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURES, labelled_ring, load_lts, random_lts, ring_net
+from helpers import FIXTURES, labelled_ring, load_lts, load_net, random_lts, ring_net
 from labelsplit.cli import main
 from labelsplit.lts import (
     Edge,
@@ -43,10 +43,11 @@ from labelsplit.petri import (
     synthesize,
     verify_embedding,
 )
-from labelsplit.regions import is_embeddable
+from labelsplit.regions import NotEmbeddable, is_embeddable
 from labelsplit.splitting import LabelSplitting, apply_splitting, parse_splitting, serialize_splitting
 from oracles import (
     reachability_graph_oracle,
+    regions_synthesize_oracle,
     tuple_cycle_base,
     tuple_verify_embedding,
     tuple_walk,
@@ -285,6 +286,61 @@ def few_token_nets(draw):
     return PetriNet(places, transitions, pre, post, marking)
 
 
+@st.composite
+def ring_and_chain_nets(draw):
+    """Two to four places in a ring or a chain, transition t_i moving a token
+    from place i to the next, up to three extra arcs of weight 1 or 2, each
+    a side condition (as much in as out) or a heavier take, and the tokens
+    t0 takes plus up to three more anywhere (four on fewer places): graphs
+    of a few to a few dozen markings, where `game_nets` and
+    `few_token_nets` mostly draw a net that cannot fire."""
+    count = draw(st.integers(2, 4))
+    places = tuple(f"p{i}" for i in range(count))
+    transitions = tuple(f"t{i}" for i in range(count if draw(st.booleans()) else count - 1))
+    pre = {t: [0] * count for t in transitions}
+    post = {t: [0] * count for t in transitions}
+    for i, t in enumerate(transitions):
+        pre[t][i] += 1
+        post[t][(i + 1) % count] += 1
+    for _ in range(draw(st.integers(0, 3))):
+        t, p, w = draw(st.sampled_from(transitions)), draw(st.integers(0, count - 1)), draw(st.integers(1, 2))
+        pre[t][p] += w
+        post[t][p] += w if draw(st.booleans()) else 0  # a side condition, or a heavier take
+    marking = list(pre["t0"])  # t0 can fire
+    for _ in range(draw(st.integers(0, 3 if count == 4 else 4))):
+        marking[draw(st.integers(0, count - 1))] += 1
+    return PetriNet(
+        places,
+        transitions,
+        {t: tuple(w) for t, w in pre.items()},
+        {t: tuple(w) for t, w in post.items()},
+        tuple(marking),
+    )
+
+
+def graph_nets():
+    """The nets the token-game tests draw: `game_nets` and `few_token_nets`,
+    most of which cannot fire, and three times as often
+    `ring_and_chain_nets`, so that most graphs have 2 to RG_CAP states."""
+    return st.one_of(*(ring_and_chain_nets() for _ in range(3)), game_nets(), few_token_nets())
+
+
+def test_graph_nets_mostly_draw_two_to_forty_states():
+    # most of 300 derandomized draws have a graph of 2 to 40 states, where
+    # draws of `game_nets` and `few_token_nets` alone mostly have one state
+    sizes = []
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None, phases=[Phase.generate])
+    @given(graph_nets())
+    def draw(net):
+        full = reachability_graph_oracle(net, RG_CAP)
+        sizes.append(RG_CAP + 1 if full is None else len(full.states))
+
+    draw()
+    assert len(sizes) == 300
+    assert sum(2 <= n <= RG_CAP for n in sizes) > 150  # 182 with hypothesis 6.155
+
+
 def assert_same_graph(got, want):
     # the same fields in the same order, or None from both
     if want is None:
@@ -300,7 +356,7 @@ def assert_same_graph(got, want):
 
 
 @settings(derandomize=True, max_examples=250, deadline=None)
-@given(st.one_of(game_nets(), few_token_nets()))
+@given(graph_nets())
 @example(NO_PLACES)
 @example(IDLE_T1)
 @example(SIDE_CONDITION)
@@ -633,6 +689,36 @@ def test_synthesized_net_reads_back(lts):
     assert verify_embedding(lts, back).embeds
 
 
+def synthesized_or_witness(synth, lts):
+    try:
+        return synth(lts)
+    except NotEmbeddable as exc:
+        return exc.witness
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.integers(0, 2**32).map(lambda seed: random_lts(random.Random(seed), max_states=8, extra_edges=6)),
+        place_named_labels(),
+    )
+)
+@example(Lts.from_edges("s0", []))
+@example(Lts.from_edges("s0", [("s0", "a", "s0")]))
+def test_synthesize_equals_the_regions_oracle(lts):
+    # built straight from the effect basis, the net is the one that the
+    # separating regions give, place by place, or both name one witness
+    assert synthesized_or_witness(synthesize, lts) == synthesized_or_witness(regions_synthesize_oracle, lts)
+
+
+@pytest.mark.parametrize(
+    "name", ["fig1-left.lts", "fig1-right.lts", "fig2-left.lts", "fig2-middle.lts", "fig2.net", "ring3.net", "weighted.net"]
+)
+def test_synthesize_on_fixtures_equals_the_regions_oracle(name):
+    lts = load_lts(name) if name.endswith(".lts") else reachability_graph(load_net(name))
+    assert synthesized_or_witness(synthesize, lts) == synthesized_or_witness(regions_synthesize_oracle, lts)
+
+
 # --- an Lts built from its id columns --------------------------------------
 
 
@@ -643,7 +729,7 @@ def column_builds(draw):
     or `parse_lts` on a drawn LTS, or a full reachability graph."""
     kind = draw(st.sampled_from(["from_edges", "parse_lts", "reachability_graph"]))
     if kind == "reachability_graph":
-        net = draw(few_token_nets())
+        net = draw(graph_nets())
         want = reachability_graph_oracle(net, RG_CAP)
         assume(want is not None)
         return (lambda: reachability_graph(net, RG_CAP)), want.edges

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from helpers import load_lts, load_net, random_lts
-from labelsplit.lts import Lts, cycle_base
+from labelsplit.lts import Lts, Packing, cycle_base, walk
 from labelsplit.petri import reachability_graph
 from labelsplit.regions import (
     NotEmbeddable,
@@ -13,7 +13,9 @@ from labelsplit.regions import (
     separating_regions,
 )
 from oracles import (
+    embeddability_oracle,
     in_span,
+    oracle_signatures,
     region_violations,
     separates,
     ssp_solvable,
@@ -103,21 +105,26 @@ def test_is_embeddable_fixtures():
 
 
 def test_is_embeddable_single_state():
-    report = is_embeddable(Lts.from_names(("s0",), (), (), "s0"))
-    assert report.embeddable
-    assert report.signatures == {"s0": ()}
+    lts = Lts.from_names(("s0",), (), (), "s0")
+    report = is_embeddable(lts)
+    assert report.embeddable and report.witness is None
+    assert oracle_signatures(lts) == {"s0": ()}
 
 
 def test_signatures_equal_oracle_signatures():
-    # one walk down the spanning tree gives every state's dot products with
-    # the effect basis, as the per-state oracle computes them
+    # one packed walk down the spanning tree gives every state's dot
+    # products with the effect basis, as the per-state oracle computes
+    # them, and the verdict and witness are the ones those signatures give
     rng = random.Random(43)
     systems = [random_lts(rng, max_states=8, max_labels=5, extra_edges=8) for _ in range(150)]
     systems.append(reachability_graph(load_net("ring3.net")))
     for lts in systems:
         basis = effect_space(lts)
         expected = {s: state_signature(lts, basis, s) for s in lts.states}
-        assert is_embeddable(lts).signatures == expected
+        steps = list(zip(*basis)) or [()] * len(lts.labels)
+        packing = Packing.summing(steps, len(lts.states))
+        assert dict(zip(lts.states, packing.unpack(walk(lts, packing.pack(steps))))) == expected
+        assert is_embeddable(lts) == embeddability_oracle(lts)
 
 
 def test_region_from_zero_effect():

@@ -34,7 +34,14 @@ from labelsplit.splitting import (
     optimize,
     set_partitions,
 )
-from oracles import block_leaf_oracle, conflict_pairs, decide_oracle, separation_cut_oracle, ssp_solvable
+from oracles import (
+    block_leaf_oracle,
+    conflict_pairs,
+    decide_oracle,
+    oracle_signatures,
+    separation_cut_oracle,
+    ssp_solvable,
+)
 
 # the subset-sum gadgets of the benchmark: three unsolvable all-even
 # instances, one solvable instance and one unsolvable odd target
@@ -382,7 +389,7 @@ def assert_factorisation(lts: Lts) -> _Search:
     # the classes: the groups of equal unsplit signatures, and exactly the
     # pairs that no feasible effect separates
     groups: dict[tuple[int, ...], list[str]] = {}
-    for s, sig in is_embeddable(lts).signatures.items():
+    for s, sig in oracle_signatures(lts).items():
         groups.setdefault(sig, []).append(s)
     _, _, label_rows, scale, classes = search.factored
     remainder = remainder_rows(search)
