@@ -1,8 +1,9 @@
 """Command line front end.
 
 Decisions are exit codes so the tool scripts cleanly: 0 affirmative,
-1 negative, 2 malformed input or arguments, 3 search budget exhausted.
-Data goes to stdout or `-o` files, diagnostics to stderr.
+1 negative, 2 malformed input or arguments, 3 search budget exhausted,
+141 (SIGPIPE's, as a shell reports it) if stdout's reader closed it. Data
+goes to stdout or `-o` files, diagnostics to stderr.
 
 Each verb runs with the cyclic garbage collector paused, and `main`
 restores it as it found it. The verbs build no reference cycles, so the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from functools import cache
 from typing import Callable, Iterable, TypeVar
@@ -192,6 +194,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="labelsplit",
         description="Petri net embeddability, label splitting and subset-sum gadgets "
@@ -241,28 +247,41 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         # `type=int` reads the file formats' integers; diagnostics still say "invalid int value"
         p.register("type", int, lambda raw: _int_token(raw, 0, "argument"))
-    return parser
+    return parser, sub.choices
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser `main` uses, built at its first call and kept: building
-    one costs about 25 times as much as a parse."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parsers `main` uses, built at its first call and kept: building
+    them costs about 25 times as much as a top-level parse."""
+    return _build()
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        # argparse prints its own diagnostics; errors exit 2, --help exits 0
-        return exc.code if isinstance(exc.code, int) else 2
+    argv = sys.argv[1:] if argv is None else argv
+    parser, verbs = _parser()
+    verb = verbs.get(argv[0]) if argv else None
     was_enabled = gc.isenabled()
-    gc.disable()
     try:
-        return args.func(args)
+        try:  # the top-level parser only if argv names no verb or leaves some over
+            args, extra = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0])) if verb else (None, True)
+            if extra:
+                args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # argparse prints its own diagnostics; errors exit 2, --help exits 0
+            code = exc.code if isinstance(exc.code, int) else 2
+        else:
+            gc.disable()
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _Fail as fail:
         return fail.code
+    except BrokenPipeError:  # stdout's reader left; the flush at exit goes to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     finally:
         if was_enabled:
             gc.enable()

@@ -64,6 +64,13 @@ test "$verify" = "does-not-embed negative-marking p0:0,p1:20,p2:0,p3:0"
 test "$(labelsplit check ring20.lts)" = embeddable
 labelsplit synth ring20.lts -o ring20.synth.net
 test "$(labelsplit verify ring20.lts ring20.synth.net)" = embeds
+python -c "print('x' * 100000)" > over.net
+labelsplit synth ring20.lts -o over.net
+cmp over.net ring20.synth.net
+code=0
+labelsplit rg ring20.net 2> err.txt | head -1 > /dev/null || code=$?
+test "$code" = 141
+test ! -s err.txt
 printf 'lts\ninitial s0\nedge s0 p1 s1\n' > p1.lts
 labelsplit synth p1.lts -o p1.net
 test "$(labelsplit verify p1.lts p1.net)" = embeds

@@ -15,6 +15,8 @@ tree walk, the cycle base and the embedding check also run here on tuples,
 as the package ran them before it packed each vector into one int, and
 the embeddability verdict and synthesis run here on per-state signatures
 and `Region`s, as the package ran them before it stopped building both.
+The command line parses argv here with one top-level `parse_args`, as
+`cli.main` did before it handed argv straight to the verb's own parser.
 None of it runs in the package.
 """
 
@@ -28,6 +30,7 @@ from math import gcd
 from operator import add, ge, sub
 from typing import Iterator, Sequence
 
+from labelsplit import cli
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
 from labelsplit.lts import Edge, Lts, _fresh_names, spanning_tree
 from labelsplit.petri import (
@@ -641,3 +644,16 @@ def validate_oracle(parts: tuple) -> list[str]:
                     grew = True
         problems += [f"unreachable state: {s}" for s in states if s not in reached]
     return problems
+
+
+def parse_args_main(argv: list[str]) -> int:
+    """`cli.main` with argv parsed by a freshly built top-level parser, which
+    hands what follows the verb to the verb's subparser."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except cli._Fail as fail:
+        return fail.code

@@ -1,19 +1,31 @@
+import errno
 import gc
 import io
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import FIXTURES, load_lts
+from helpers import FIXTURES, load_lts, ring_net
 from labelsplit import cli
 from labelsplit.cli import build_parser, main
 from labelsplit import lts as lts_module
 from labelsplit.lts import CHUNK_EDGES, Lts, format_lts, parse_lts
-from labelsplit.petri import parse_net, reachability_graph, verify_embedding
+from labelsplit.petri import format_net, parse_net, reachability_graph, verify_embedding
 from labelsplit.reduction import SubsetSumInstance, extract_solution
 from labelsplit.regions import is_embeddable
 from labelsplit.splitting import apply_splitting, parse_splitting
+from oracles import parse_args_main
 
 FIG1_RIGHT = str(FIXTURES / "fig1-right.lts")
 FIG2_LEFT = str(FIXTURES / "fig2-left.lts")
@@ -545,6 +557,254 @@ def test_pipeline_reduce_split_oracle(tmp_path, capsys):
     assert main(["split", str(out), "--max-labels", str(q - 1)]) == 1
     capsys.readouterr()
     assert main(["oracle", "--b", "3", "--c", "1,2"]) == 0
+
+
+# the verbs that write `-o` files, each a call writing to `out`
+WRITERS = {
+    "synth": lambda out: ["synth", FIG2_MIDDLE, "-o", out],
+    "rg": lambda out: ["rg", FIG2_NET, "-o", out],
+    "reduce": lambda out: ["reduce", "--b", "3", "--c", "1,2", "-o", out],
+}
+
+
+def fresh_output(verb: str, tmp_path) -> bytes:
+    out = tmp_path / "fresh.out"
+    assert main(WRITERS[verb](str(out))) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+@pytest.mark.parametrize("old_size", [5, 100_000], ids=["shorter", "longer"])
+def test_o_replaces_the_old_bytes(verb, old_size, tmp_path, capsys):
+    # exactly the new bytes, whatever the old file held; the file keeps
+    # its inode and mode
+    want = fresh_output(verb, tmp_path)
+    out = tmp_path / "old.out"
+    out.write_bytes(b"x" * old_size)
+    out.chmod(0o600)
+    before = out.stat()
+    assert main(WRITERS[verb](str(out))) == 0
+    after = out.stat()
+    assert out.read_bytes() == want
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+def test_o_new_file_mode_follows_umask(verb, tmp_path, capsys):
+    umask = os.umask(0o027)
+    try:
+        out = tmp_path / "new.out"
+        assert main(WRITERS[verb](str(out))) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert out.read_bytes() == fresh_output(verb, tmp_path)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+def test_o_writes_through_a_symlink(verb, tmp_path, capsys):
+    target, link = tmp_path / "target.out", tmp_path / "link.out"
+    target.write_bytes(b"y" * 100_000)
+    link.symlink_to(target)
+    assert main(WRITERS[verb](str(link))) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh_output(verb, tmp_path)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+def test_o_null_device(verb, capsys):
+    assert main(WRITERS[verb](os.devnull)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+def test_o_named_pipe(verb, tmp_path, capsys):
+    # written like a stream; each output fits the pipe
+    want = fresh_output(verb, tmp_path)
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(WRITERS[verb](str(fifo))) == 0
+        assert os.read(reader, 1 << 20) == want
+    finally:
+        os.close(reader)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+def test_o_directory_is_input_error(verb, tmp_path, capsys):
+    assert main(WRITERS[verb](str(tmp_path))) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{tmp_path}: {os.strerror(errno.EISDIR)}\n"
+    assert "k=" not in captured.out
+
+
+@pytest.mark.parametrize("verb", ["rg", "reduce"])
+def test_o_failed_write_leaves_no_old_byte(verb, tmp_path, monkeypatch, capsys):
+    # the chunks stop with ENOSPC after the first: exit 2, and the file holds
+    # that chunk and nothing of the longer file it replaced
+    written = []
+
+    def first_then_full(lts):
+        written.append(next(lts_module.lts_chunks(lts)))
+        yield written[0]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "lts_chunks", first_then_full)
+    out = tmp_path / "old.out"
+    out.write_bytes(b"z" * 100_000)
+    assert main(WRITERS[verb](str(out))) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{out}: {os.strerror(errno.ENOSPC)}\n"
+    assert "k=" not in captured.out
+    assert out.read_bytes() == written[0].encode()
+
+
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_FSIZE"), reason="no file size limit here")
+@pytest.mark.parametrize("verb", sorted(WRITERS))
+def test_o_write_past_the_size_limit_leaves_no_old_byte(verb, tmp_path, capsys):
+    # the system refuses bytes past 10 (EFBIG; Python ignores SIGXFSZ): exit
+    # 2, and the file holds the new bytes that fit
+    want = fresh_output(verb, tmp_path)
+    out = tmp_path / "old.out"
+    out.write_bytes(b"z" * 1000)
+    limits = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (10, limits[1]))
+    try:
+        code = main(WRITERS[verb](str(out)))
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, limits)
+    assert code == 2
+    assert capsys.readouterr().err == f"{out}: {os.strerror(errno.EFBIG)}\n"
+    assert out.read_bytes() == want[:10]
+
+
+def test_closed_stdout_exits_141_without_a_word(tmp_path):
+    # rg's graph fills the pipe after its reader has gone: exit 141, as a
+    # shell reports SIGPIPE, and nothing on stderr
+    net = tmp_path / "ring.net"
+    net.write_text(format_net(ring_net(4, 20)))
+    done = subprocess.Popen(
+        [sys.executable, "-m", "labelsplit", "rg", str(net)], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert done.stdout.readline() == b"lts\n"
+    done.stdout.close()
+    assert done.wait(timeout=60) == 141
+    assert done.stderr.read() == b""
+    done.stderr.close()
+
+
+def test_closed_stdout_at_the_final_flush_exits_141(monkeypatch, capsys):
+    # a short answer waits in stdout's buffer: `main` flushes it, and the
+    # buffer that is left goes to the null device, so closing cannot fail
+    read, write = os.pipe()
+    os.close(read)
+    stdout = open(write, "w")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        assert main(["check", FIG1_RIGHT]) == 141
+    finally:
+        stdout.close()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rg", "-h"]], ids=["top", "verb"])
+def test_closed_stdout_after_help_exits_141(argv):
+    # help waits in stdout's buffer while argparse exits; its flush meets
+    # a pipe with no reader. (With PYTHONUNBUFFERED the write itself fails,
+    # and argparse ignores that and exits 0, as it always did.)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "labelsplit", *argv], stdout=write, stderr=subprocess.PIPE, env=env, timeout=60
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (141, b"")
+
+
+# each verb's whole call
+CALLS = {
+    "check": [FIG1_RIGHT],
+    "synth": [FIG2_MIDDLE, "-o", "out.net"],
+    "rg": [FIG2_NET, "--bound", "50", "-o", "out.lts"],
+    "verify": [FIG2_MIDDLE, FIG2_NET],
+    "split": [FIG1_RIGHT, "--node-budget", "20"],
+    "reduce": ["--b", "3", "--c", "1,2", "-o", "out.lts"],
+    "oracle": ["--b", "3", "--c", "1,2"],
+}
+SPLIT_MODES = [["--max-labels", "3"], ["--optimize"], ["--max-labels", "3", "--optimize"], []]
+# every verb, flag and kind of value, `--`, help, unknown verbs and abbreviations
+TOKENS = st.sampled_from(
+    [*CALLS, "frobnicate", "", "chec", "--opt", "--max", "--no", "--bo", "-x", "--max-labels=3"]
+    + ["-o", "--bound", "--max-labels", "--optimize", "--node-budget", "--b", "--c", "-h", "--help", "--"]
+    + [FIG1_RIGHT, FIG2_MIDDLE, FIG2_NET, "missing.lts", "out.net", "out.lts"]
+    + ["3", "2", "0", "-1", "1_0", "x", "1,2", "3,1,2", "2,x"]
+)
+
+
+@st.composite
+def dispatch_argvs(draw):
+    """A verb's whole call (`split` in one mode, both or neither) with
+    tokens dropped (missing options) or added, or a run of tokens that
+    starts with a verb or help half the time."""
+    if draw(st.booleans()):
+        verb = draw(st.sampled_from(sorted(CALLS)))
+        argv = [verb, *CALLS[verb], *(draw(st.sampled_from(SPLIT_MODES)) if verb == "split" else [])]
+        for _ in range(min(len(argv) - 1, draw(st.sampled_from([0, 0, 0, 1, 2])))):
+            del argv[draw(st.integers(1, len(argv) - 1))]
+        for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+            argv.insert(draw(st.integers(1, len(argv))), draw(TOKENS))
+        return argv
+    argv = draw(st.lists(TOKENS, max_size=7))
+    if argv and draw(st.booleans()):
+        argv[0] = draw(st.sampled_from([*CALLS, "-h", "--help"]))
+    return argv
+
+
+def recording(func, seen: list):
+    """`func`, first noting the namespace it is called with."""
+
+    def run(args):
+        seen.append(dict(vars(args)))
+        return func(args)
+
+    return run
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(dispatch_argvs())
+def test_main_answers_like_one_top_level_parse(tmp_path_factory, argv):
+    # exit code, stdout, stderr, the files written and the namespace each
+    # verb sees equal those of the top-level `parse_args` that `main` ran
+    # before it went straight to the verb's parser
+    home = os.getcwd()
+    sides = []
+    seen: list[dict] = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in [n for n in vars(cli) if n.startswith("_cmd_")]:
+            patch.setattr(cli, name, recording(getattr(cli, name), seen))
+        cli._parser.cache_clear()
+        try:
+            for run in (main, parse_args_main):
+                os.chdir(tmp_path_factory.mktemp("dispatch"))
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = run(list(argv))
+                files = {path.name: path.read_bytes() for path in sorted(Path().iterdir())}
+                sides.append((code, out.getvalue(), err.getvalue(), files, seen[:]))
+                seen.clear()
+        finally:
+            os.chdir(home)
+            cli._parser.cache_clear()
+    assert sides[0] == sides[1], argv
 
 
 def test_module_entry_point():
