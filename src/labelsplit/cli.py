@@ -193,11 +193,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    return _build()[0]
-
-
-def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+@cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each verb's, built at `main`'s first call and
+    kept: building them costs about 25 times as much as a top-level parse."""
     parser = argparse.ArgumentParser(
         prog="labelsplit",
         description="Petri net embeddability, label splitting and subset-sum gadgets "
@@ -248,13 +247,6 @@ def _build() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser
         # `type=int` reads the file formats' integers; diagnostics still say "invalid int value"
         p.register("type", int, lambda raw: _int_token(raw, 0, "argument"))
     return parser, sub.choices
-
-
-@cache
-def _parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parsers `main` uses, built at its first call and kept: building
-    them costs about 25 times as much as a top-level parse."""
-    return _build()
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,8 +9,9 @@ order, so two structurally equal systems behave identically.
 An `Lts` is its declared states and labels, each once, its initial state,
 and its edges as integer columns, `Lts.columns`: each edge's source, label
 and target as indices into `states` and `labels`, one string per name;
-`Lts.from_names` builds it from edges by name. Its `edges` are a view for
-library users, made on first read: the package reads the columns.
+the constructor takes the ids, and `Lts.from_edges` and `parse_lts` assign
+them in one pass over edges by name. Its `edges` are a view for library
+users, made on first read: the package reads the columns.
 The breadth-first search from the initial state runs once per `Lts` (the
 memoised `Lts._parents`, which a split LTS shares), and it is the one
 spanning tree of the LTS: a map from each state id to its incoming tree
@@ -70,29 +71,6 @@ class Lts:
             lab.append(label(t, len(label_ids)))
             dst.append(state(d, len(state_ids)))
         return cls(tuple(state_ids), tuple(label_ids), columns, initial)
-
-    @classmethod
-    def from_names(cls, states: Sequence[str], labels: Sequence[str], edges: Iterable, initial: str) -> Lts:
-        """Build from declared names and edges between them, in the declared
-        order: raise ValueError on the first name declared twice or not
-        declared (initial state, then each edge's source, target and label)."""
-        dangling = "dangling reference: "
-        state_ids = {s: i for i, s in enumerate(states)}
-        label_ids = {t: i for i, t in enumerate(labels)}
-        if len(state_ids) != len(states):
-            raise ValueError(f"{dangling}duplicate state declaration")
-        if len(label_ids) != len(labels):
-            raise ValueError(f"{dangling}duplicate label declaration")
-        if initial not in state_ids:
-            raise ValueError(f"{dangling}initial state {initial} not declared")
-        columns: tuple[list[int], list[int], list[int]] = ([], [], [])
-        checks = ((0, "source", state_ids), (2, "target", state_ids), (1, "label", label_ids))
-        for i, edge in enumerate(edges):
-            for k, what, ids in checks:
-                if edge[k] not in ids:
-                    raise ValueError(f"{dangling}edge {i} {what} {edge[k]} not declared")
-                columns[k].append(ids[edge[k]])
-        return cls(tuple(states), tuple(labels), columns, initial)
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:

@@ -12,15 +12,16 @@ guards each field with a bit no count within the state bound reaches;
 the tree depth, each field biased by half its range, and unpacks a marking
 only to name a short place. Synthesis makes one place per effect-space
 basis vector: `pre[t]` and `post[t]` hold label t's consume and produce.
-The reachability graph is itself an `Lts` named by markings, which lets the
-region machinery and the token game meet in `verify_embedding`.
+The reachability graph is itself an `Lts`, each state named by its marking
+as `place:count` joined by commas (`-` in a net with no places), which lets
+the region machinery and the token game meet in `verify_embedding`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, islice
 from operator import and_, sub
 
@@ -57,11 +58,6 @@ class PetriNet:
             if w < 0:
                 raise ValueError(f"arc between place {p} and transition {t} has a negative weight: {w}")
 
-    @cached_property
-    def _name_template(self) -> str:
-        """`marking_name`'s format: "p1:{},p2:{},...", braces in ids doubled."""
-        return ",".join(p.replace("{", "{{").replace("}", "}}") + ":{}" for p in self.places)
-
 
 class NotEnabled(ValueError):
     def __init__(self, transition: str, place: str) -> None:
@@ -92,19 +88,13 @@ def fire(net: PetriNet, marking: Marking, transition: str) -> Marking:
     return tuple(m - w + v for m, w, v in zip(marking, pre, post))
 
 
-def marking_name(net: PetriNet, marking: Marking) -> str:
-    """Canonical state name for a marking: "p1:5,p2:1,..." in declared place
-    order. A net with no places gets the single name "-" (the empty join is
-    not a usable token in the LTS text format)."""
-    return net._name_template.format(*marking) or "-"
-
-
 def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
     """BFS over the token game from the initial marking.
 
     Returns the full reachability graph as an Lts (labels are ALL transitions,
     enabled anywhere or not) when it has at most `max_states` states, else
-    None.
+    None. A state is named by its marking, "p1:5,p2:1,..." in declared place
+    order, or "-" in a net with no places (no token of the LTS format is empty).
     """
     if max_states < 1:
         raise ValueError(f"state bound must be at least 1, got {max_states}")
@@ -149,9 +139,10 @@ def reachability_graph(net: PetriNet, max_states: int = 10000) -> Lts | None:
                 targets.append(target)
     mask = (1 << width) - 1
     columns = [[m >> k & mask for m in order] for k in shifts]  # one per place
-    name_of = net._name_template.format
+    # one `str.format` per marking: "p1:{},p2:{},...", braces in ids doubled
+    template = ",".join(p.replace("{", "{{").replace("}", "}}") + ":{}" for p in net.places)
     try:  # a net with no places has one marking
-        names = list(map(name_of, *columns)) if columns else [marking_name(net, ())]
+        names = list(map(template.format, *columns)) if columns else ["-"]
     except ValueError:  # `str` writes no int of more digits than Python's limit
         digits = sys.get_int_max_str_digits()
         too_long = 10**digits

@@ -20,12 +20,47 @@ LONG_TOKEN = "9" * 5000
 INT_LIMITED = 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_TOKEN)
 
 
+# places with braces, which `str.format` reads, and a place `x`: `rg`
+# names each state `place:count` per place, joined by commas, ids as written
+BRACE_NET = "net\nplace {0} 1\nplace a}b 0\nplace x 0\ntrans t\ntrans u\n"
+BRACE_NET += "arc {0} t 1\narc t a}b 1\narc a}b u 1\narc u x 1\n"
+BRACE_RG = "lts\ninitial {0}:1,a}b:0,x:0\n"
+BRACE_RG += "edge {0}:1,a}b:0,x:0 t {0}:0,a}b:1,x:0\nedge {0}:0,a}b:1,x:0 u {0}:0,a}b:0,x:1\n"
+# a net with no places has one marking, which `rg` names "-"
+PLACELESS_NET = "net\ntrans t\n"
+PLACELESS_RG = "lts\ninitial -\nedge - t -\n"
+
+
 def load_lts(name: str) -> Lts:
     return parse_lts((FIXTURES / name).read_text())
 
 
 def load_net(name: str):
     return parse_net((FIXTURES / name).read_text())
+
+
+def lts_from_names(states, labels, edges, initial: str) -> Lts:
+    """An `Lts` from declared names and edges between them, in the declared
+    order: raise ValueError on the first name declared twice or not
+    declared (initial state, then each edge's source, target and label).
+    The package builds from ids, or assigns them as it reads the edges."""
+    dangling = "dangling reference: "
+    state_ids = {s: i for i, s in enumerate(states)}
+    label_ids = {t: i for i, t in enumerate(labels)}
+    if len(state_ids) != len(states):
+        raise ValueError(f"{dangling}duplicate state declaration")
+    if len(label_ids) != len(labels):
+        raise ValueError(f"{dangling}duplicate label declaration")
+    if initial not in state_ids:
+        raise ValueError(f"{dangling}initial state {initial} not declared")
+    columns: tuple[list[int], list[int], list[int]] = ([], [], [])
+    checks = ((0, "source", state_ids), (2, "target", state_ids), (1, "label", label_ids))
+    for i, edge in enumerate(edges):
+        for k, what, ids in checks:
+            if edge[k] not in ids:
+                raise ValueError(f"{dangling}edge {i} {what} {edge[k]} not declared")
+            columns[k].append(ids[edge[k]])
+    return Lts(tuple(states), tuple(labels), columns, initial)
 
 
 def ring_net(places: int, tokens: int):

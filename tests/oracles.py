@@ -30,6 +30,7 @@ from math import gcd
 from operator import add, ge, sub
 from typing import Iterator, Sequence
 
+from helpers import lts_from_names
 from labelsplit import cli
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
 from labelsplit.lts import Edge, Lts, _fresh_names, spanning_tree
@@ -38,7 +39,6 @@ from labelsplit.petri import (
     NotEnabled,
     PetriNet,
     Verification,
-    marking_name,
 )
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges
 from labelsplit.regions import EmbeddabilityReport, Region, effect_space, is_embeddable, separating_regions
@@ -508,12 +508,20 @@ def fire_oracle(net: PetriNet, marking: Marking, transition: str) -> Marking:
     return tuple(map(add, map(sub, marking, pre), net.post[transition]))
 
 
+def state_name(net: PetriNet, marking: Marking) -> str:
+    """The name `rg` gives a marking: `place:count` per place in declared
+    order, joined by commas, and `-` for the one marking of a net with no
+    places."""
+    return ",".join(f"{p}:{c}" for p, c in zip(net.places, marking)) if net.places else "-"
+
+
 def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | None:
     """Breadth-first search over `fire_oracle` with a separate queue, every
     transition tried at every marking and a disabled one caught as
-    NotEnabled; None past `max_states` states."""
+    NotEnabled; None past `max_states` states. States are named by
+    `state_name` and built by name."""
     start = net.initial_marking
-    names: dict[Marking, str] = {start: marking_name(net, start)}
+    names: dict[Marking, str] = {start: state_name(net, start)}
     order: list[Marking] = [start]
     edges: list[Edge] = []
     frontier = deque([start])
@@ -527,11 +535,11 @@ def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | N
             if succ not in names:
                 if len(names) == max_states:
                     return None
-                names[succ] = marking_name(net, succ)
+                names[succ] = state_name(net, succ)
                 order.append(succ)
                 frontier.append(succ)
             edges.append(Edge(names[m], t, names[succ]))
-    return Lts.from_names(
+    return lts_from_names(
         states=tuple(names[m] for m in order),
         labels=net.transitions,
         edges=tuple(edges),
@@ -604,7 +612,7 @@ def tuple_verify_embedding(lts: Lts, net: PetriNet) -> Verification:
 
 
 def validate_oracle(parts: tuple) -> list[str]:
-    """What `Lts.from_names(*parts)` refuses and `validate` reports, on its
+    """What `lts_from_names(*parts)` refuses and `validate` reports, on its
     four parts (states, labels, edges, initial): one pass over
     the edges for undeclared ends and labels, one for repeated (source,
     label) pairs, and a reachability search of its own over the declared
@@ -650,7 +658,7 @@ def parse_args_main(argv: list[str]) -> int:
     """`cli.main` with argv parsed by a freshly built top-level parser, which
     hands what follows the verb to the verb's subparser."""
     try:
-        args = cli.build_parser().parse_args(argv)
+        args = cli._parser.__wrapped__()[0].parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

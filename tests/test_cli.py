@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURES, load_lts, ring_net
+from helpers import BRACE_NET, BRACE_RG, FIXTURES, PLACELESS_NET, PLACELESS_RG, load_lts, ring_net
 from labelsplit import cli
-from labelsplit.cli import build_parser, main
+from labelsplit.cli import main
 from labelsplit import lts as lts_module
 from labelsplit.lts import CHUNK_EDGES, Lts, format_lts, parse_lts
 from labelsplit.petri import format_net, parse_net, reachability_graph, verify_embedding
@@ -193,42 +193,6 @@ def test_check_contract_violations_exact(tmp_path, capsys):
     )
 
 
-def test_verbs_build_no_lts_by_name(tmp_path, monkeypatch, capsys):
-    # the check `Lts.from_names` makes of its names costs the verbs nothing:
-    # they build every Lts from id columns, and answer the same without it
-    net = tmp_path / "out.net"
-    calls = [
-        ["check", FIG1_RIGHT],
-        ["check", FIG2_MIDDLE],
-        ["synth", FIG2_MIDDLE, "-o", str(net)],
-        ["synth", FIG1_RIGHT, "-o", str(net)],
-        ["rg", FIG2_NET],
-        ["rg", str(FIXTURES / "ring3.net")],
-        ["rg", str(FIXTURES / "weighted.net")],
-        ["verify", FIG2_LEFT, FIG2_NET],
-        ["verify", FIG1_RIGHT, FIG2_NET],
-        ["split", FIG1_RIGHT, "--max-labels", "3"],
-        ["split", FIG1_RIGHT, "--max-labels", "2"],
-        ["split", FIG1_RIGHT, "--optimize"],
-        ["split", FIG2_MIDDLE, "--optimize"],
-    ]
-
-    def run(argv):
-        code = main(argv)
-        written = net.read_text() if net.exists() else None
-        net.unlink(missing_ok=True)
-        return code, capsys.readouterr().out, written
-
-    checked = [run(argv) for argv in calls]
-
-    def by_name(*parts):
-        raise AssertionError("an Lts built by name")
-
-    monkeypatch.setattr(Lts, "from_names", by_name)
-    assert [run(argv) for argv in calls] == checked
-    assert [code for code, _, _ in checked] == [1, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0]
-
-
 def test_synth_writes_parseable_net(tmp_path, capsys):
     out = tmp_path / "out.net"
     assert main(["synth", FIG2_MIDDLE, "-o", str(out)]) == 0
@@ -261,6 +225,17 @@ def test_rg_stdout_round_trip(capsys):
     text = capsys.readouterr().out
     rg = parse_lts(text)
     assert len(rg.states) == 8
+
+
+@pytest.mark.parametrize(
+    "text,expected", [(BRACE_NET, BRACE_RG), (PLACELESS_NET, PLACELESS_RG)], ids=["braces", "no-places"]
+)
+def test_rg_state_names(text, expected, tmp_path, capsys):
+    # `place:count` per place, joined by commas, ids as written; "-" with no places
+    net = tmp_path / "in.net"
+    net.write_text(text)
+    assert main(["rg", str(net)]) == 0
+    assert capsys.readouterr() == (expected, "")
 
 
 def test_rg_bound_exceeded(tmp_path, capsys):
@@ -825,7 +800,9 @@ def test_parser_built_at_first_call_not_at_import():
     code = "import labelsplit.cli as c; print(c._parser.cache_info().currsize)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.stdout == "0\n"
-    assert build_parser() is not build_parser()
+    # one parser pair is kept; the builder under the cache makes a new one
+    assert cli._parser() is cli._parser()
+    assert cli._parser.__wrapped__()[0] is not cli._parser()[0]
 
 
 def test_cached_parser_answers_like_a_fresh_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import labelsplit.lts as lts_module
-from helpers import FIXTURES, load_lts, load_net, random_lts, ring_net
+from helpers import FIXTURES, load_lts, load_net, lts_from_names, random_lts, ring_net
 from labelsplit.linalg import integer_echelon
 from labelsplit.lts import (
     Edge,
@@ -131,11 +131,11 @@ def test_validate_clean_fixtures():
 
 
 def test_validate_single_state():
-    assert validate(Lts.from_names(("s0",), (), (), "s0")) == []
+    assert validate(lts_from_names(("s0",), (), (), "s0")) == []
 
 
-# (the four parts `Lts.from_names` takes, messages) for every message on a
-# malformed LTS, one value each: `from_names` refuses a "dangling reference"
+# (the four parts `lts_from_names` takes, messages) for every message on a
+# malformed LTS, one value each: `lts_from_names` refuses a "dangling reference"
 # with its text, and `validate` reports the rest
 VALIDATE_MESSAGES = [
     ((("s0", "s0"), (), (), "s0"), ["dangling reference: duplicate state declaration"]),
@@ -165,10 +165,10 @@ VALIDATE_MESSAGES = [
 def test_validate_messages(lts, messages):
     if messages[0].startswith("dangling reference: "):
         with pytest.raises(ValueError) as refused:
-            Lts.from_names(*lts)
+            lts_from_names(*lts)
         assert str(refused.value) == messages[0]
     else:
-        assert validate(Lts.from_names(*lts)) == messages
+        assert validate(lts_from_names(*lts)) == messages
 
 
 def test_validate_nondeterminism():
@@ -177,13 +177,13 @@ def test_validate_nondeterminism():
 
 
 def test_validate_unreachable():
-    lts = Lts.from_names(("s0", "s1"), ("a",), (), "s0")
+    lts = lts_from_names(("s0", "s1"), ("a",), (), "s0")
     assert validate(lts) == ["unreachable state: s1"]
 
 
 def test_validate_dangling():
     with pytest.raises(ValueError, match="^dangling reference: edge 0 target ghost not declared$"):
-        Lts.from_names(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
+        lts_from_names(("s0",), ("a",), (Edge("s0", "a", "ghost"),), "s0")
 
 
 def test_validate_mixed_violations_exact():
@@ -191,9 +191,9 @@ def test_validate_mixed_violations_exact():
     # the build names the first bad name, edge by edge as source, target, label
     edges = [("s0", "a", "s1"), ("s0", "a", "s2"), ("s1", "b", "ghost"), ("ghost", "a", "s3")]
     with pytest.raises(ValueError, match="^dangling reference: edge 2 target ghost not declared$"):
-        Lts.from_names(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
+        lts_from_names(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges), "s0")
     # without them, s3 is unreachable, and `validate` reports both in order
-    lts = Lts.from_names(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges[:2]), "s0")
+    lts = lts_from_names(("s0", "s1", "s2", "s3"), ("a",), tuple(Edge(*e) for e in edges[:2]), "s0")
     assert validate(lts) == [
         "nondeterministic: two edges from s0 with label a",
         "unreachable state: s3",
@@ -204,10 +204,10 @@ def test_undeclared_edge_name_is_a_value_error():
     # refused when built, so no analysis or verifier indexes by a missing id
     bad_label = (Edge("s0", "a", "s1"), Edge("s1", "b", "s1"))
     with pytest.raises(ValueError) as refused:
-        Lts.from_names(("s0", "s1"), ("a",), bad_label, "s0")
+        lts_from_names(("s0", "s1"), ("a",), bad_label, "s0")
     assert str(refused.value) == "dangling reference: edge 1 label b not declared"
     with pytest.raises(ValueError, match="^dangling reference: edge 0 target s9 not declared$"):
-        Lts.from_names(("s0", "s1"), ("a",), (Edge("s0", "a", "s9"),), "s0")
+        lts_from_names(("s0", "s1"), ("a",), (Edge("s0", "a", "s9"),), "s0")
 
 
 def test_spanning_tree_tree_lts_uses_all_edges():
@@ -228,7 +228,7 @@ def test_spanning_tree_fig2_middle_picks_first_use_edges():
 
 
 def test_spanning_tree_rejects_unreachable():
-    lts = Lts.from_names(("s0", "s1"), ("a",), (), "s0")
+    lts = lts_from_names(("s0", "s1"), ("a",), (), "s0")
     with pytest.raises(ValueError):
         spanning_tree(lts)
 
@@ -243,11 +243,11 @@ def test_spanning_tree_names_first_unreachable_state():
 def test_undeclared_initial_state_is_a_value_error():
     # refused by name and by the id constructor, so also by `replace`; a
     # declared initial state need not be the first
-    for build in (Lts.from_names, lambda *parts: Lts(*parts[:2], ([], [], []), parts[3])):
+    for build in (lts_from_names, lambda *parts: Lts(*parts[:2], ([], [], []), parts[3])):
         with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
             build(("s0",), (), (), "x")
         assert build(("s0", "s1"), (), (), "s1").initial == "s1"
-    for lts in (Lts.from_names(("s0",), (), (), "s0"), load_lts("fig2-middle.lts")):
+    for lts in (lts_from_names(("s0",), (), (), "s0"), load_lts("fig2-middle.lts")):
         with pytest.raises(ValueError, match="^dangling reference: initial state x not declared$"):
             replace(lts, initial="x")
 
@@ -257,17 +257,12 @@ def test_duplicate_state_declaration_is_a_value_error():
     for states in (("s0", "s1", "s1"), ("s0", "s0")):
         edges = (Edge("s0", "a", "s1"),) * (len(set(states)) - 1)
         with pytest.raises(ValueError, match="^dangling reference: duplicate state declaration$"):
-            Lts.from_names(states, ("a",), edges, "s0")
+            lts_from_names(states, ("a",), edges, "s0")
 
 
-def test_one_breadth_first_search_per_lts(monkeypatch):
+def test_one_breadth_first_search_per_lts():
     # validate reads, and every spanning tree is, the same memoised parent
-    # map; a parsed LTS has its columns from the parse, and no analysis
-    # builds an Lts by name, which would check its names again
-    def by_name(*parts):
-        raise AssertionError("an Lts built by name")
-
-    monkeypatch.setattr(Lts, "from_names", by_name)
+    # map; a parsed LTS has its columns from the parse
     lts = load_lts("fig2-middle.lts")
     columns = lts.columns
     assert validate(lts) == []
@@ -522,7 +517,7 @@ def test_an_lts_is_its_id_columns():
     split = apply_splitting(parsed, from_partitions(parsed, {"b": [[1], [3, 5]]}))
     built = [parsed, reachability_graph(ring_net(4, 5)), split]
     edges = load_lts("fig1-right.lts").edges
-    built.append(Lts.from_names(parsed.states, parsed.labels, edges, parsed.initial))
+    built.append(lts_from_names(parsed.states, parsed.labels, edges, parsed.initial))
     for lts in built:
         twin = replace(lts)
         back = pickle.loads(pickle.dumps(lts))

@@ -3,15 +3,26 @@ import time
 
 import pytest
 
-from helpers import INT_LIMITED, LONG_TOKEN, load_lts, load_net, random_lts, ring_net
-from labelsplit.lts import FormatError, Lts, validate
+from helpers import (
+    BRACE_NET,
+    BRACE_RG,
+    INT_LIMITED,
+    LONG_TOKEN,
+    PLACELESS_NET,
+    PLACELESS_RG,
+    load_lts,
+    load_net,
+    lts_from_names,
+    random_lts,
+    ring_net,
+)
+from labelsplit.lts import FormatError, Lts, format_lts, validate
 from labelsplit.petri import (
     NotEnabled,
     PetriNet,
     enabled,
     fire,
     format_net,
-    marking_name,
     parse_net,
     reachability_graph,
     Verification,
@@ -19,7 +30,7 @@ from labelsplit.petri import (
     verify_embedding,
 )
 from labelsplit.regions import NotEmbeddable, is_embeddable
-from oracles import marking_map, verify_embedding_oracle
+from oracles import marking_map, state_name, verify_embedding_oracle
 
 
 def test_parse_fig2_net():
@@ -198,10 +209,12 @@ def test_transition_without_inputs_always_enabled():
 
 
 def test_marking_name():
-    net = load_net("fig2.net")
-    assert marking_name(net, (5, 1, 0, 0)) == "p1:5,p2:1,p3:0,p4:0"
-    empty = PetriNet((), ("t",), {"t": ()}, {"t": ()}, ())
-    assert marking_name(empty, ()) == "-"
+    # the names `rg` gives markings, against the rule as the tests spell it
+    for text, expected in ((BRACE_NET, BRACE_RG), (PLACELESS_NET, PLACELESS_RG)):
+        net = parse_net(text)
+        rg = reachability_graph(net)
+        assert format_lts(rg) == expected
+        assert all(state_name(net, m) == s for s, m in marking_map(rg, net).items())
 
 
 def test_reachability_graph_fig2():
@@ -214,7 +227,7 @@ def test_reachability_graph_fig2():
     assert validate(rg) == []
     assert rg.initial == "p1:5,p2:1,p3:0,p4:0"
     # replay: each RG edge is a legal firing
-    back = {marking_name(net, m): m for m in _all_markings(net, rg)}
+    back = {state_name(net, m): m for m in _all_markings(net, rg)}
     for e in rg.edges:
         assert fire(net, back[e.source], e.label) == back[e.target]
 
@@ -302,7 +315,7 @@ def test_synthesize_not_embeddable():
 
 
 def test_synthesize_single_state():
-    lts = Lts.from_names(("s0",), (), (), "s0")
+    lts = lts_from_names(("s0",), (), (), "s0")
     net = synthesize(lts)
     assert net.places == ()
     assert verify_embedding(lts, net).embeds
@@ -343,7 +356,7 @@ def test_verify_embedding_edge_mismatch():
 
 
 def test_verify_embedding_no_labels_maps_to_initial_marking():
-    lts = Lts.from_names(("s0",), (), (), "s0")
+    lts = lts_from_names(("s0",), (), (), "s0")
     net = load_net("fig2.net")
     assert verify_embedding(lts, net) == verify_embedding_oracle(lts, net) == Verification(True, None)
     assert marking_map(lts, net) == {"s0": (5, 1, 0, 0)}
@@ -355,7 +368,7 @@ def test_verify_embedding_equals_oracle_ring(places, tokens):
     net = ring_net(places, tokens)
     rg = reachability_graph(net)
     assert verify_embedding(rg, net) == verify_embedding_oracle(rg, net) == Verification(True, None)
-    assert all(marking_name(net, m) == s for s, m in marking_map(rg, net).items())
+    assert all(state_name(net, m) == s for s, m in marking_map(rg, net).items())
 
 
 def test_verify_embedding_equals_oracle_random():
@@ -408,7 +421,7 @@ def test_random_rg_edges_replay_through_fire():
             done += 1
             continue
         assert validate(rg) == []
-        back = {marking_name(net, m): m for m in _all_markings(net, rg)}
+        back = {state_name(net, m): m for m in _all_markings(net, rg)}
         for e in rg.edges:
             assert fire(net, back[e.source], e.label) == back[e.target]
         done += 1

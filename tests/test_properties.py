@@ -18,7 +18,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import FIXTURES, labelled_ring, load_lts, load_net, random_lts, ring_net
+from helpers import FIXTURES, labelled_ring, load_lts, load_net, lts_from_names, random_lts, ring_net
 from labelsplit.cli import main
 from labelsplit.lts import (
     Edge,
@@ -191,7 +191,7 @@ def test_from_edges_fills_the_columns_its_names_give(drawn):
     assert "columns" in vars(built)
     assert built.columns == ids(built.states, built.labels)
     for states, labels in ((built.states, built.labels), (built.states[::-1], built.labels[::-1])):
-        assert Lts.from_names(states, labels, edges, initial).columns == ids(states, labels)
+        assert lts_from_names(states, labels, edges, initial).columns == ids(states, labels)
     # and every edge holds the very strings its columns index
     for e, s, t, d in zip(built.edges, *built.columns):
         assert built.states[s] is e.source and built.labels[t] is e.label and built.states[d] is e.target
@@ -469,7 +469,7 @@ TWO_SHORT = (
 # s2 is reached before s1 but declared after it; both go negative, and
 # the reason names the first declared
 NEGATIVE_TWICE = (
-    Lts.from_names(
+    lts_from_names(
         ("s0", "s1", "s2"),
         ("a", "b"),
         (Edge("s0", "b", "s2"), Edge("s2", "a", "s1"), Edge("s0", "a", "s1")),
@@ -778,7 +778,7 @@ def test_lts_from_columns_is_the_value_built_directly(drawn):
     # but `edges` makes them
     build, edges = drawn
     first = build()
-    eager = Lts.from_names(first.states, first.labels, edges, first.initial)
+    eager = lts_from_names(first.states, first.labels, edges, first.initial)
     for name, same in READS.items():
         lazy = build()
         assert "edges" not in vars(lazy)
@@ -841,10 +841,10 @@ def test_validate_equals_oracle(parts):
     problems = validate_oracle(parts)
     if problems and problems[0].startswith("dangling reference: "):
         with pytest.raises(ValueError) as refused_with:
-            Lts.from_names(*parts)
+            lts_from_names(*parts)
         assert str(refused_with.value) == problems[0]
     else:
-        assert validate(Lts.from_names(*parts)) == problems
+        assert validate(lts_from_names(*parts)) == problems
 
 
 # --- command line ---------------------------------------------------------
@@ -932,8 +932,28 @@ FILE_READERS = {
     "split-optimize": ("lts", lambda f: ["split", f, "--optimize", "--node-budget", "50"]),
 }
 states = st.sampled_from(["s0", "s1", "s2"])
-ids = st.sampled_from(["a", "b", "c", "p"])
+# `{0}` and `a}b` carry braces, which `rg` must write as they are into state names
+ids = st.sampled_from(["a", "b", "c", "p", "{0}", "a}b"])
 counts = st.sampled_from(["0", "1", "2", "3"])
+
+
+@st.composite
+def declared_nets(draw) -> str:
+    """A net whose every line reads: distinct ids split into places and
+    transitions, and arcs of positive weight between them, each pair and
+    direction once. Random lines alone seldom parse, so few reach `rg`."""
+    names = draw(st.lists(ids, unique=True, min_size=1, max_size=4))
+    k = draw(st.integers(0, len(names)))
+    places, transitions = names[:k], names[k:]
+    lines = [f"place {p} {draw(counts)}" for p in places] + [f"trans {t}" for t in transitions]
+    if places and transitions:
+        arcs = st.tuples(st.sampled_from(places), st.sampled_from(transitions), st.booleans())
+        for p, t, into in draw(st.lists(arcs, unique=True, max_size=4)):
+            ends = (t, p) if into else (p, t)
+            lines.append(f"arc {ends[0]} {ends[1]} {draw(st.sampled_from(['1', '2', '3']))}")
+    return "\n".join(["net", *lines])
+
+
 # a format's header and its own lines, so that some files parse and reach
 # the analysis, or else text of the formats' words
 documents = {
@@ -953,6 +973,7 @@ documents = {
             ),
             max_size=8,
         ).map(lambda ls: "\n".join(["net", *ls])),
+        declared_nets(),
     ),
 }
 

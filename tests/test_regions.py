@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import load_lts, load_net, random_lts
+from helpers import load_lts, load_net, lts_from_names, random_lts
 from labelsplit.lts import Lts, Packing, cycle_base, walk
 from labelsplit.petri import reachability_graph
 from labelsplit.regions import (
@@ -105,7 +105,7 @@ def test_is_embeddable_fixtures():
 
 
 def test_is_embeddable_single_state():
-    lts = Lts.from_names(("s0",), (), (), "s0")
+    lts = lts_from_names(("s0",), (), (), "s0")
     report = is_embeddable(lts)
     assert report.embeddable and report.witness is None
     assert oracle_signatures(lts) == {"s0": ()}
@@ -185,7 +185,7 @@ def test_separating_regions_raises_with_witness():
 
 
 def test_separating_regions_single_state():
-    assert separating_regions(Lts.from_names(("s0",), (), (), "s0")) == []
+    assert separating_regions(lts_from_names(("s0",), (), (), "s0")) == []
 
 
 def test_random_regions_are_valid():

@@ -17,7 +17,7 @@ from typing import Iterator
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import labelled_ring, load_lts, random_lts, tiny_random_lts
+from helpers import labelled_ring, load_lts, lts_from_names, random_lts, tiny_random_lts
 from labelsplit import splitting
 from labelsplit.linalg import integer_echelon, rref
 from labelsplit.lts import Lts, cycle_base, parse_lts, spanning_tree
@@ -201,7 +201,7 @@ def test_full_rank_leaves_need_no_echelon(monkeypatch):
 
 
 def test_zero_edges():
-    for lts in (Lts.from_names(("s0",), (), (), "s0"), Lts.from_names(("s0",), ("a",), (), "s0")):
+    for lts in (lts_from_names(("s0",), (), (), "s0"), lts_from_names(("s0",), ("a",), (), "s0")):
         assert assert_same(lts, 1)
         # the first round's only leaf is the unsplit LTS, even with no labels
         assert optimize(lts) == SplitOutcome(from_partitions(lts, {}), False, 1, 1)

@@ -9,6 +9,7 @@ from helpers import (
     INT_LIMITED,
     LONG_TOKEN,
     load_lts,
+    lts_from_names,
     minimal_split_labels,
     random_lts,
     tiny_random_lts,
@@ -84,7 +85,7 @@ def test_apply_splitting_keeps_declared_states():
     # the declared order, not the order of first use, and a declared state
     # that no edge touches
     edges = (Edge("s0", "a", "s1"), Edge("s1", "a", "s2"))
-    lts = Lts.from_names(("s0", "s2", "s1", "s3"), ("a",), edges, "s0")
+    lts = lts_from_names(("s0", "s2", "s1", "s3"), ("a",), edges, "s0")
     new = apply_splitting(lts, from_partitions(lts, {"a": [[0], [1]]}))
     assert new.states == ("s0", "s2", "s1", "s3")
     assert new.labels == ("a", "a#1")
@@ -167,7 +168,7 @@ def random_splitting(rng, lts):
 
 def test_apply_splitting_equals_the_lts_built_by_name():
     # relabelled from the id columns, making no edge, the split LTS is the
-    # value `Lts.from_names` builds, and checks, from the relabelled edges
+    # value `lts_from_names` builds, and checks, from the relabelled edges
     rng = random.Random(29)
     paths = sorted(FIXTURES.glob("**/*.lts"))
     fixtures = [load_lts(str(path.relative_to(FIXTURES))) for path in paths]
@@ -180,7 +181,7 @@ def test_apply_splitting_equals_the_lts_built_by_name():
         new = apply_splitting(lts, sp)
         assert "edges" not in vars(new)
         edges = tuple(Edge(e.source, t, e.target) for e, t in zip(lts.edges, sp.edge_labels))
-        by_name = Lts.from_names(lts.states, sp.alphabet, edges, lts.initial)
+        by_name = lts_from_names(lts.states, sp.alphabet, edges, lts.initial)
         assert new.columns == by_name.columns
         assert new == by_name and hash(new) == hash(by_name)
 
@@ -460,7 +461,7 @@ def test_optimize_embeddable_is_identity():
 
 
 def test_optimize_no_labels():
-    lts = Lts.from_names(("s0",), (), (), "s0")
+    lts = lts_from_names(("s0",), (), (), "s0")
     outcome = optimize(lts)
     assert outcome.found
     assert outcome.splitting.labels_used() == 0
