@@ -2,8 +2,10 @@
 
 Decisions are exit codes so the tool scripts cleanly: 0 affirmative,
 1 negative, 2 malformed input or arguments, 3 search budget exhausted,
-141 (SIGPIPE's, as a shell reports it) if stdout's reader closed it. Data
-goes to stdout or `-o` files, diagnostics to stderr.
+141 (SIGPIPE's, as a shell reports it) if stdout's or stderr's reader left.
+Data goes to stdout or `-o` files, diagnostics to stderr. A malformed input
+or argument raises `_Fail(message)`; only `main` prints it on stderr, one
+line per problem, and exits 2 (argparse prints and exits 2 on its own).
 
 Each verb runs with the cyclic garbage collector paused, and `main`
 restores it as it found it. The verbs build no reference cycles, so the
@@ -28,21 +30,7 @@ from .splitting import decide, optimize, serialize_splitting
 
 
 class _Fail(Exception):
-    def __init__(self, code: int) -> None:
-        self.code = code
-
-
-def _read(path: str) -> str:
-    """The file's bytes decoded: a line ends at a line feed alone, as the formats read it."""
-    try:
-        with open(path, "rb", buffering=0) as handle:
-            return handle.read().decode("utf-8")
-    except OSError as exc:
-        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-        raise _Fail(2) from None
-    except UnicodeDecodeError:
-        print(f"{path}: not valid UTF-8 text", file=sys.stderr)
-        raise _Fail(2) from None
+    """A malformed input or argument; the message is the diagnostic, one line per problem."""
 
 
 def _write(path: str, chunks: Iterable[str]) -> None:
@@ -50,28 +38,29 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
     except OSError as exc:
-        print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
-        raise _Fail(2) from None
+        raise _Fail(f"{path}: {exc.strerror or exc}") from None
 
 
 T = TypeVar("T")
 
 
 def _parse_file(path: str, parser: Callable[[str], T]) -> T:
+    """The file's bytes decoded, then parsed: a line ends at a line feed alone, as the formats read it."""
     try:
-        return parser(_read(path))
+        with open(path, "rb", buffering=0) as handle:
+            return parser(handle.read().decode("utf-8"))
+    except OSError as exc:
+        raise _Fail(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise _Fail(f"{path}: not valid UTF-8 text") from None
     except FormatError as exc:
-        print(f"{path}:{exc.line}: {exc.message}", file=sys.stderr)
-        raise _Fail(2) from None
+        raise _Fail(f"{path}:{exc.line}: {exc.message}") from None
 
 
 def _load_lts(path: str) -> Lts:
     lts = _parse_file(path, parse_lts)
-    problems = validate(lts)
-    if problems:
-        for p in problems:
-            print(f"{path}: {p}", file=sys.stderr)
-        raise _Fail(2)
+    if problems := validate(lts):
+        raise _Fail("\n".join(f"{path}: {p}" for p in problems))
     return lts
 
 
@@ -84,16 +73,14 @@ def _values_list(raw: str) -> tuple[int, ...]:
 
 def _at_least(flag: str, value: int | None, low: int) -> None:
     if value is not None and value < low:
-        print(f"{flag} must be at least {low}, got {value}", file=sys.stderr)
-        raise _Fail(2)
+        raise _Fail(f"{flag} must be at least {low}, got {value}")
 
 
 def _instance(args: argparse.Namespace) -> SubsetSumInstance:
     try:
         return SubsetSumInstance(args.b, args.c)
     except ValueError as exc:
-        print(f"bad instance: {exc}", file=sys.stderr)
-        raise _Fail(2) from None
+        raise _Fail(f"bad instance: {exc}") from None
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -123,8 +110,7 @@ def _cmd_rg(args: argparse.Namespace) -> int:
     try:
         result = reachability_graph(net, max_states=args.bound)
     except ValueError as exc:  # a marking too long to write as a state name
-        print(f"{args.net_file}: {exc}", file=sys.stderr)
-        return 2
+        raise _Fail(f"{args.net_file}: {exc}") from None
     if result is None:
         print("bound-exceeded")
         return 1
@@ -141,8 +127,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         outcome = verify_embedding(lts, net)
     except ValueError as exc:
-        print(f"{args.lts_file} vs {args.net_file}: {exc}", file=sys.stderr)
-        return 2
+        raise _Fail(f"{args.lts_file} vs {args.net_file}: {exc}") from None
     if outcome.embeds:
         print("embeds")
         return 0
@@ -170,8 +155,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     instance = _instance(args)
-    gadget = build_lts(instance)
-    _write(args.output, lts_chunks(gadget))
+    _write(args.output, lts_chunks(build_lts(instance)))
     p = params(instance)
     print(f"k={p.max_bit} q={p.label_budget}")
     return 0
@@ -180,11 +164,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     instance = _instance(args)
     if instance.n > BRUTE_MAX_N:
-        print(
-            f"--c: the oracle takes at most {BRUTE_MAX_N} values, got {instance.n}",
-            file=sys.stderr,
-        )
-        raise _Fail(2)
+        raise _Fail(f"--c: the oracle takes at most {BRUTE_MAX_N} values, got {instance.n}")
     solution = subset_sum_brute(instance)
     if solution is None:
         print("none")
@@ -259,19 +239,23 @@ def main(argv: list[str] | None = None) -> int:
             args, extra = verb.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0])) if verb else (None, True)
             if extra:
                 args = parser.parse_args(argv)
+            gc.disable()
+            code = args.func(args)
         except SystemExit as exc:
             # argparse prints its own diagnostics; errors exit 2, --help exits 0
             code = exc.code if isinstance(exc.code, int) else 2
-        else:
-            gc.disable()
-            code = args.func(args)
+        except _Fail as fail:  # inside the outer try: a closed stderr exits 141 as stdout does
+            print(fail, file=sys.stderr)
+            code = 2
         sys.stdout.flush()
         return code
-    except _Fail as fail:
-        return fail.code
-    except BrokenPipeError:  # stdout's reader left; the flush at exit goes to the null device
+    except BrokenPipeError:  # a reader left; what its stream still holds goes to the null device at exit
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(devnull, stream.fileno())
         os.close(devnull)
         return 141
     finally:

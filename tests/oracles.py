@@ -23,6 +23,7 @@ None of it runs in the package.
 from __future__ import annotations
 
 import itertools
+import sys
 from itertools import islice
 from collections import deque
 from fractions import Fraction
@@ -664,4 +665,5 @@ def parse_args_main(argv: list[str]) -> int:
     try:
         return args.func(args)
     except cli._Fail as fail:
-        return fail.code
+        print(fail, file=sys.stderr)
+        return 2

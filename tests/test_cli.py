@@ -80,15 +80,18 @@ def test_check_embeddable(capsys):
 
 def test_check_missing_file(capsys):
     assert main(["check", "/no/such/file.lts"]) == 2
-    assert capsys.readouterr().err != ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "/no/such/file.lts: No such file or directory\n"
 
 
 def test_check_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.lts"
     bad.write_text("lts\ninitial s0\nedge oops\n")
     assert main(["check", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert f"{bad}:3:" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}:3: expected 'edge <source> <label> <target>'\n"
 
 
 def test_diagnostic_line_matches_grep_after_form_feed(tmp_path, capsys):
@@ -177,7 +180,9 @@ def test_check_contract_violation(tmp_path, capsys):
     bad = tmp_path / "nondet.lts"
     bad.write_text("lts\ninitial s0\nedge s0 a s1\nedge s0 a s2\n")
     assert main(["check", str(bad)]) == 2
-    assert "nondeterministic" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{bad}: nondeterministic: two edges from s0 with label a\n"
 
 
 def test_check_contract_violations_exact(tmp_path, capsys):
@@ -375,7 +380,9 @@ def test_verify_label_mismatch_is_input_error(tmp_path, capsys):
     lts_file = tmp_path / "x.lts"
     lts_file.write_text("lts\ninitial s0\nedge s0 zz s1\n")
     assert main(["verify", str(lts_file), FIG2_NET]) == 2
-    assert "zz" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{lts_file} vs {FIG2_NET}: label is not a transition of the net: zz\n"
 
 
 def test_split_max_labels_witness(capsys):
@@ -467,9 +474,17 @@ def test_reduce_writes_gadget(tmp_path, capsys):
     assert not is_embeddable(gadget).embeddable
 
 
-def test_reduce_bad_instance(capsys):
-    assert main(["reduce", "--b", "0", "--c", "2", "-o", "/tmp/x.lts"]) == 2
-    assert main(["reduce", "--b", "2", "--c", "2,x", "-o", "/tmp/x.lts"]) == 2
+def test_reduce_bad_instance(tmp_path, capsys):
+    out = tmp_path / "x.lts"
+    assert main(["reduce", "--b", "0", "--c", "2", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bad instance: target must be a positive integer, got 0\n"
+    assert main(["reduce", "--b", "2", "--c", "2,x", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --c: expected comma-separated integers, got '2,x'\n")
+    assert not out.exists()
 
 
 def test_oracle_solvable(capsys):
@@ -686,6 +701,31 @@ def test_closed_stdout_at_the_final_flush_exits_141(monkeypatch, capsys):
     finally:
         stdout.close()
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "/no/such/file.lts"], ["verify", FIG1_RIGHT, str(FIXTURES / "weighted.net")]],
+    ids=["helper", "verb"],
+)
+def test_closed_stderr_at_a_diagnostic_exits_141(argv, unbuffered):
+    # `main` prints the diagnostic inside the handler of a closed pipe, so
+    # a stderr with no reader exits 141 as a closed stdout does. Buffered,
+    # the failed line stays in stderr's buffer, and the exit-time flush of
+    # it would fail (exit 120) unless it goes to the null device
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "labelsplit", *argv], stdout=subprocess.PIPE, stderr=write, env=env, timeout=60
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stdout) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["rg", "-h"]], ids=["top", "verb"])

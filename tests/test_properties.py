@@ -997,11 +997,22 @@ def test_cli_file_fuzz_never_crashes(tmp_path_factory, reader, data):
     raw = data.draw(contents(documents[kind]))
     home = os.getcwd()
     os.chdir(tmp_path_factory.mktemp("cli"))
+    call = argv("input.file")
+    out, err = io.StringIO(), io.StringIO()
     try:
         with open("input.file", "wb") as handle:
             handle.write(raw)
-        code, text = run(argv("input.file"))
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(call)
     finally:
         os.chdir(home)
+    out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2, 3), raw
-    assert "Traceback" not in text, raw
+    assert "Traceback" not in out + err, raw
+    if code == 2:
+        # no data, and one diagnostic per line, each naming a file the verb read
+        read = tuple(path for path in call if path in ("input.file", *LTS_FILES, *NET_FILES))
+        assert out == "" and err.endswith("\n"), raw
+        assert all(line.startswith(read) for line in err[:-1].split("\n")), (raw, err)
+    else:
+        assert err == "", raw
