@@ -125,13 +125,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lts = _load_lts(args.lts_file)
     net = _parse_file(args.net_file, parse_net)
     try:
-        outcome = verify_embedding(lts, net)
+        reason = verify_embedding(lts, net)
     except ValueError as exc:
         raise _Fail(f"{args.lts_file} vs {args.net_file}: {exc}") from None
-    if outcome.embeds:
+    if reason is None:
         print("embeds")
         return 0
-    print(f"does-not-embed {outcome.reason}")
+    print(f"does-not-embed {reason}")
     return 1
 
 

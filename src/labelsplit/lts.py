@@ -17,11 +17,11 @@ memoised `Lts._parents`, which a split LTS shares), and it is the one
 spanning tree of the LTS: a map from each state id to its incoming tree
 edge. `validate` reads it, `spanning_tree` returns it, and `walk` sums int
 steps down it. A vector is one int by one rule, `Packing`, a signed field
-per entry as wide as a bound the caller proves, so a tree step, a chord or
-an equality test is one int operation. `cycle_base` returns the integer
-echelon `(rows, pivots)` of the distinct chords. The reading rules of all
-three text formats live here, next to `FormatError`; `lts_chunks` writes
-the LTS format a chunk at a time.
+per entry, each as wide as a bound the caller proves on every entry, so a
+tree step, a chord or an equality test is one int operation. `cycle_base`
+returns the integer echelon `(rows, pivots)` of the distinct chords. The
+reading rules of all three text formats live here, next to `FormatError`;
+`lts_chunks` writes the LTS format a chunk at a time.
 `_fresh_names` names a splitting's new labels and a synthesized net's places.
 """
 
@@ -148,8 +148,7 @@ class Packing:
     """Vectors of `fields` ints as one int: entry j is a signed field at bit
     j * width, one bit wider than a proven bound on |entry| needs. Packing
     is linear, so a walk over packed steps sums vectors, and equal ints are
-    equal vectors while every entry but the last lies within the bound: the
-    last field, at the top of the int, holds any value. `top` has each
+    equal vectors while every entry lies within the bound. `top` has each
     field's top bit; adding it sets that bit where an entry within the bound
     is >= 0."""
 
@@ -161,8 +160,7 @@ class Packing:
     @classmethod
     def summing(cls, vectors: Sequence[Sequence[int]], terms: int) -> Packing:
         """Holds every signed sum of `terms` of `vectors` (a walk sums fewer than its states)."""
-        lower = list(zip(*vectors))[:-1]  # the last field needs no bound
-        return cls(len(vectors[0]) if vectors else 0, terms * max(map(abs, chain.from_iterable(lower)), default=0))
+        return cls(len(vectors[0]) if vectors else 0, terms * max(map(abs, chain.from_iterable(vectors)), default=0))
 
     def pack(self, vectors: Sequence[Sequence[int]]) -> list[int]:
         """Each vector as one int, by Horner's rule from the top field down."""
@@ -176,11 +174,7 @@ class Packing:
         """The vectors of packed `values`, a field of all of them per pass."""
         mask, half = (1 << self.width) - 1, 1 << self.width - 1
         biased = [v + self.top for v in values]
-        fields = []
-        for k in self.shifts[:-1]:
-            fields.append([(v >> k & mask) - half for v in biased])
-        for k in self.shifts[-1:]:  # the last field, unmasked, holds any value
-            fields.append([(v >> k) - half for v in biased])
+        fields = [[(v >> k & mask) - half for v in biased] for k in self.shifts]
         return list(zip(*fields)) if fields else [()] * len(values)
 
 

@@ -169,13 +169,7 @@ def synthesize(lts: Lts) -> PetriNet:
     return PetriNet(places, lts.labels, pre, post, tuple(max(0, -low) for low in lows))
 
 
-@dataclass(frozen=True)
-class Verification:
-    embeds: bool
-    reason: str | None
-
-
-def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
+def verify_embedding(lts: Lts, net: PetriNet) -> str | None:
     """Check that the canonical marking map embeds the LTS into the net's
     reachability graph.
 
@@ -184,7 +178,8 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     order: all markings nonnegative, the map is injective, and every LTS edge
     is enabled at its source marking (naming the first short place) and
     fires to its target marking. Every LTS label must be a transition of the
-    net (ValueError otherwise)."""
+    net (ValueError otherwise). Returns the first violation, as a reason
+    such as `not-enabled s0 t p`, or None when the map embeds."""
     missing = [t for t in lts.labels if t not in net.pre]
     if missing:
         raise ValueError(f"label is not a transition of the net: {missing[0]}")
@@ -202,11 +197,11 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     # all markings at once; the ordered loops only name the first violation
     if reduce(and_, markings) & top != top:
         s = next(s for s, m in zip(lts.states, markings) if m & top != top)
-        return Verification(False, f"negative-marking {s}")
+        return f"negative-marking {s}"
     if len(set(markings)) != len(markings):
         seen: dict[int, str] = {}
         first, then = next((seen[m], s) for s, m in zip(lts.states, markings) if seen.setdefault(m, s) != s)
-        return Verification(False, f"not-injective {first} {then}")
+        return f"not-injective {first} {then}"
     # each edge replayed by label id, and named through the columns
     states, labels = lts.states, lts.labels
     for s, t, d in zip(*lts.columns):
@@ -214,10 +209,10 @@ def verify_embedding(lts: Lts, net: PetriNet) -> Verification:
         if (m - takes[t]) & top != top:  # some place short of tokens: name the first
             (counts,) = packing.unpack([m - top])
             p = next(p for p, (c, w) in enumerate(zip(counts, net.pre[labels[t]])) if c < w)
-            return Verification(False, f"not-enabled {states[s]} {labels[t]} {net.places[p]}")
+            return f"not-enabled {states[s]} {labels[t]} {net.places[p]}"
         if m + effects[t] != markings[d]:
-            return Verification(False, f"edge-mismatch {states[s]} {labels[t]} {states[d]}")
-    return Verification(True, None)
+            return f"edge-mismatch {states[s]} {labels[t]} {states[d]}"
+    return None
 
 
 # --- text format --------------------------------------------------------

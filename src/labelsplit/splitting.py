@@ -535,8 +535,8 @@ def optimize(lts: Lts, node_budget: int | None = None) -> SplitOutcome:
     edge labels distinct) is always embeddable, so the loop ends by
     |labels| + |edges|. The analysis of the graph is shared by every round.
     Round q visits only splittings with exactly q labels, as every smaller
-    budget has failed; once a round above |labels| fails after more than one
-    leaf, the later rounds also run the `_Separation` prune.
+    budget has failed; once a round fails after more than one leaf (round
+    |labels| has one), the later rounds also run the `_Separation` prune.
     `node_budget` caps each round on its own; a round that runs out ends the
     search `exhausted`. `nodes` and `leaves` sum over the rounds run."""
     search = _Search(lts)
@@ -548,6 +548,6 @@ def optimize(lts: Lts, node_budget: int | None = None) -> SplitOutcome:
         leaves += outcome.leaves
         if outcome.found or outcome.exhausted:
             return replace(outcome, nodes=nodes, leaves=leaves)
-        if separation is None and q > len(lts.labels) and outcome.leaves > 1:
+        if separation is None and outcome.leaves > 1:
             separation = _Separation(search)
     raise AssertionError("fully split LTS must be embeddable")

@@ -35,12 +35,7 @@ from helpers import lts_from_names
 from labelsplit import cli
 from labelsplit.linalg import integer_echelon, nullspace_basis, rref
 from labelsplit.lts import Edge, Lts, _fresh_names, spanning_tree
-from labelsplit.petri import (
-    Marking,
-    NotEnabled,
-    PetriNet,
-    Verification,
-)
+from labelsplit.petri import Marking, NotEnabled, PetriNet
 from labelsplit.reduction import SubsetSumInstance, _gamma_edges
 from labelsplit.regions import EmbeddabilityReport, Region, effect_space, is_embeddable, separating_regions
 from labelsplit.splitting import (
@@ -548,7 +543,7 @@ def reachability_graph_oracle(net: PetriNet, max_states: int = 10000) -> Lts | N
     )
 
 
-def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
+def verify_embedding_oracle(lts: Lts, net: PetriNet) -> str | None:
     """The embedding check with markings from `marking_map` and every LTS
     edge replayed through `fire_oracle`, in the order negative markings,
     injectivity, then edges."""
@@ -558,28 +553,24 @@ def verify_embedding_oracle(lts: Lts, net: PetriNet) -> Verification:
     mapping = marking_map(lts, net)
     for s in lts.states:
         if any(v < 0 for v in mapping[s]):
-            return Verification(False, f"negative-marking {s}")
+            return f"negative-marking {s}"
     seen: dict[Marking, str] = {}
     for s in lts.states:
         m = mapping[s]
         if m in seen:
-            return Verification(False, f"not-injective {seen[m]} {s}")
+            return f"not-injective {seen[m]} {s}"
         seen[m] = s
     for e in lts.edges:
         try:
             fired = fire_oracle(net, mapping[e.source], e.label)
         except NotEnabled as short:
-            return Verification(
-                False, f"not-enabled {e.source} {e.label} {short.place}"
-            )
+            return f"not-enabled {e.source} {e.label} {short.place}"
         if fired != mapping[e.target]:
-            return Verification(
-                False, f"edge-mismatch {e.source} {e.label} {e.target}"
-            )
-    return Verification(True, None)
+            return f"edge-mismatch {e.source} {e.label} {e.target}"
+    return None
 
 
-def tuple_verify_embedding(lts: Lts, net: PetriNet) -> Verification:
+def tuple_verify_embedding(lts: Lts, net: PetriNet) -> str | None:
     """`verify_embedding` on tuple markings, as the package ran it before
     it packed them: markings from `tuple_walk` over the transition
     effects, and each edge replayed by label id, testing its input places
@@ -595,21 +586,21 @@ def tuple_verify_embedding(lts: Lts, net: PetriNet) -> Verification:
     markings = tuple_walk(lts, [effect for _, effect in moves], start=net.initial_marking)
     for s, m in zip(lts.states, markings):
         if min(m, default=0) < 0:
-            return Verification(False, f"negative-marking {s}")
+            return f"negative-marking {s}"
     seen: dict[Marking, str] = {}
     for s, m in zip(lts.states, markings):
         if seen.setdefault(m, s) != s:
-            return Verification(False, f"not-injective {seen[m]} {s}")
+            return f"not-injective {seen[m]} {s}"
     states, labels = lts.states, lts.labels
     for s, t, d in zip(*lts.columns):
         m = markings[s]
         inputs, effect = moves[t]
         for p, w in inputs:
             if m[p] < w:
-                return Verification(False, f"not-enabled {states[s]} {labels[t]} {net.places[p]}")
+                return f"not-enabled {states[s]} {labels[t]} {net.places[p]}"
         if tuple(map(add, m, effect)) != markings[d]:
-            return Verification(False, f"edge-mismatch {states[s]} {labels[t]} {states[d]}")
-    return Verification(True, None)
+            return f"edge-mismatch {states[s]} {labels[t]} {states[d]}"
+    return None
 
 
 def validate_oracle(parts: tuple) -> list[str]:

@@ -202,7 +202,7 @@ def test_synth_writes_parseable_net(tmp_path, capsys):
     out = tmp_path / "out.net"
     assert main(["synth", FIG2_MIDDLE, "-o", str(out)]) == 0
     net = parse_net(out.read_text())
-    assert verify_embedding(load_lts("fig2-middle.lts"), net).embeds
+    assert verify_embedding(load_lts("fig2-middle.lts"), net) is None
 
 
 def test_synth_place_names_skip_the_labels(tmp_path, capsys):
@@ -374,6 +374,24 @@ def test_verify_does_not_embed(tmp_path, capsys):
     net_file.write_text("net\ntrans a\n")
     assert main(["verify", str(lts_file), str(net_file)]) == 1
     assert capsys.readouterr().out == "does-not-embed not-injective s0 s1\n"
+
+
+def test_verify_prints_each_reason(tmp_path, capsys):
+    # one LTS and net per verdict, each net's first violation named in full
+    one, back = "lts\ninitial s0\nedge s0 a s1\n", "lts\ninitial s0\nedge s0 a s1\nedge s1 a s0\n"
+    cases = [
+        (one, "place p 1\narc p a 1\n", 0, "embeds\n"),
+        (one, "place p 0\narc p a 1\n", 1, "does-not-embed negative-marking s1\n"),
+        (one, "", 1, "does-not-embed not-injective s0 s1\n"),
+        (one, "place p 0\nplace q 0\narc p a 1\narc a p 1\narc a q 1\n", 1, "does-not-embed not-enabled s0 a p\n"),
+        (back, "place p 0\narc a p 1\n", 1, "does-not-embed edge-mismatch s1 a s0\n"),
+    ]
+    lts_file, net_file = tmp_path / "x.lts", tmp_path / "x.net"
+    for lts_text, arcs, code, out in cases:
+        lts_file.write_text(lts_text)
+        net_file.write_text(f"net\ntrans a\n{arcs}")
+        assert main(["verify", str(lts_file), str(net_file)]) == code
+        assert capsys.readouterr() == (out, "")
 
 
 def test_verify_label_mismatch_is_input_error(tmp_path, capsys):

@@ -274,7 +274,7 @@ def test_one_breadth_first_search_per_lts():
     walk(lts, [1] * len(lts.labels))
     cycle_base(lts)
     assert is_embeddable(lts).embeddable
-    assert verify_embedding(lts, load_net("fig2.net")).embeds
+    assert verify_embedding(lts, load_net("fig2.net")) is None
     assert spanning_tree(lts) is parent
     assert lts.columns is columns
 
@@ -535,7 +535,7 @@ def test_rg_to_verify_builds_no_edges():
     rg = reachability_graph(net)
     text = format_lts(rg)
     lts = parse_lts(text)
-    assert validate(lts) == [] and verify_embedding(lts, net).embeds
+    assert validate(lts) == [] and verify_embedding(lts, net) is None
     assert "edges" not in vars(rg) and "edges" not in vars(lts)
     # a first read makes them, as the names in the text give, and keeps them
     rows = [line.split()[1:] for line in text.splitlines()[2:]]

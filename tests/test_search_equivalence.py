@@ -174,6 +174,17 @@ def test_optimize_counts_on_dense_draws():
     assert (sum(o.nodes for o in outcomes), sum(o.leaves for o in outcomes)) == (739, 221)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 2**32))
+def test_round_at_the_label_count_checks_at_most_one_leaf(seed):
+    # `optimize` runs the separation prune after the first round with more
+    # than one leaf, so it relies on round |labels| never being that round:
+    # with no label to spare, the only splitting is the identity
+    rng = random.Random(seed)
+    lts = random_lts(rng, max_states=rng.choice([1, 4, 8]), extra_edges=rng.choice([0, 4, 12]))
+    assert splitting._decide(_Search(lts), len(lts.labels), None, exact=True).leaves <= 1
+
+
 def test_leaves_counted_on_unsolvable_gadgets():
     # every leaf of the 2^n tree is checked; nodes are as before
     for values, leaves, nodes in [((2, 4, 6, 8), 16, 242), ((2, 4, 6, 8, 10, 12), 64, 963)]:
